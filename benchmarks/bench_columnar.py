@@ -6,12 +6,14 @@ the deterministic task-work model used by the shard experiment —
 rows_produced`` out of fresh evaluator counters, never a wall clock:
 
 * **layout sweep** — identical sources and deltas propagated through a
-  row-layout and a columnar-layout (struct-of-arrays) mediator.  The row
-  engine's set-difference rules re-evaluate operand chains on every
-  firing, so its work grows with database size; the columnar engine
-  answers the same transitions with slot probes against maintained
-  indexes, so its work tracks the delta.  At the largest database the
-  small-delta cells must clear a ≥10× end-to-end speedup.
+  row-layout and a columnar-layout (struct-of-arrays) mediator.  Both
+  run one algorithm: the set-difference rules answer support transitions
+  with per-delta-row probes against maintained indexes on either layout,
+  so task work tracks the delta — it must not grow with database size on
+  the row engine or the columnar one, and the two must do identical
+  logical work.  What the layout changes is physical (``cells_scanned``,
+  ``rows_materialized``) and wall-clock cost, which
+  ``benchmarks/e2e`` measures; this sweep pins the algorithm.
 * **smash sweep** — churn-heavy transactions (rows inserted then deleted
   across separate announcements, plus one surviving insert) propagated
   with ``smash_enabled=True`` (one pass over the queue-folded net delta)
@@ -45,11 +47,6 @@ except ImportError:  # running as a script from the repo root
 
 DB_SIZES = [100, 400, 1600]
 DELTA_SIZES = [1, 10, 100]
-#: Cells that must clear the headline ≥10× bar: propagation is a
-#: delta-sized workload, so the claim lives where deltas are small
-#: relative to the database (the 100-row delta against the 1600-row
-#: database still wins ~5× and is recorded, but is not the claim).
-SMALL_DELTAS = [1, 10]
 #: Smash sweep: bounce counts at a fixed mid-size database.  Each bounce
 #: is an insert and a delete of the same row in *separate* announcements
 #: (same-window bounces already cancel at the source accumulator, which
@@ -218,33 +215,28 @@ def check_shapes(results) -> list:
     layout = results["layout"]
     smash = results["smash"]
     by_key = {(r["delta_rows"], r["db_size"]): r for r in layout}
-    largest_small = [
-        by_key[(delta, max(DB_SIZES))] for delta in SMALL_DELTAS
-    ]
-    monotone = all(
-        by_key[(delta, a)]["speedup"] <= by_key[(delta, b)]["speedup"]
-        for delta in DELTA_SIZES
-        for a, b in zip(DB_SIZES, DB_SIZES[1:])
-    )
-    col_flat = all(
-        by_key[(delta, max(DB_SIZES))]["columnar"]["task_work"]
-        <= by_key[(delta, min(DB_SIZES))]["columnar"]["task_work"]
-        for delta in DELTA_SIZES
-    )
+
+    def non_increasing(engine: str) -> bool:
+        return all(
+            by_key[(delta, a)][engine]["task_work"]
+            >= by_key[(delta, b)][engine]["task_work"]
+            for delta in DELTA_SIZES
+            for a, b in zip(DB_SIZES, DB_SIZES[1:])
+        )
+
     churn_heavy = [r for r in smash if r["bounces"] >= 8]
     return [
         (
-            "columnar clears ≥10× end-to-end task-work speedup at the "
-            "largest database (small-delta cells)",
-            all(r["speedup"] >= 10 for r in largest_small),
+            "row task work on a C/D delta is non-increasing in database size",
+            non_increasing("row"),
         ),
         (
-            "columnar speedup grows with database size at fixed delta size",
-            monotone,
+            "columnar task work on a C/D delta is non-increasing in database size",
+            non_increasing("columnar"),
         ),
         (
-            "columnar task work does not grow with database size",
-            col_flat,
+            "row and columnar engines do identical logical task work in every cell",
+            all(r["row"]["task_work"] == r["columnar"]["task_work"] for r in layout),
         ),
         (
             "steady-state propagation never rebuilds an index (either layout)",

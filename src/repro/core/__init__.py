@@ -35,7 +35,7 @@ from repro.core.mediator import (
 from repro.core.persistence import restore_mediator, save_mediator
 from repro.core.query_processor import QPStats, QueryProcessor
 from repro.core.rulebase import RuleBase
-from repro.core.rules import BagNodeRule, SetNodeRule, operand_support_delta, spj_delta
+from repro.core.rules import BagNodeRule, SetNodeRule, spj_delta
 from repro.core.update_queue import QueuedUpdate, UpdateQueue
 from repro.core.vap import PlannedTemp, VAPStats, VirtualAttributeProcessor
 from repro.core.vap_cache import CacheEntry, VAPTempCache
@@ -60,7 +60,6 @@ __all__ = [
     "BagNodeRule",
     "SetNodeRule",
     "spj_delta",
-    "operand_support_delta",
     "LocalStore",
     "UpdateQueue",
     "QueuedUpdate",

@@ -81,10 +81,6 @@ class SourceLink:
 class DirectLink(SourceLink):
     """In-process link to a :class:`SourceDatabase`."""
 
-    # Safe: the flush+snapshot pair is atomic under the source's lock, and
-    # the announcement sink (the mediator's update queue) locks internally.
-    supports_parallel_poll = True
-
     def __init__(
         self,
         source: SourceDatabase,
@@ -99,6 +95,16 @@ class DirectLink(SourceLink):
         self.source = source
         self.announcement_sink = announcement_sink
         self.announces = announces
+
+    @property
+    def supports_parallel_poll(self) -> bool:
+        """True unless the source must be polled from its creating thread.
+
+        Otherwise safe: the flush+snapshot pair is atomic under the
+        source's lock, and the announcement sink (the mediator's update
+        queue) locks internally.
+        """
+        return not self.source.thread_affine
 
     def poll_many(self, queries: Mapping[str, Expression]) -> Dict[str, Relation]:
         # Sources that can execute queries internally (SQLite) answer the

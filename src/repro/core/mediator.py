@@ -246,8 +246,7 @@ class SquirrelMediator:
         ``"row"`` (hash containers of ``Row`` dicts, the default) or
         ``"columnar"`` (struct-of-arrays
         :class:`~repro.relalg.ColumnarRelation` with slot-based indexes
-        and the evaluator's vectorized chain paths; the set rules'
-        support-probe indexes are declared under this layout only).
+        and the evaluator's vectorized chain paths).
         ``smash_enabled=False`` disables transaction-level net-effect
         compaction — the kernel runs one propagation pass per queued
         message instead of one pass over the smashed batch (the smash
@@ -287,12 +286,10 @@ class SquirrelMediator:
         self.store = LocalStore(annotated, indexing_enabled=indexing_enabled, layout=layout)
         self.rulebase = RuleBase(self.vdp)
         self.store.declare_index_requirements(self.rulebase.index_requirements())
-        if self.store.layout == "columnar":
-            # Support-probe indexes for the set rules' fast path.  Declared
-            # only here (not through index_requirements) so the shard
-            # planner's key inference — and the row layout's firing
-            # behaviour — are untouched.
-            self.store.declare_index_requirements(self.rulebase.probe_index_requirements())
+        # Support-probe indexes for the set rules' O(delta) path.  Declared
+        # here and not through index_requirements() so the shard planner's
+        # key inference is untouched.
+        self.store.declare_index_requirements(self.rulebase.probe_index_requirements())
         self.shard_plan = (
             plan_shards(self.vdp, self.rulebase, shards) if shards > 1 else None
         )
@@ -689,8 +686,7 @@ class SquirrelMediator:
         self.store.vdp = annotated.vdp
         self.rulebase = RuleBase(self.vdp)
         self.store.declare_index_requirements(self.rulebase.index_requirements())
-        if self.store.layout == "columnar":
-            self.store.declare_index_requirements(self.rulebase.probe_index_requirements())
+        self.store.declare_index_requirements(self.rulebase.probe_index_requirements())
         # The shard plan is a function of the rulebase: re-infer it so new
         # nodes get keys and new edges get local/exchange classifications
         # (existing repositories repartition only when their layout moved).

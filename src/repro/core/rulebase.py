@@ -65,8 +65,7 @@ class RuleBase:
 
         Collected separately from :meth:`index_requirements` because the
         shard planner keys off join-probe requirements; the mediator
-        declares these only for the columnar layout (the opt-in gate for
-        the set rules' probe fast path).
+        declares both on every layout.
         """
         out: Dict[str, Set[Tuple[str, ...]]] = {}
         for rule in self._by_edge.values():

@@ -45,7 +45,7 @@ with |delta|, not |database|.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
 from repro.deltas import BagDelta, SetDelta
 from repro.errors import VDPError
@@ -75,7 +75,6 @@ __all__ = [
     "DELTA_ALIAS_PREFIX",
     "CompiledSPJ",
     "spj_delta",
-    "operand_support_delta",
     "BagNodeRule",
     "SetNodeRule",
     "build_rule",
@@ -135,14 +134,14 @@ def _delta_parts(
     delta: BagDelta, relation: str, schema: RelationSchema
 ) -> Tuple[BagRelation, BagRelation]:
     """Split a bag delta into positive and negative part bags."""
-    pos = BagRelation(schema)
-    neg = BagRelation(schema)
+    pos: Dict[Row, int] = {}
+    neg: Dict[Row, int] = {}
     for r, n in delta.entries_for(relation):
         if n > 0:
-            pos.insert(r, n)
+            pos[r] = n
         else:
-            neg.insert(r, -n)
-    return pos, neg
+            neg[r] = -n
+    return BagRelation(schema, pos), BagRelation(schema, neg)
 
 
 class CompiledSPJ:
@@ -314,13 +313,18 @@ def _operand_for_child(definition: Difference, child: str) -> List[Tuple[str, Ex
 
 
 def _support_transitions(
-    old_bag: Relation, delta_bag: BagDelta, relation: str
+    count_before: Callable[[Row], int], delta_bag: BagDelta
 ) -> Tuple[List[Row], List[Row]]:
-    """0↔positive multiplicity transitions of an operand's support."""
+    """0↔positive multiplicity transitions of an operand's support.
+
+    ``count_before`` answers a row's pre-update operand multiplicity — an
+    index probe on the O(delta) path, a lookup in the evaluated operand
+    on the fallback.
+    """
     entering: List[Row] = []
     leaving: List[Row] = []
-    for r, n in delta_bag.entries_for(relation):
-        before = old_bag.count(r)
+    for r, n in delta_bag.entries_for("operand"):
+        before = count_before(r)
         after = before + n
         if after < 0:
             raise VDPError(f"operand multiplicity went negative for row {dict(r)}")
@@ -329,30 +333,6 @@ def _support_transitions(
         elif before > 0 and after == 0:
             leaving.append(r)
     return entering, leaving
-
-
-def operand_support_delta(
-    operand: Expression,
-    child: str,
-    child_delta: BagDelta,
-    catalog: Mapping[str, Relation],
-    child_schema: RelationSchema,
-    counters: Optional[EvalCounters] = None,
-) -> Tuple[List[Row], List[Row]]:
-    """Rows entering and leaving the *support* of a difference operand.
-
-    The operand is a select/project/rename chain over ``child`` evaluated
-    under bag semantics; the set node subtracts supports, so only 0↔positive
-    transitions matter.  Requires the child's pre-update value in
-    ``catalog`` (the IUP fires rules before applying the child's delta, so
-    the repository is exactly that).
-    """
-    schemas = {name: rel.schema.rename_relation(name) for name, rel in catalog.items()}
-    schemas[child] = child_schema.rename_relation(child)
-    evaluator = Evaluator(catalog, schemas=schemas, counters=counters)
-    old_bag = evaluator.evaluate(operand, "operand_old")
-    delta_bag = spj_delta(operand, "operand", child, child_delta, catalog, child_schema, counters)
-    return _support_transitions(old_bag, delta_bag, "operand")
 
 
 @dataclass
@@ -537,8 +517,9 @@ class SetNodeRule:
                 # Probe path: support counts answered from persistent
                 # indexes, touching only base rows matching the delta rows.
                 delta_bag = compiled.delta(child_delta, catalog, counters)
-                entering, leaving = self._probe_transitions(
-                    op_plan, op_rel, delta_bag, counters
+                entering, leaving = _support_transitions(
+                    lambda r: self._probe_count(op_plan, op_rel, r, counters),
+                    delta_bag,
                 )
 
                 def in_other(r: Row, _p=other_plan, _rel=other_rel) -> bool:
@@ -551,7 +532,7 @@ class SetNodeRule:
                     )
                 old_bag = evaluator.evaluate(operand, "operand_old")
                 delta_bag = compiled.delta(child_delta, catalog, counters)
-                entering, leaving = _support_transitions(old_bag, delta_bag, "operand")
+                entering, leaving = _support_transitions(old_bag.count, delta_bag)
                 other_support = evaluator.evaluate(other, "other").support()
 
                 def in_other(r: Row, _s=other_support) -> bool:
@@ -616,27 +597,6 @@ class SetNodeRule:
                 total += bn
         return total
 
-    def _probe_transitions(
-        self,
-        plan: _ProbePlan,
-        rel: Relation,
-        delta_bag: BagDelta,
-        counters: Optional[EvalCounters],
-    ) -> Tuple[List[Row], List[Row]]:
-        """:func:`_support_transitions` with probed (not evaluated) counts."""
-        entering: List[Row] = []
-        leaving: List[Row] = []
-        for r, n in delta_bag.entries_for("operand"):
-            before = self._probe_count(plan, rel, r, counters)
-            after = before + n
-            if after < 0:
-                raise VDPError(f"operand multiplicity went negative for row {dict(r)}")
-            if before == 0 and after > 0:
-                entering.append(r)
-            elif before > 0 and after == 0:
-                leaving.append(r)
-        return entering, leaving
-
     @property
     def is_linear(self) -> bool:
         """Difference rules are support-transition based — never linear in
@@ -661,8 +621,7 @@ class SetNodeRule:
         Kept separate from :meth:`index_requirements` on purpose: the
         shard planner derives partition keys from join-probe requirements,
         and support probes must not perturb it.  The mediator declares
-        these only for layouts that opt in (columnar), so the row layout's
-        firing behaviour and committed baselines stay byte-identical.
+        both on every layout.
         """
         out: Dict[str, Set[Tuple[str, ...]]] = {}
         for op_plan, other_plan in self._probe_plans:

@@ -272,6 +272,9 @@ class JoinPlan:
     residual: Optional[Predicate]
     left_probe: Optional[ProbeSpec]  # probe the LEFT side, drive from right
     right_probe: Optional[ProbeSpec]  # probe the RIGHT side, drive from left
+    # Pure theta joins (no equi pair): the attributes the condition reads
+    # from each side, so a pair is tested before it is merged.
+    theta_attrs: Tuple[Tuple[str, ...], Tuple[str, ...]] = ((), ())
 
 
 def plan_join(expr: Join, schemas: Mapping[str, RelationSchema]) -> JoinPlan:
@@ -296,6 +299,7 @@ def plan_join(expr: Join, schemas: Mapping[str, RelationSchema]) -> JoinPlan:
     pairs, residual = equi_join_pairs(expr.condition, left_attrs, right_attrs)
     left_keys = [p[0] for p in pairs]
     right_keys = [p[1] for p in pairs]
+    needed = expr.condition.attributes()
     return JoinPlan(
         natural=False,
         shared=(),
@@ -303,6 +307,7 @@ def plan_join(expr: Join, schemas: Mapping[str, RelationSchema]) -> JoinPlan:
         residual=residual,
         left_probe=_probe_spec(expr.left, left_keys, right_keys),
         right_probe=_probe_spec(expr.right, right_keys, left_keys),
+        theta_attrs=(tuple(sorted(needed & left_attrs)), tuple(sorted(needed & right_attrs))),
     )
 
 
@@ -343,12 +348,8 @@ class Evaluator:
         counts = self._eval(expr)
         if isinstance(expr, Difference) or (isinstance(expr, Project) and expr.dedup):
             return SetRelation(schema, counts.keys())
-        result = BagRelation(schema)
-        for r, n in counts.items():
-            if n:
-                result.insert(r, n)
         self.counters.rows_produced += sum(counts.values())
-        return result
+        return BagRelation(schema, counts)
 
     # ------------------------------------------------------------------
     # Internal: everything computes a {row: positive count} dict.  Every
@@ -509,13 +510,20 @@ class Evaluator:
             return self._hash_join_natural(left, right, list(plan.shared))
         if plan.pairs:
             return self._hash_join_theta(left, right, list(plan.pairs), plan.residual)
-        # Pure theta join: filtered cross product.
+        # Pure theta join: filtered cross product.  The condition is tested
+        # on just the values it reads from the pair; only survivors merge.
+        condition = expr.condition
+        left_attrs, right_attrs = plan.theta_attrs
+        right_envs = [
+            (rr, rn, {a: rr[a] for a in right_attrs}) for rr, rn in right.items()
+        ]
         counts: Dict[Row, int] = defaultdict(int)
         for lr, ln in left.items():
-            for rr, rn in right.items():
-                merged = lr.merge(rr)
-                if expr.condition.evaluate(merged):
-                    counts[merged] += ln * rn
+            env = {a: lr[a] for a in left_attrs}
+            for rr, rn, right_env in right_envs:
+                env.update(right_env)
+                if condition.evaluate(env):
+                    counts[lr.merge(rr)] += ln * rn
         return dict(counts)
 
     def _pick_probe(

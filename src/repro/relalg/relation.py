@@ -92,7 +92,7 @@ class Relation:
 
     # -- shared behaviour --------------------------------------------------
     def _check_row(self, row: Row) -> None:
-        if set(row.keys()) != set(self.schema.attribute_names):
+        if row.keys() != self.schema.attribute_set:
             raise SchemaError(
                 f"row attributes {sorted(row.keys())} do not match schema "
                 f"{self.schema.name!r} attributes {sorted(self.schema.attribute_names)}"
@@ -323,11 +323,22 @@ class BagRelation(Relation):
     is_bag = True
 
     def __init__(self, schema: RelationSchema, counts: Optional[Mapping[Row, int]] = None):
+        """An empty bag, or — given ``counts`` — one holding those rows.
+
+        ``counts`` is loaded in bulk: every row is checked against the
+        schema and every multiplicity for positivity, exactly as
+        :meth:`insert` would, but the container is filled by one copy (a
+        fresh relation has no index to maintain per row).
+        """
         super().__init__(schema)
-        self._counts: Counter = Counter()
         if counts:
+            names = schema.attribute_set
             for r, n in counts.items():
-                self.insert(r, n)
+                if r.keys() != names:
+                    self._check_row(r)
+                if n <= 0:
+                    raise DeltaError(f"insert multiplicity must be positive, got {n}")
+        self._counts: Counter = Counter(counts)
 
     def items(self) -> Iterator[Tuple[Row, int]]:
         for r, n in self._counts.items():

@@ -16,8 +16,8 @@ reasoning on top of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import SchemaError
 
@@ -60,25 +60,27 @@ class RelationSchema:
     name: str
     attributes: Tuple[Attribute, ...]
     key: Tuple[str, ...] = ()
+    #: The attribute names, in declaration order, and as a set.  Derived
+    #: from ``attributes`` once: every validated row insert reads them.
+    attribute_names: Tuple[str, ...] = field(init=False, repr=False, compare=False)
+    attribute_set: FrozenSet[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        names = [a.name for a in self.attributes]
-        if len(set(names)) != len(names):
-            raise SchemaError(f"duplicate attribute names in schema {self.name!r}: {names}")
+        names = tuple(a.name for a in self.attributes)
+        name_set = frozenset(names)
+        if len(name_set) != len(names):
+            raise SchemaError(f"duplicate attribute names in schema {self.name!r}: {list(names)}")
         if not names:
             raise SchemaError(f"schema {self.name!r} must have at least one attribute")
         for k in self.key:
-            if k not in names:
+            if k not in name_set:
                 raise SchemaError(f"key attribute {k!r} not in schema {self.name!r}")
+        object.__setattr__(self, "attribute_names", names)
+        object.__setattr__(self, "attribute_set", name_set)
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def attribute_names(self) -> Tuple[str, ...]:
-        """The attribute names, in declaration order."""
-        return tuple(a.name for a in self.attributes)
-
     @property
     def arity(self) -> int:
         """Number of attributes."""
@@ -86,7 +88,7 @@ class RelationSchema:
 
     def has_attribute(self, name: str) -> bool:
         """True if ``name`` is an attribute of this schema."""
-        return any(a.name == name for a in self.attributes)
+        return name in self.attribute_set
 
     def attribute(self, name: str) -> Attribute:
         """Look up an attribute by name, raising :class:`SchemaError` if absent."""

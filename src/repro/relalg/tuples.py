@@ -41,6 +41,10 @@ class Row(Mapping):
     def __len__(self) -> int:
         return len(self._data)
 
+    def keys(self):
+        """The attribute names, as the backing dict's own key view."""
+        return self._data.keys()
+
     # -- Identity --------------------------------------------------------
     def __hash__(self) -> int:
         h = self._hash

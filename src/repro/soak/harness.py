@@ -340,9 +340,6 @@ class SoakHarness:
                 tracer=self.tracer,
                 eca_enabled=self.config.eca_enabled,
                 key_based_enabled=self.config.key_based_enabled,
-                # Promotion is the only moment a replica propagates (and so
-                # polls); serial polls keep thread-bound SQLite sources safe.
-                parallel_polls=False,
             )
             self.replicas.append(replica)
             self.shipper.attach_replica(replica, now=float(self.step))

@@ -37,6 +37,11 @@ class SourceDatabase:
     transaction log, announcement machinery, and commit hooks live here.
     """
 
+    #: True when storage may only be touched from the thread that created
+    #: the source (a SQLite connection); links then keep the source out of
+    #: the VAP's worker-thread poll fan-out.
+    thread_affine = False
+
     def __init__(self, name: str, schemas: Sequence[RelationSchema]):
         self.name = name
         self.schemas: Dict[str, RelationSchema] = {s.name: s for s in schemas}

@@ -49,6 +49,8 @@ class SQLiteSource(SourceDatabase):
     #: :meth:`poll_and_query`, which executes the queries inside the
     #: database instead of snapshotting every relation into Python.
     supports_pushdown = True
+    #: ``sqlite3`` connections belong to the thread that opened them.
+    thread_affine = True
 
     def __init__(
         self,

@@ -19,7 +19,14 @@ from repro.core.rules import CompiledSPJ, build_rule, spj_delta
 from repro.deltas import BagDelta, SetDelta
 from repro.errors import VDPError
 from repro.relalg import BagRelation, make_schema, parse_expression, row
-from repro.workloads import figure1_mediator, figure1_sources, figure1_vdp
+from repro.correctness import assert_materialized_correct
+from repro.workloads import (
+    figure1_mediator,
+    figure1_sources,
+    figure1_vdp,
+    figure4_mediator,
+    figure4_sources,
+)
 
 L = make_schema("L", ["k", "x"])
 Rr = make_schema("Rr", ["k2", "y"])
@@ -126,6 +133,48 @@ def test_steady_state_propagation_is_rebuild_free():
     assert stats.index_probes >= 5
     assert stats.rows_hashed == 0
     assert stats.propagation_passes == 5
+
+
+def _g_rule_counters_for_c_modification(cd_rows):
+    """Fire one 10-row in-place modification of ``C`` through a default
+    (row-layout) Figure 4 mediator; return the counters of G's F-edge rule."""
+    from repro.relalg import EvalCounters
+
+    sources = figure4_sources(a_rows=30, b_rows=20, cd_rows=cd_rows, seed=11)
+    mediator, _ = figure4_mediator("all_m", sources=sources)
+    rule = mediator.rulebase.edge_rule("G", "F")
+    fired = []
+    fire = rule.fire
+
+    def counting_fire(child_delta, catalog, counters=None):
+        own = EvalCounters()
+        out = fire(child_delta, catalog, own)
+        fired.append(own)
+        if counters is not None:
+            counters.merge(own)
+        return out
+
+    rule.fire = counting_fire
+    delta = SetDelta()
+    for old in sorted(sources["dbC"].relation("C").rows(), key=lambda r: r["c1"])[:10]:
+        delta.delete("C", old)
+        # c1 = d1 pairs one-to-one, so F changes by exactly ten rows each way.
+        delta.insert("C", row(c1=old["c1"], c2=1_000 + old["c1"]))
+    sources["dbC"].execute(delta)
+    mediator.refresh()
+    assert_materialized_correct(mediator)
+    (counters,) = fired
+    return counters
+
+
+def test_difference_rule_work_is_flat_in_database_size():
+    """The O(delta) claim as an exact count: G's rule scans the same rows
+    for the same 10-row C modification at |C|=|D|=400 and at 6 400."""
+    small = _g_rule_counters_for_c_modification(400)
+    large = _g_rule_counters_for_c_modification(6_400)
+    assert small.rows_scanned == large.rows_scanned == 20
+    assert small.index_probes > 0 and large.index_probes > 0
+    assert small.rows_hashed == large.rows_hashed == 0
 
 
 def test_indexing_ablation_hashes_but_agrees():

@@ -6,13 +6,13 @@ from repro.core.rules import (
     BagNodeRule,
     SetNodeRule,
     build_rule,
-    operand_support_delta,
     spj_delta,
 )
 from repro.deltas import BagDelta
 from repro.errors import VDPError
 from repro.relalg import (
     BagRelation,
+    EvalCounters,
     SetRelation,
     evaluate,
     make_schema,
@@ -92,14 +92,72 @@ def test_spj_delta_requires_reference():
         spj_delta(definition, "T", "NOPE", BagDelta(), {}, L)
 
 
+def _support_case(indexed):
+    """``project[x](L) minus project[x](N)`` with N empty: T is L's support."""
+    n = make_schema("N", ["x"])
+    definition = parse_expression("project[x](L) minus project[x](N)")
+    rule = build_rule("T", definition, "L", L, {"L": L, "N": n})
+    cat = {
+        "L": BagRelation.from_values(L, [(1, 7), (2, 7), (3, 8)]),
+        "N": BagRelation(n),
+    }
+    if indexed:
+        for base, keysets in rule.probe_index_requirements().items():
+            for keys in keysets:
+                cat[base].ensure_index(keys)
+    return rule, cat
+
+
 def test_operand_support_delta_counts_transitions():
-    definition = parse_expression("project[x](L)")
-    cat = {"L": BagRelation.from_values(L, [(1, 7), (2, 7), (3, 8)])}
-    # Removing one of the two x=7 rows: support unchanged; removing x=8: leaves.
-    delta = BagDelta.from_counts("L", {row(k=1, x=7): -1, row(k=3, x=8): -1, row(k=4, x=9): 1})
-    entering, leaving = operand_support_delta(definition, "L", delta, cat, L)
-    assert entering == [row(x=9)]
-    assert leaving == [row(x=8)]
+    """Only 0↔positive transitions of the operand's support reach T — by
+    index probes when the catalog carries the declared indexes, by full
+    operand evaluation when it does not."""
+    for indexed in (True, False):
+        rule, cat = _support_case(indexed)
+        assert rule.probe_index_requirements() == {"L": {("x",)}, "N": {("x",)}}
+        # Removing one of the two x=7 rows: support unchanged; removing x=8: leaves.
+        delta = BagDelta.from_counts(
+            "L", {row(k=1, x=7): -1, row(k=3, x=8): -1, row(k=4, x=9): 1}
+        )
+        counters = EvalCounters()
+        out = rule.fire(delta, cat, counters)
+        assert out.insertions("T") == [row(x=9)]
+        assert out.deletions("T") == [row(x=8)]
+        # The probe path scans the three delta rows; the fallback also scans L.
+        assert counters.rows_scanned == (3 if indexed else 6)
+        assert (counters.index_probes > 0) == indexed
+
+
+def test_set_rule_with_join_operand_keeps_full_operand_evaluation():
+    """A difference operand that is not a select/project/rename chain has
+    no probe plan: the rule declares no probe indexes and still fires
+    correctly by evaluating both operands."""
+    m = make_schema("M", ["k", "y"])
+    definition = parse_expression(
+        "project[k, y](L join[k = k2] rename[k = k2](Rr)) minus M"
+    )
+    schemas = {"L": L, "Rr": Rr, "M": m}
+    cat = {
+        "L": BagRelation.from_values(L, [(1, "a"), (2, "b")]),
+        "Rr": BagRelation.from_values(Rr, [(1, "p"), (2, "q"), (3, "r")]),
+        "M": BagRelation.from_values(m, [(2, "q")]),
+    }
+    deltas = {
+        "L": BagDelta.from_counts("L", {row(k=3, x="c"): 1, row(k=1, x="a"): -1}),
+        "M": BagDelta.from_counts("M", {row(k=2, y="q"): -1, row(k=1, y="p"): 1}),
+    }
+    child_schemas = {"L": L, "M": m}
+    for child, delta in deltas.items():
+        rule = build_rule("T", definition, child, child_schemas[child], schemas)
+        assert rule.probe_index_requirements() == {}
+        before = evaluate(definition, cat, "T")
+        after_cat = {name: rel.copy() for name, rel in cat.items()}
+        delta.apply_to(after_cat[child], child)
+        after = evaluate(definition, after_cat, "T")
+        out = rule.fire(delta, cat)
+        assert set(out.insertions("T")) == after.support() - before.support()
+        assert set(out.deletions("T")) == before.support() - after.support()
+        assert not out.is_empty()
 
 
 def test_set_rule_diff1_corrected_deletion_semantics():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import DeltaError, SchemaError
-from repro.relalg import BagRelation, SetRelation, make_schema, row
+from repro.relalg import BagRelation, ColumnarRelation, SetRelation, make_schema, row
 
 R = make_schema("R", ["a", "b"], key=["a"])
 
@@ -39,6 +39,33 @@ def test_schema_mismatch_rejected():
     rel = SetRelation(R)
     with pytest.raises(SchemaError):
         rel.insert(row(x=1))
+
+
+@pytest.mark.parametrize(
+    "wrong", [row(x=1), row(a=1), row(a=1, b=2, c=3), row(a=1, c=2)]
+)
+def test_wrong_attribute_row_rejected_by_insert_delete_and_bulk_load(wrong):
+    """The per-row schema check survives on every entry point, including
+    the bulk constructor that fills the container in one copy."""
+    for rel in (SetRelation(R), BagRelation(R), ColumnarRelation(R)):
+        with pytest.raises(SchemaError):
+            rel.insert(wrong)
+        with pytest.raises(SchemaError):
+            rel.delete(wrong)
+        assert rel.is_empty()
+    with pytest.raises(SchemaError):
+        BagRelation(R, {row(a=1, b=2): 1, wrong: 1})
+    with pytest.raises(SchemaError):
+        SetRelation(R, [wrong])
+
+
+def test_bulk_load_checks_multiplicities_and_copies_its_input():
+    with pytest.raises(DeltaError):
+        BagRelation(R, {row(a=1, b=2): 0})
+    counts = {row(a=1, b=2): 2}
+    rel = BagRelation(R, counts)
+    counts[row(a=3, b=4)] = 1
+    assert rel.to_sorted_list() == [((1, 2), 2)]
 
 
 def test_bag_relation_multiplicities():
