@@ -51,6 +51,7 @@ from repro.relalg import (
     Evaluator,
     Expression,
     Join,
+    Predicate,
     Project,
     Relation,
     Scan,
@@ -650,22 +651,34 @@ class VirtualAttributeProcessor:
 
         # Key-based: natural-join the node's stored projection with the
         # key+virtual projections of the supplying children (Example 2.3).
+        # Conjuncts of the request predicate that read only stored
+        # attributes select *below* the joins (σ_f(A ⋈ B) = σ_f(A) ⋈ B when
+        # f reads A alone), so the joins see the selected rows rather than
+        # the whole repository; the rest apply above, where the virtual
+        # attributes exist.
         repo_alias = f"__repo__{name}"
         ann = self.annotated.annotation(name)
+        stored = frozenset(ann.materialized_attrs)
+        below: List[Predicate] = []
+        above: List[Predicate] = []
+        for conjunct in conjuncts(plan.request.predicate):
+            (below if conjunct.attributes() <= stored else above).append(conjunct)
         catalog: Dict[str, Relation] = {repo_alias: self.store.repo(name)}
-        expr = Scan(repo_alias)
+        expr: Expression = Scan(repo_alias)
+        if below:
+            expr = Select(expr, conjoin(*below))
         for child in plan.virtual_children:
             child_value = self._resolve(child, temps)
             child_attrs = frozenset(child_value.schema.attribute_names)
             keep = sorted(
                 (set(plan.key_attrs) & child_attrs)
-                | ((set(plan.request.attrs) - set(ann.materialized_attrs)) & child_attrs)
+                | ((set(plan.request.attrs) - stored) & child_attrs)
             )
             alias = f"__kb__{child}"
             catalog[alias] = child_value
             expr = Join(expr, Project(Scan(alias), tuple(keep), dedup=True), None)
-        if not isinstance(plan.request.predicate, TruePredicate):
-            expr = Select(expr, plan.request.predicate)
+        if above:
+            expr = Select(expr, conjoin(*above))
         expr = Project(expr, plan.request.sorted_attrs())
         return self._evaluate(expr, catalog, name)
 

@@ -157,6 +157,31 @@ class SetDelta:
             out._atoms.setdefault(rel, {})[r] = sign
         return out
 
+    def net_fold(self, later: "SetDelta") -> None:
+        """Fold the next in-order delta into this one, in place.
+
+        The in-place form of :func:`~repro.deltas.net_accumulate` — opposite
+        atoms for the same row cancel, the rest are appended, and the
+        resulting atoms *and their order* are exactly those of
+        ``net_accumulate(self, later)`` — in O(|later|) instead of
+        O(|self| + |later|), which is what keeps a source's announcement
+        accumulator linear between announcements.  Same precondition: no
+        same-sign collision on one row.
+        """
+        survivors: List[Tuple[str, Row, Sign]] = []
+        for rel, r, sign in later.atoms():
+            rel_atoms = self._atoms.get(rel)
+            if rel_atoms is not None and rel_atoms.get(r) == -sign:
+                del rel_atoms[r]
+                if not rel_atoms:
+                    # An emptied relation re-enters at the end if later
+                    # atoms name it again, as it would in a rebuilt delta.
+                    del self._atoms[rel]
+            else:
+                survivors.append((rel, r, sign))
+        for rel, r, sign in survivors:
+            self._add_atom(rel, r, sign)
+
     def inverse(self) -> "SetDelta":
         """Flip all signs: ``Δ⁻¹``."""
         out = SetDelta()

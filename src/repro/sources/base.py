@@ -22,19 +22,31 @@ from __future__ import annotations
 import threading
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.deltas import SetDelta, net_accumulate
+from repro.deltas import SetDelta
 from repro.deltas.filtering import LeafParentFilter
 from repro.errors import SourceError
 from repro.relalg import Expression, Relation, RelationSchema, Row, SetRelation
 
-__all__ = ["SourceDatabase", "net_accumulate"]
+__all__ = ["SourceDatabase"]
 
 
 class SourceDatabase:
     """Abstract autonomous source database.
 
-    Concrete stores implement ``_snapshot``, ``_apply`` and ``query``; the
-    transaction log, announcement machinery, and commit hooks live here.
+    The transaction log, announcement machinery, and commit hooks live
+    here; a concrete store supplies the *storage protocol*:
+
+    * ``_snapshot()`` — a consistent copy of every relation (view
+      initialization and snapshot polls; the only O(|db|) operation);
+    * ``_contains(relation, row)`` — one membership probe, answered where
+      the data lives (a set lookup, a covering-index search);
+    * ``_apply(delta)`` — atomically write one validated delta;
+    * ``query(expr)`` — answer an algebra expression in one transaction.
+
+    A commit is therefore O(|delta|) index probes plus O(|delta|) writes and
+    O(|delta|) announcement bookkeeping — nothing in it grows with the
+    size of the source, which is what lets Theorem 7.2 charge the mediator
+    only announcement, communication, holding and processing delay.
     """
 
     #: True when storage may only be touched from the thread that created
@@ -69,13 +81,15 @@ class SourceDatabase:
         """Atomically apply a validated transaction delta to storage."""
         raise NotImplementedError
 
-    def _peek(self, relation: str) -> SetRelation:
-        """Read-only view of one relation for validation.
+    def _contains(self, relation: str, row: Row) -> bool:
+        """Whether ``row`` is currently stored in ``relation``.
 
-        Defaults to a snapshot copy; stores with cheap direct access
-        override this (validation only reads, so no copy is needed).
+        The per-row primitive commit validation is built on: one probe per
+        delta atom, so validating a commit costs O(|delta|) lookups at any
+        source size.  There is deliberately no snapshot-based default — a
+        store must answer from its own index.
         """
-        return self._snapshot()[relation]
+        raise NotImplementedError
 
     def query(self, expr: Expression, name: str = "answer") -> Relation:
         """Answer a query over this source's relations (one transaction)."""
@@ -159,7 +173,7 @@ class SourceDatabase:
             self.txn_count += 1
             committed = delta.copy()
             self._log.append((self.txn_count, committed))
-            self._pending = net_accumulate(self._pending, committed)
+            self._pending.net_fold(committed)
             for hook in self._on_commit:
                 hook(self, committed)
             return self.txn_count
@@ -168,9 +182,8 @@ class SourceDatabase:
         for rel_name in delta.relations():
             if rel_name not in self.schemas:
                 raise SourceError(f"source {self.name!r} has no relation {rel_name!r}")
-            current = self._peek(rel_name)
             for r, sign in delta.atoms_for(rel_name):
-                present = current.contains(r)
+                present = self._contains(rel_name, r)
                 if sign > 0 and present:
                     raise SourceError(
                         f"redundant insert into {self.name}.{rel_name}: {dict(r)}"

@@ -19,6 +19,7 @@ from repro.relalg import (
     Expression,
     Relation,
     RelationSchema,
+    Row,
     SetRelation,
 )
 from repro.sources.base import SourceDatabase
@@ -51,8 +52,8 @@ class MemorySource(SourceDatabase):
     def _snapshot(self) -> Dict[str, SetRelation]:
         return {name: rel.copy() for name, rel in self._relations.items()}
 
-    def _peek(self, relation: str) -> SetRelation:
-        return self._relations[relation]  # read-only use by validation
+    def _contains(self, relation: str, row: Row) -> bool:
+        return self._relations[relation].contains(row)
 
     def _apply(self, delta: SetDelta) -> None:
         for rel_name in delta.relations():

@@ -8,13 +8,17 @@ database, so the mediator's polls genuinely travel through a SQL engine.
 
 Set semantics is enforced with a UNIQUE index over all columns (source
 relations are sets in the paper's model); the declared primary key, when
-present, is also declared to SQLite.
+present, is also declared to SQLite.  The same index answers commit
+validation: one covering-index search per delta atom, never a table scan.
+Rows are matched with ``IS`` rather than ``=`` so a ``NULL``-valued row is
+found, deleted and refused as a duplicate like any other (``= NULL``
+matches nothing, and UNIQUE treats NULLs as distinct).
 """
 
 from __future__ import annotations
 
 import sqlite3
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.deltas import SetDelta
 from repro.errors import EvaluationError, SourceError
@@ -42,6 +46,15 @@ def _quote(identifier: str) -> str:
 _AFFINITY = {"int": "INTEGER", "float": "REAL", "str": "TEXT", "any": ""}
 
 
+class _RowSQL(NamedTuple):
+    """The whole-row statements of one table, parameters in ``names`` order."""
+
+    names: Tuple[str, ...]
+    probe: str
+    insert: str
+    delete: str
+
+
 class SQLiteSource(SourceDatabase):
     """A source database backed by a SQLite database."""
 
@@ -64,11 +77,12 @@ class SQLiteSource(SourceDatabase):
         self.fallback_queries = 0
         self._conn = sqlite3.connect(path)
         self._conn.isolation_level = None  # explicit transaction control
+        self._row_sql: Dict[str, _RowSQL] = {}
         self._create_tables()
         if initial:
             for rel_name, value_rows in initial.items():
-                schema = self.schema(rel_name)
-                self._bulk_insert(rel_name, schema, value_rows)
+                self.schema(rel_name)  # unknown relation -> SourceError
+                self._bulk_insert(rel_name, value_rows)
 
     # ------------------------------------------------------------------
     # Table management
@@ -92,17 +106,22 @@ class SQLiteSource(SourceDatabase):
                 + ")"
             )
             cur.execute(ddl)
+            table = _quote(schema.name)
+            names = schema.attribute_names
+            match = " AND ".join(f"{_quote(n)} IS ?" for n in names)
+            placeholders = ", ".join("?" for _ in names)
+            self._row_sql[schema.name] = _RowSQL(
+                names,
+                probe=f"SELECT 1 FROM {table} WHERE {match} LIMIT 1",
+                insert=f"INSERT INTO {table} ({all_cols}) VALUES ({placeholders})",
+                delete=f"DELETE FROM {table} WHERE {match}",
+            )
         self._conn.commit()
 
-    def _bulk_insert(
-        self, rel_name: str, schema: RelationSchema, value_rows: Sequence[Tuple[Any, ...]]
-    ) -> None:
-        placeholders = ", ".join("?" for _ in schema.attributes)
-        cols = ", ".join(_quote(a.name) for a in schema.attributes)
-        sql = f"INSERT INTO {_quote(rel_name)} ({cols}) VALUES ({placeholders})"
+    def _bulk_insert(self, rel_name: str, value_rows: Sequence[Tuple[Any, ...]]) -> None:
         cur = self._conn.cursor()
         cur.execute("BEGIN")
-        cur.executemany(sql, [tuple(v) for v in value_rows])
+        cur.executemany(self._row_sql[rel_name].insert, [tuple(v) for v in value_rows])
         cur.execute("COMMIT")
 
     # ------------------------------------------------------------------
@@ -120,26 +139,29 @@ class SQLiteSource(SourceDatabase):
             )
         return snap
 
+    def _contains(self, relation: str, row: Row) -> bool:
+        sql = self._row_sql[relation]
+        cur = self._conn.execute(sql.probe, row.values_for(sql.names))
+        return cur.fetchone() is not None
+
     def _apply(self, delta: SetDelta) -> None:
         cur = self._conn.cursor()
         cur.execute("BEGIN")
         try:
             for rel_name in delta.relations():
-                schema = self.schema(rel_name)
-                names = schema.attribute_names
-                cols = ", ".join(_quote(n) for n in names)
-                placeholders = ", ".join("?" for _ in names)
-                insert_sql = (
-                    f"INSERT INTO {_quote(rel_name)} ({cols}) VALUES ({placeholders})"
-                )
-                delete_sql = (
-                    f"DELETE FROM {_quote(rel_name)} WHERE "
-                    + " AND ".join(f"{_quote(n)} = ?" for n in names)
-                )
+                sql = self._row_sql[rel_name]
                 for r in delta.deletions(rel_name):
-                    cur.execute(delete_sql, r.values_for(names))
+                    cur.execute(sql.delete, r.values_for(sql.names))
+                    if cur.rowcount != 1:
+                        # Storage and the validated delta disagree: refuse
+                        # rather than log and announce a delete that did
+                        # not happen.
+                        raise sqlite3.IntegrityError(
+                            f"DELETE from {rel_name} matched {cur.rowcount} rows, "
+                            f"expected 1: {dict(r)}"
+                        )
                 for r in delta.insertions(rel_name):
-                    cur.execute(insert_sql, r.values_for(names))
+                    cur.execute(sql.insert, r.values_for(sql.names))
             cur.execute("COMMIT")
         except sqlite3.DatabaseError as exc:
             cur.execute("ROLLBACK")

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.core import TempRequest
+from repro.correctness import recompute_all
 from repro.errors import MediatorError
-from repro.relalg import TRUE, parse_predicate, row
+from repro.relalg import TRUE, Evaluator, conjuncts, parse_expression, parse_predicate, row
 from repro.workloads import figure1_mediator, figure4_mediator
 
 
@@ -131,3 +132,46 @@ def test_plan_refuses_key_based_for_union_nodes():
     assert strategies["all_orders"] == "children"
     assert "key-based" not in strategies.values()
     assert mediator.vap.stats.key_based_used == 0
+
+
+# Key-based construction selects before it joins: conjuncts of the request
+# predicate over stored attributes (T stores r1, s1 under ex23) filter the
+# repository below the join with the polled R', the rest filter above it.
+KEY_BASED_PREDICATES = {
+    "stored-only": "r1 >= 2 and r1 < 5",
+    "mixed": "r1 >= 2 and r3 < 50",
+    "virtual-only": "r3 < 50",
+}
+
+
+@pytest.mark.parametrize("case", sorted(KEY_BASED_PREDICATES))
+def test_key_based_selects_stored_conjuncts_below_the_join(case):
+    mediator, sources = figure1_mediator("ex23")
+    predicate = parse_predicate(KEY_BASED_PREDICATES[case])
+    repo = mediator.store.repo("T")
+    stored = [
+        c for c in conjuncts(predicate) if c.attributes() <= set(repo.schema.attribute_names)
+    ]
+    selected = sum(1 for r, _ in repo.items() if all(c.evaluate(r) for c in stored))
+
+    counters = mediator.store.counters
+    counters.reset()
+    with mediator.vap.cache_bypassed():
+        temps = mediator.vap.materialize([request("T", ["r1", "r3", "s1"], predicate)])
+    assert mediator.vap.stats.key_based_used == 1
+    polled = temps["R_p"].cardinality()
+    # One pass over the repository and one over the poll answer; the hash
+    # table holds the poll answer; only the selected repository rows probe it.
+    assert counters.rows_scanned == repo.cardinality() + polled
+    assert counters.rows_hashed == polled
+    assert counters.hash_probes == selected
+    assert (selected < repo.cardinality()) == bool(stored)
+
+    text = f"project[r1, r3, s1](select[{KEY_BASED_PREDICATES[case]}](T))"
+    truth = Evaluator({"T": recompute_all(mediator.vdp, sources)["T"]}).evaluate(
+        parse_expression(text), "answer"
+    )
+    assert truth.cardinality() > 0
+    assert mediator.query(text) == truth
+    with mediator.vap.cache_bypassed():
+        assert mediator.query(text) == truth
