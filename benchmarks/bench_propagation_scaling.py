@@ -53,22 +53,12 @@ DELTA_SIZES = [1, 10, 100]
 DEFAULT_BASELINE = (
     pathlib.Path(__file__).resolve().parent.parent / "BENCH_propagation.json"
 )
-#: Shard-ablation sweep (``--shards``): delta size is pinned at the largest
-#: sweep point, and the speedup model is deterministic — per-task work is
-#: the sum of that task's fresh evaluator counters, so
-#: serial_work / critical_path_work is the parallel speedup an idealized
-#: scheduler extracts, independent of wall clocks and the GIL.
-SHARD_COUNTS = [1, 2, 4]
-SHARD_DELTA_ROWS = 100
-SHARD_BASELINE = (
-    pathlib.Path(__file__).resolve().parent.parent / "BENCH_shard_scaling.json"
-)
 
 
 # ---------------------------------------------------------------------------
 # Scenario builders: (mediator, source_name, delta) per cell
 # ---------------------------------------------------------------------------
-def build_fig1(db_size: int, indexing_enabled: bool, tracer=None, shards: int = 1):
+def build_fig1(db_size: int, indexing_enabled: bool, tracer=None):
     from repro.obs import NULL_TRACER
 
     sources = figure1_sources(
@@ -78,7 +68,6 @@ def build_fig1(db_size: int, indexing_enabled: bool, tracer=None, shards: int = 
         "ex21",
         sources=sources,
         indexing_enabled=indexing_enabled,
-        shards=shards,
         tracer=tracer or NULL_TRACER,
     )
     return mediator
@@ -91,13 +80,13 @@ def fig1_delta(delta_rows: int) -> SetDelta:
     return delta
 
 
-def build_fig4(db_size: int, indexing_enabled: bool, shards: int = 1):
+def build_fig4(db_size: int, indexing_enabled: bool):
     # A and B stay small: E's theta join (a1^2 + a2 < b2^2) has no equi keys
     # and would swamp the sweep quadratically without exercising hashing.
     # C and D carry the scaling — F's equi join c1 = d1 is the hash path.
     sources = figure4_sources(a_rows=30, b_rows=20, cd_rows=db_size, seed=11)
     mediator, _ = figure4_mediator(
-        "all_m", sources=sources, indexing_enabled=indexing_enabled, shards=shards
+        "all_m", sources=sources, indexing_enabled=indexing_enabled
     )
     return mediator
 
@@ -262,168 +251,6 @@ def render(results, times=None) -> None:
     )
 
 
-# ---------------------------------------------------------------------------
-# Shard ablation (--shards): hash-partitioned parallel propagation
-# ---------------------------------------------------------------------------
-def run_shard_engine(scenario: str, db_size: int, shards: int):
-    spec = SCENARIOS[scenario]
-    mediator = spec["build"](db_size, True, shards=shards)
-    mediator.reset_stats()
-    mediator.enqueue_update(spec["source"], spec["delta"](SHARD_DELTA_ROWS, db_size))
-    mediator.run_update_transaction()
-    stats = mediator.stats()
-    iup = mediator.iup.stats
-    # index_rebuilds is deliberately absent: a partitioned repository builds
-    # one index per (shard, keyset), so the rebuild count legitimately
-    # multiplies with the shard count.  Everything below must be identical.
-    counters = {
-        "rules_fired": stats.rules_fired,
-        "index_probes": stats.index_probes,
-        "rows_scanned": stats.rows_scanned,
-        "rows_produced": mediator.store.counters.rows_produced,
-        "propagation_passes": stats.propagation_passes,
-    }
-    work = {
-        "shard_tasks": iup.shard_tasks,
-        "shard_batches": iup.shard_batches,
-        "exchange_reads": iup.exchange_reads,
-        "serial_work": iup.shard_serial_work,
-        "critical_work": iup.shard_critical_work,
-    }
-    return counters, work, repo_snapshot(mediator)
-
-
-def run_shard_cell(scenario: str, db_size: int, shard_counts) -> dict:
-    serial_counters, _, serial_state = run_shard_engine(scenario, db_size, 1)
-    cell = {
-        "scenario": scenario,
-        "db_size": db_size,
-        "delta_rows": SHARD_DELTA_ROWS,
-        "serial": serial_counters,
-        "shards": [],
-    }
-    for n in [c for c in shard_counts if c > 1]:
-        counters, work, state = run_shard_engine(scenario, db_size, n)
-        assert state == serial_state, (
-            f"{scenario} db={db_size} shards={n}: repositories diverged from serial"
-        )
-        assert counters == serial_counters, (
-            f"{scenario} db={db_size} shards={n}: work counters diverged from "
-            f"serial ({counters} != {serial_counters})"
-        )
-        cell["shards"].append(
-            {
-                "num_shards": n,
-                **work,
-                "speedup": round(work["serial_work"] / max(work["critical_work"], 1), 2),
-                "parity": True,
-            }
-        )
-    return cell
-
-
-def collect_shards(shard_counts) -> list:
-    return [
-        run_shard_cell(scenario, db, shard_counts)
-        for scenario in SCENARIOS
-        for db in DB_SIZES
-    ]
-
-
-def check_shard_shapes(results, shard_counts) -> list:
-    """The shard-ablation claims as (description, holds) pairs."""
-    top = max(shard_counts)
-    largest = max(DB_SIZES)
-    all_runs = [(r, s) for r in results for s in r["shards"]]
-    fig1_top = [
-        s["speedup"]
-        for r, s in all_runs
-        if r["scenario"] == "fig1_ex21"
-        and r["db_size"] == largest
-        and s["num_shards"] == top
-    ]
-    return [
-        (
-            "sharded counters and repository states match serial in every cell",
-            all(s["parity"] for _, s in all_runs),
-        ),
-        (
-            f"≥2× parallel speedup at {top} shards on the largest database "
-            "(equi-join scenario)",
-            bool(fig1_top) and all(sp >= 2.0 for sp in fig1_top),
-        ),
-        (
-            "parallel speedup never drops below serial",
-            all(s["speedup"] >= 1.0 for _, s in all_runs),
-        ),
-        (
-            "non-aligned joins take counted cross-shard exchange reads",
-            any(s["exchange_reads"] > 0 for _, s in all_runs),
-        ),
-        (
-            "every firing batch splits into at least one task per shard "
-            "somewhere (work actually fans out)",
-            any(s["shard_tasks"] >= s["num_shards"] for _, s in all_runs),
-        ),
-    ]
-
-
-def render_shards(results, shard_counts) -> None:
-    from repro.bench import shape_line
-
-    rows = []
-    for r in results:
-        for s in r["shards"]:
-            rows.append(
-                [
-                    r["scenario"],
-                    r["db_size"],
-                    s["num_shards"],
-                    s["shard_tasks"],
-                    s["exchange_reads"],
-                    s["serial_work"],
-                    s["critical_work"],
-                    f"{s['speedup']}x",
-                ]
-            )
-    report(
-        "PS_shard_scaling",
-        "PS-shard: hash-partitioned parallel propagation (work model)",
-        [
-            "scenario",
-            "db rows",
-            "shards",
-            "tasks",
-            "exchange",
-            "serial work",
-            "critical path",
-            "speedup",
-        ],
-        rows,
-        shapes=[
-            shape_line(desc, ok) for desc, ok in check_shard_shapes(results, shard_counts)
-        ],
-        note=(
-            "speedup = serial work / critical-path work (deterministic counters); "
-            "JSON baseline: BENCH_shard_scaling.json"
-        ),
-    )
-
-
-def test_shard_scaling_baseline():
-    """Pytest entry point: regenerate the shard sweep and pin its claims."""
-    results = collect_shards(SHARD_COUNTS)
-    render_shards(results, SHARD_COUNTS)
-    for desc, ok in check_shard_shapes(results, SHARD_COUNTS):
-        assert ok, desc
-    if SHARD_BASELINE.exists():
-        assert json.loads(SHARD_BASELINE.read_text())["results"] == results, (
-            "deterministic counters diverged from BENCH_shard_scaling.json — "
-            "regenerate with: python benchmarks/bench_propagation_scaling.py "
-            "--shards 1,2,4 --write"
-        )
-
-
 def test_propagation_scaling_baseline():
     """Pytest entry point: regenerate the sweep and pin the shape claims."""
     results = collect()
@@ -460,58 +287,7 @@ def main(argv=None) -> int:
         help="re-run the largest fig1 cell with tracing on and export "
         "a schema-validated JSONL trace to PATH",
     )
-    parser.add_argument(
-        "--shards",
-        metavar="N,N,...",
-        help="run the shard-ablation sweep over these shard counts (e.g. "
-        "1,2,4) instead of the indexing sweep; --check/--write then default "
-        "to BENCH_shard_scaling.json",
-    )
     args = parser.parse_args(argv)
-
-    if args.shards:
-        try:
-            shard_counts = sorted({int(part) for part in args.shards.split(",")})
-        except ValueError:
-            parser.error(f"--shards expects a comma-separated int list, got {args.shards!r}")
-        if not shard_counts or shard_counts[0] < 1:
-            parser.error("--shards counts must be >= 1")
-        results = collect_shards(shard_counts)
-        render_shards(results, shard_counts)
-        failed = [desc for desc, ok in check_shard_shapes(results, shard_counts) if not ok]
-        if failed:
-            for desc in failed:
-                print(f"SHAPE FAILED: {desc}", file=sys.stderr)
-            return 1
-        payload = {
-            "experiment": "PS_shard_scaling",
-            "workload": {
-                "db_sizes": DB_SIZES,
-                "delta_rows": SHARD_DELTA_ROWS,
-                "shard_counts": shard_counts,
-                "scenarios": sorted(SCENARIOS),
-            },
-            "results": results,
-        }
-        if args.check:
-            check_path = pathlib.Path(
-                args.check if args.check != str(DEFAULT_BASELINE) else SHARD_BASELINE
-            )
-            expected = json.loads(check_path.read_text())
-            if expected["results"] != results:
-                print(f"MISMATCH against {check_path}", file=sys.stderr)
-                print(json.dumps(results, indent=2), file=sys.stderr)
-                return 1
-            print(f"baseline {check_path} verified", file=sys.stderr)
-            return 0
-        path = pathlib.Path(
-            args.write
-            if args.write and args.write != str(DEFAULT_BASELINE)
-            else SHARD_BASELINE
-        )
-        path.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"baseline written to {path}", file=sys.stderr)
-        return 0
 
     if args.trace:
         from repro.obs import Tracer, export_jsonl

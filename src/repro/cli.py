@@ -75,13 +75,12 @@ def build_mediator_from_files(
     spec_path: str,
     data_path: Optional[str] = None,
     backend: str = "memory",
-    layout: str = "row",
 ) -> SquirrelMediator:
     """Deploy an initialized mediator from a spec file (+ optional data)."""
     with open(spec_path) as handle:
         spec = parse_spec(handle.read())
     sources = make_sources(spec, initial=_load_data(data_path), backend=backend)
-    return generate_mediator(spec, sources, layout=layout)
+    return generate_mediator(spec, sources)
 
 
 def _print_relation(relation, out) -> None:
@@ -94,7 +93,7 @@ def _print_relation(relation, out) -> None:
 
 
 def _cmd_describe(args, out) -> int:
-    mediator = build_mediator_from_files(args.spec, args.data, args.backend, args.layout)
+    mediator = build_mediator_from_files(args.spec, args.data, args.backend)
     print(mediator.annotated.describe(), file=out)
     print(file=out)
     print(
@@ -106,7 +105,7 @@ def _cmd_describe(args, out) -> int:
 
 
 def _cmd_query(args, out) -> int:
-    mediator = build_mediator_from_files(args.spec, args.data, args.backend, args.layout)
+    mediator = build_mediator_from_files(args.spec, args.data, args.backend)
     answer = mediator.query(args.expression)
     _print_relation(answer, out)
     return 0
@@ -294,7 +293,7 @@ def _cmd_export_metrics(args, out) -> int:
 def _cmd_checkpoint(args, out) -> int:
     from repro.durability import DurabilityManager
 
-    mediator = build_mediator_from_files(args.spec, args.data, args.backend, args.layout)
+    mediator = build_mediator_from_files(args.spec, args.data, args.backend)
     manager = DurabilityManager(mediator, args.dir)
     try:
         ckpt_id = manager.checkpoint(full=True)
@@ -371,8 +370,6 @@ def _cmd_soak(args, out) -> int:
         staleness_bound=args.staleness_bound,
         crash_points=crash_points,
         durability_dir=args.durability_dir,
-        shards=args.shards,
-        layout=args.layout,
         replicas=args.replicas,
         sqlite_sources=args.sqlite_sources,
         telemetry_dir=args.telemetry_dir,
@@ -445,7 +442,7 @@ def _cmd_soak(args, out) -> int:
 
 
 def _cmd_repl(args, out) -> int:
-    mediator = build_mediator_from_files(args.spec, args.data, args.backend, args.layout)
+    mediator = build_mediator_from_files(args.spec, args.data, args.backend)
     print("squirrel mediator ready; \\vdp \\stats \\refresh \\insert \\delete \\quit", file=out)
     while True:
         try:
@@ -472,10 +469,6 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     parser.add_argument(
         "--backend", choices=("memory", "sqlite"), default="memory",
         help="source database backend",
-    )
-    parser.add_argument(
-        "--layout", choices=("row", "columnar"), default="row",
-        help="node-repository storage layout (columnar = struct-of-arrays)",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
@@ -583,11 +576,6 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     p_soak.add_argument(
         "--durability-dir", dest="durability_dir",
         help="durability directory (default: a temp dir when --crash is given)",
-    )
-    p_soak.add_argument(
-        "--shards", type=int, default=1,
-        help="hash-partition node repositories into N shards and run the "
-        "IUP's linear rule firings in parallel (1 = serial)",
     )
     p_soak.add_argument(
         "--replicas", type=int, default=0,

@@ -23,14 +23,12 @@ new-if-processed/old-if-not states as materialized repositories do.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.core.derived_from import TempRequest, child_requirements
 from repro.core.local_store import LocalStore
 from repro.core.rulebase import RuleBase
-from repro.core.sharding import ShardPlan
 from repro.core.update_queue import QueuedUpdate, UpdateQueue
 from repro.core.vap import VirtualAttributeProcessor
 from repro.core.vdp import AnnotatedVDP, NodeKind
@@ -39,27 +37,9 @@ from repro.errors import MediatorError, SourceUnavailableError
 from repro.obs.metrics import reset_dataclass_counters
 from repro.obs.provenance import TxnOrigin, origin_labels
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.relalg import TRUE, EvalCounters, Relation
+from repro.relalg import TRUE, Relation
 
 __all__ = ["IUPStats", "UpdateTransactionResult", "IncrementalUpdateProcessor"]
-
-
-def _task_work(counters: EvalCounters) -> int:
-    """Deterministic work units of one shard task (no wall-clock anywhere).
-
-    The sum of the evaluator's row-granular counters: what the task
-    scanned, hashed, probed, and produced.  Summed over a batch it equals
-    the serial firing's work (the shard split partitions the delta); the
-    max over a batch is the batch's critical path under perfect
-    parallelism — the ratio is the committed speedup model.
-    """
-    return (
-        counters.rows_scanned
-        + counters.rows_hashed
-        + counters.hash_probes
-        + counters.index_probes
-        + counters.rows_produced
-    )
 
 
 @dataclass
@@ -75,15 +55,6 @@ class IUPStats:
     delta_atoms_applied: int = 0
     propagation_passes: int = 0
     batched_messages: int = 0
-    #: Sharded-kernel counters (all zero when parallel propagation is off).
-    shard_tasks: int = 0
-    shard_batches: int = 0
-    exchange_reads: int = 0
-    #: Total work units fired this window (equals the serial firing cost).
-    shard_serial_work: int = 0
-    #: Sum over batches of the max per-task work — the modelled critical
-    #: path; ``shard_serial_work / shard_critical_work`` is the speedup.
-    shard_critical_work: int = 0
 
     def reset(self) -> None:
         """Zero every counter (fields-derived; new counters reset for free)."""
@@ -120,9 +91,6 @@ class IncrementalUpdateProcessor:
         vap: VirtualAttributeProcessor,
         queue: UpdateQueue,
         tracer: Tracer = NULL_TRACER,
-        shard_plan: Optional[ShardPlan] = None,
-        parallel_propagation: bool = False,
-        max_shard_workers: int = 8,
         smash_enabled: bool = True,
     ):
         self.annotated = annotated
@@ -132,10 +100,6 @@ class IncrementalUpdateProcessor:
         self.vap = vap
         self.queue = queue
         self.tracer = tracer
-        #: The partitioning the kernel splits deltas by (None: serial kernel).
-        self.shard_plan = shard_plan
-        self.parallel_propagation = parallel_propagation
-        self.max_shard_workers = max_shard_workers
         #: Net-effect compaction (default on): the flushed batch is smashed
         #: into one per-leaf delta set and costs one kernel pass.  Off (the
         #: smash ablation), the kernel runs once per flushed message in
@@ -476,8 +440,6 @@ class IncrementalUpdateProcessor:
         self, name: str, delta: AnyDelta, temps: Mapping[str, Relation]
     ) -> int:
         bag_delta = set_to_bag(delta) if isinstance(delta, SetDelta) else delta
-        if self.parallel_propagation and self.shard_plan is not None:
-            return self._fire_rules_parallel(name, bag_delta, temps)
         fired = 0
         tracer = self.tracer
         for rule in self.rulebase.rules_out_of(name):
@@ -486,121 +448,6 @@ class IncrementalUpdateProcessor:
                 catalog[sibling] = self._resolve(sibling, temps)
             contribution = rule.fire(bag_delta, catalog, self.store.counters)
             if not contribution.is_empty():
-                self.store.accumulate(rule.parent, contribution)
-            fired += 1
-            self.stats.rules_fired += 1
-            if tracer.enabled:
-                out_size = (
-                    contribution.atom_count()
-                    if isinstance(contribution, SetDelta)
-                    else contribution.entry_count()
-                )
-                tracer.event(
-                    "rule_fire",
-                    child=name,
-                    parent=rule.parent,
-                    delta_size=bag_delta.entry_count(),
-                    contribution_size=out_size,
-                )
-        return fired
-
-    def _fire_rules_parallel(
-        self, name: str, bag_delta: BagDelta, temps: Mapping[str, Relation]
-    ) -> int:
-        """Fire all rules out of ``name`` as a pool of (rule × shard) tasks.
-
-        Only *linear* rules are split by the node's shard key — their
-        contributions are signed-count sums, so firing sub-deltas against
-        the same sibling states and smashing the parts is exactly the
-        whole-delta firing.  Non-linear rules (difference nodes,
-        self-joins) fire as one task over the whole delta.  Rule firings
-        never mutate shared state (contributions accumulate on the main
-        thread afterwards), so all tasks of one batch run concurrently on
-        a bounded pool, same discipline as ``vap._run_polls``: workers
-        only time themselves; results, counters, spans, and events merge
-        on the main thread in deterministic (rule, shard) submission
-        order, regardless of completion order.
-        """
-        rules = self.rulebase.rules_out_of(name)
-        if not rules:
-            return 0
-        plan = self.shard_plan
-        tracer = self.tracer
-
-        # Task list in (rule index, shard index) order — the merge order.
-        tasks: List[Tuple[int, Optional[int], BagDelta, Dict[str, Relation]]] = []
-        for idx, rule in enumerate(rules):
-            catalog = {s: self._resolve(s, temps) for s in rule.sibling_names()}
-            if rule.is_linear and plan.num_shards > 1:
-                parts = plan.split(name, bag_delta)
-                live = [(si, sub) for si, sub in enumerate(parts) if sub is not None]
-                if len(live) > 1:
-                    for si, sub in live:
-                        tasks.append((idx, si, sub, catalog))
-                    continue
-            tasks.append((idx, None, bag_delta, catalog))
-
-        def run_task(task):
-            idx, _si, sub, catalog = task
-            counters = EvalCounters()
-            # Workers never touch the tracer span stack — they just time
-            # themselves; the main thread backfills completed spans.
-            started = tracer.clock() if tracer.enabled else 0.0
-            contribution = rules[idx].fire(sub, catalog, counters)
-            ended = tracer.clock() if tracer.enabled else 0.0
-            return contribution, counters, started, ended
-
-        if len(tasks) > 1 and self.max_shard_workers > 1:
-            workers = min(len(tasks), self.max_shard_workers)
-            with ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="iup-shard"
-            ) as pool:
-                futures = [pool.submit(run_task, task) for task in tasks]
-                results = [f.result() for f in futures]
-        else:
-            results = [run_task(task) for task in tasks]
-
-        # Deterministic sorted merge in task (rule, shard) order.
-        merged: List[Optional[AnyDelta]] = [None] * len(rules)
-        batch_work: List[int] = []
-        for (idx, si, _sub, _catalog), (contribution, counters, started, ended) in zip(
-            tasks, results
-        ):
-            self.store.counters.merge(counters)
-            work = _task_work(counters)
-            batch_work.append(work)
-            merged[idx] = (
-                contribution if merged[idx] is None else merged[idx].smash(contribution)
-            )
-            if tracer.enabled:
-                tracer.add_completed_span(
-                    "shard_worker",
-                    started,
-                    ended,
-                    node=name,
-                    parent=rules[idx].parent,
-                    shard=si,
-                    work=work,
-                )
-        self.stats.shard_tasks += len(tasks)
-        self.stats.shard_batches += 1
-        self.stats.shard_serial_work += sum(batch_work)
-        self.stats.shard_critical_work += max(batch_work)
-
-        fired = 0
-        for idx, rule in enumerate(rules):
-            contribution = merged[idx]
-            info = plan.edge_info(rule.parent, name)
-            if info is not None and info.exchange_siblings:
-                self.stats.exchange_reads += len(info.exchange_siblings)
-                if tracer.enabled:
-                    tracer.event(
-                        "exchange",
-                        child=name,
-                        parent=rule.parent,
-                        siblings=list(info.exchange_siblings),
-                    )
-            if contribution is not None and not contribution.is_empty():
                 self.store.accumulate(rule.parent, contribution)
             fired += 1
             self.stats.rules_fired += 1

@@ -28,7 +28,7 @@ rule firing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Set, Tuple
 
 from repro.core.annotations import Annotation
 from repro.core.vdp import AnnotatedVDP, NodeKind
@@ -37,19 +37,13 @@ from repro.errors import MediatorError
 from repro.relalg import (
     TRUE,
     BagRelation,
-    ColumnarRelation,
     EvalCounters,
     Evaluator,
-    PartitionedRelation,
     Relation,
     RelationSchema,
 )
 
 __all__ = ["LocalStore", "StoreStats"]
-
-#: Storage layouts a store can keep its repositories in.
-LAYOUTS = ("row", "columnar")
-
 
 @dataclass
 class StoreStats:
@@ -76,77 +70,20 @@ class LocalStore:
         self,
         annotated: AnnotatedVDP,
         indexing_enabled: bool = True,
-        layout: str = "row",
     ):
-        if layout not in LAYOUTS:
-            raise MediatorError(f"unknown storage layout {layout!r}; expected one of {LAYOUTS}")
         self.annotated = annotated
         self.vdp = annotated.vdp
         self.counters = EvalCounters()
         self.indexing_enabled = indexing_enabled
-        self.layout = layout
         self.stats = StoreStats()
         self._repos: Dict[str, Relation] = {}
         self._deltas: Dict[str, AnyDelta] = {}
         self._index_requirements: Dict[str, Set[Tuple[str, ...]]] = {}
-        self._shard_plan = None  # Optional[repro.core.sharding.ShardPlan]
         self._initialized = False
 
-    # ------------------------------------------------------------------
-    # Sharded repositories
-    # ------------------------------------------------------------------
-    def set_shard_plan(self, plan) -> None:
-        """Adopt a :class:`~repro.core.sharding.ShardPlan` for repositories.
-
-        Called at mediator wiring (before :meth:`initialize`) and again on
-        every structural swap (attach/detach rebuild the rulebase, so shard
-        keys may change): already-populated repositories whose desired
-        layout differs are repartitioned in place — rows rerouted, declared
-        indexes rebuilt per shard.
-        """
-        self._shard_plan = plan
-        if self._initialized:
-            for name in sorted(self._repos):
-                current = self._repos[name]
-                desired = self._desired_layout(name, current.schema.attribute_names)
-                actual = (
-                    (current.shard_key, current.num_shards)
-                    if isinstance(current, PartitionedRelation)
-                    else None
-                )
-                if desired != actual:
-                    self._repos[name] = self._finalize_stored(name, current)
-            self._build_declared_indexes()
-
-    def _desired_layout(self, name: str, stored_attrs) -> Optional[Tuple[Tuple[str, ...], int]]:
-        if self._shard_plan is None:
-            return None
-        return self._shard_plan.storage_layout(name, tuple(stored_attrs))
-
-    def _finalize_stored(self, name: str, stored: Relation) -> Relation:
-        """Lay a freshly built stored value out per the shard plan + layout."""
-        shard_layout = self._desired_layout(name, stored.schema.attribute_names)
-        if shard_layout is None:
-            if isinstance(stored, PartitionedRelation):
-                stored = stored.unpartitioned()
-            if self.layout == "columnar" and not isinstance(stored, ColumnarRelation):
-                stored = ColumnarRelation.from_relation(stored)
-            return stored
-        key, num_shards = shard_layout
-        if (
-            isinstance(stored, PartitionedRelation)
-            and stored.shard_key == key
-            and stored.num_shards == num_shards
-            and stored.layout == self.layout
-        ):
-            return stored
-        return PartitionedRelation.partition(stored, key, num_shards, layout=self.layout)
-
     def install_repo(self, name: str, relation: Relation) -> None:
-        """Install an externally built repository (checkpoint restore),
-        repartitioning it to this store's shard plan so restored state and
-        freshly initialized state share one layout."""
-        self._repos[name] = self._finalize_stored(name, relation)
+        """Install an externally built repository (checkpoint restore)."""
+        self._repos[name] = relation
 
     # ------------------------------------------------------------------
     # Persistent join indexes
@@ -261,14 +198,14 @@ class LocalStore:
     def _stored_projection(self, name: str, full_value: Relation, ann: Annotation) -> Relation:
         node = self.vdp.node(name)
         if ann.fully_materialized:
-            return self._finalize_stored(name, full_value.copy())
+            return full_value.copy()
         # Hybrid: store the bag projection onto the materialized attributes.
         if node.kind is NodeKind.SET:
             raise MediatorError(f"set node {name!r} cannot be hybrid")
         stored = BagRelation(self.stored_schema(name))
         for r, n in full_value.items():
             stored.insert(r.project(ann.materialized_attrs), n)
-        return self._finalize_stored(name, stored)
+        return stored
 
     # ------------------------------------------------------------------
     # Delta repositories (ΔR)
@@ -400,7 +337,7 @@ class LocalStore:
         """Per-node storage footprint rows for the stats CLI.
 
         One entry per storing node, sorted by name: stored multiplicity,
-        distinct rows, and the layout-comparable byte estimate.
+        distinct rows, and the byte estimate.
         """
         return [
             {

@@ -31,7 +31,6 @@ from repro.core.links import DirectLink, SourceLink
 from repro.core.local_store import LocalStore
 from repro.core.query_processor import QueryProcessor
 from repro.core.rulebase import RuleBase
-from repro.core.sharding import plan_shards
 from repro.core.update_queue import UpdateQueue
 from repro.core.vap import VirtualAttributeProcessor
 from repro.core.vap_cache import VAPTempCache
@@ -117,11 +116,6 @@ class MediatorStats:
     propagation_passes: int
     deltas_compacted: int
     deltas_smashed: int
-    rows_materialized: int
-    cells_scanned: int
-    shard_tasks: int
-    shard_batches: int
-    exchange_reads: int
     pushdown_queries: int
     fallback_queries: int
     stored_bytes: int
@@ -169,11 +163,6 @@ STATS_METRICS: Dict[str, str] = {
     "propagation_passes": "iup.propagation_passes",
     "deltas_compacted": "queue.deltas_compacted",
     "deltas_smashed": "store.deltas_smashed",
-    "rows_materialized": "eval.rows_materialized",
-    "cells_scanned": "eval.cells_scanned",
-    "shard_tasks": "iup.shard_tasks",
-    "shard_batches": "iup.shard_batches",
-    "exchange_reads": "iup.exchange_reads",
     "pushdown_queries": "sources.pushdown_queries",
     "fallback_queries": "sources.fallback_queries",
     "stored_bytes": "store.stored_bytes",
@@ -218,9 +207,6 @@ class SquirrelMediator:
         indexing_enabled: bool = True,
         vap_cache_enabled: bool = True,
         parallel_polls: bool = True,
-        shards: int = 1,
-        parallel_propagation: Optional[bool] = None,
-        layout: str = "row",
         smash_enabled: bool = True,
         tracer: Tracer = NULL_TRACER,
         profiling_enabled: bool = False,
@@ -236,17 +222,6 @@ class SquirrelMediator:
         the evaluator falls back to per-firing ephemeral hash joins;
         ``vap_cache_enabled=False`` re-polls sources on every virtual
         query; ``parallel_polls=False`` forces the serial poll loop).
-        ``shards`` hash-partitions node repositories (and their persistent
-        indexes) into that many shards under a planner-chosen key (see
-        :mod:`repro.core.sharding`); ``parallel_propagation`` runs the IUP
-        kernel's linear rule firings as a (rule × shard) task pool — it
-        defaults to on exactly when ``shards > 1``, and can be forced off
-        for the layout-only ablation.  Results are identical either way.
-        ``layout`` selects the repository storage representation:
-        ``"row"`` (hash containers of ``Row`` dicts, the default) or
-        ``"columnar"`` (struct-of-arrays
-        :class:`~repro.relalg.ColumnarRelation` with slot-based indexes
-        and the evaluator's vectorized chain paths).
         ``smash_enabled=False`` disables transaction-level net-effect
         compaction — the kernel runs one propagation pass per queued
         message instead of one pass over the smashed batch (the smash
@@ -274,26 +249,11 @@ class SquirrelMediator:
         self.contributor_kinds: Dict[str, ContributorKind] = annotated.contributor_kinds()
         self._check_sources()
 
-        if shards < 1:
-            raise MediatorError(f"shards must be >= 1, got {shards}")
-        self.shards = shards
-        self.parallel_propagation = (
-            shards > 1 if parallel_propagation is None else parallel_propagation
-        )
-        self.layout = layout
         self.smash_enabled = smash_enabled
         self.queue = UpdateQueue()
-        self.store = LocalStore(annotated, indexing_enabled=indexing_enabled, layout=layout)
+        self.store = LocalStore(annotated, indexing_enabled=indexing_enabled)
         self.rulebase = RuleBase(self.vdp)
         self.store.declare_index_requirements(self.rulebase.index_requirements())
-        # Support-probe indexes for the set rules' O(delta) path.  Declared
-        # here and not through index_requirements() so the shard planner's
-        # key inference is untouched.
-        self.store.declare_index_requirements(self.rulebase.probe_index_requirements())
-        self.shard_plan = (
-            plan_shards(self.vdp, self.rulebase, shards) if shards > 1 else None
-        )
-        self.store.set_shard_plan(self.shard_plan)
         self.links: Dict[str, SourceLink] = dict(links) if links else {}
         for name, source in self.sources.items():
             if name not in self.links:
@@ -322,8 +282,6 @@ class SquirrelMediator:
             self.vap,
             self.queue,
             tracer=tracer,
-            shard_plan=self.shard_plan,
-            parallel_propagation=self.parallel_propagation,
             smash_enabled=smash_enabled,
         )
         self.qp = QueryProcessor(annotated, self.store, self.vap, tracer=tracer)
@@ -686,16 +644,6 @@ class SquirrelMediator:
         self.store.vdp = annotated.vdp
         self.rulebase = RuleBase(self.vdp)
         self.store.declare_index_requirements(self.rulebase.index_requirements())
-        self.store.declare_index_requirements(self.rulebase.probe_index_requirements())
-        # The shard plan is a function of the rulebase: re-infer it so new
-        # nodes get keys and new edges get local/exchange classifications
-        # (existing repositories repartition only when their layout moved).
-        self.shard_plan = (
-            plan_shards(self.vdp, self.rulebase, self.shards)
-            if self.shards > 1
-            else None
-        )
-        self.store.set_shard_plan(self.shard_plan)
         vap = self.vap
         vap.annotated = annotated
         vap.vdp = annotated.vdp
@@ -709,7 +657,6 @@ class SquirrelMediator:
         self.iup.annotated = annotated
         self.iup.vdp = annotated.vdp
         self.iup.rulebase = self.rulebase
-        self.iup.shard_plan = self.shard_plan
         self.qp.annotated = annotated
         self.qp.vdp = annotated.vdp
         # Contributor kinds may have flipped for surviving sources (a new

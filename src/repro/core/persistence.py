@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import json
 import sqlite3
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple
 
 from repro.core.mediator import SquirrelMediator
 from repro.core.vdp import AnnotatedVDP, NodeKind
@@ -210,9 +210,6 @@ def restore_mediator(
     key_based_enabled: bool = True,
     on_stale: str = "raise",
     on_orphan: str = "drop",
-    shards: int = 1,
-    parallel_propagation: "Optional[bool]" = None,
-    layout: str = "row",
     smash_enabled: bool = True,
 ) -> SquirrelMediator:
     """Rebuild a mediator from a snapshot and catch up from source logs.
@@ -251,9 +248,6 @@ def restore_mediator(
         sources,
         eca_enabled=eca_enabled,
         key_based_enabled=key_based_enabled,
-        shards=shards,
-        parallel_propagation=parallel_propagation,
-        layout=layout,
         smash_enabled=smash_enabled,
     )
 

@@ -47,31 +47,21 @@ class RuleBase:
                 self._out_rules[child_name].append(rule)
         self._index_requirements: Dict[str, Set[Tuple[str, ...]]] = {}
         for rule in self._by_edge.values():
-            for base, keysets in rule.index_requirements().items():
-                self._index_requirements.setdefault(base, set()).update(keysets)
+            for declared in (rule.index_requirements(), rule.probe_index_requirements()):
+                for base, keysets in declared.items():
+                    self._index_requirements.setdefault(base, set()).update(keysets)
 
     def index_requirements(self) -> Dict[str, Set[Tuple[str, ...]]]:
-        """Join-key index declarations collected from the compiled rules.
+        """Index declarations collected from the compiled rules.
 
         Maps node name → set of attribute-key tuples some rule's join plan
-        can probe.  The local store builds these indexes on materialized
-        repositories (and the IUP on temporaries) so that firing a rule
-        probes a persistent index instead of re-hashing the sibling.
+        or some set rule's support probe can look up.  The local store
+        builds these indexes on materialized repositories (and the IUP on
+        temporaries) so that firing a rule probes a persistent index
+        instead of re-hashing the sibling or re-evaluating a difference
+        operand.
         """
         return {base: set(keys) for base, keys in self._index_requirements.items()}
-
-    def probe_index_requirements(self) -> Dict[str, Set[Tuple[str, ...]]]:
-        """Support-probe index declarations from the set-node rules.
-
-        Collected separately from :meth:`index_requirements` because the
-        shard planner keys off join-probe requirements; the mediator
-        declares both on every layout.
-        """
-        out: Dict[str, Set[Tuple[str, ...]]] = {}
-        for rule in self._by_edge.values():
-            for base, keysets in rule.probe_index_requirements().items():
-                out.setdefault(base, set()).update(keysets)
-        return out
 
     def edge_rule(self, parent: str, child: str) -> EdgeRule:
         """The rule attached to edge ``(parent, child)``."""

@@ -216,11 +216,10 @@ class CompiledSPJ:
     def _schemas_for(self, extended: Mapping[str, Relation]) -> Mapping[str, RelationSchema]:
         """The renamed-schema catalog; lazily completed from ``extended``.
 
-        Completion is copy-on-write: the sharded kernel fires one compiled
-        rule concurrently from several worker threads, so the shared dict
-        is swapped atomically rather than mutated while others read it.
-        (Eagerly compiled rules never take this path — every name is
-        already resolved at construction.)
+        Completion is copy-on-write: a mapping already handed to an
+        evaluator is never mutated under it.  (Eagerly compiled rules
+        never take this path — every name is already resolved at
+        construction.)
         """
         missing = {
             name: rel.schema.rename_relation(name)
@@ -616,13 +615,7 @@ class SetNodeRule:
         return out
 
     def probe_index_requirements(self) -> Dict[str, Set[Tuple[str, ...]]]:
-        """Support-probe indexes the fast path can use, keyed by base name.
-
-        Kept separate from :meth:`index_requirements` on purpose: the
-        shard planner derives partition keys from join-probe requirements,
-        and support probes must not perturb it.  The mediator declares
-        both on every layout.
-        """
+        """Support-probe indexes the fast path can use, keyed by base name."""
         out: Dict[str, Set[Tuple[str, ...]]] = {}
         for op_plan, other_plan in self._probe_plans:
             if op_plan is None or other_plan is None:

@@ -123,9 +123,6 @@ def generate_mediator(
     plan_profile: Optional[WorkloadProfile] = None,
     eca_enabled: bool = True,
     key_based_enabled: bool = True,
-    shards: int = 1,
-    parallel_propagation: Optional[bool] = None,
-    layout: str = "row",
     smash_enabled: bool = True,
     tracer: Tracer = NULL_TRACER,
     profiling_enabled: bool = False,
@@ -134,10 +131,9 @@ def generate_mediator(
 
     When ``plan_profile`` is given, relations the spec leaves unannotated
     get planner-suggested annotations instead of defaulting to fully
-    materialized; explicit spec annotations always win.  ``shards`` /
-    ``parallel_propagation`` configure hash-partitioned parallel
-    propagation and ``layout`` / ``smash_enabled`` the storage layout and
-    net-effect compaction exactly as on :class:`SquirrelMediator`.
+    materialized; explicit spec annotations always win.  ``smash_enabled``
+    configures net-effect compaction exactly as on
+    :class:`SquirrelMediator`.
     """
     spec = _resolve(spec)
     _check_sources_match(spec, sources)
@@ -147,9 +143,6 @@ def generate_mediator(
         sources,
         eca_enabled=eca_enabled,
         key_based_enabled=key_based_enabled,
-        shards=shards,
-        parallel_propagation=parallel_propagation,
-        layout=layout,
         smash_enabled=smash_enabled,
         tracer=tracer,
         profiling_enabled=profiling_enabled,

@@ -13,13 +13,11 @@ require retaining the trace (pair it with ``Tracer(retain=False)`` for
 bounded memory).  The folded result is a :class:`CostProfile`:
 
 * **per node** — propagation time and rows (``process_node`` spans,
-  ``rule_fire`` / ``node_apply`` events), shard-local work split out from
-  ``shard_worker`` spans, exchange reads, VAP construct/poll rows and
+  ``rule_fire`` / ``node_apply`` events), VAP construct/poll rows and
   cache verdicts per virtual subtree, and query latency per exported
   node (a query's duration is attributed to every relation it references,
   captured from its ``query_classify`` event);
-* **per edge** — rule firings with delta/contribution row flow, shard
-  task time, exchange reads;
+* **per edge** — rule firings with delta/contribution row flow;
 * **per source** — poll count/time and pre-compensation answer rows
   (``poll_answer`` events, emitted exactly where ``VAPStats.polled_rows``
   accrues), compensations;
@@ -75,10 +73,6 @@ class NodeCost:
     contribution_rows_in: int = 0  # rows contributed *into* this node
     applies: int = 0               # node_apply events
     apply_rows: int = 0            # delta rows applied to this node
-    shard_time: float = 0.0        # shard_worker span seconds (sum over tasks)
-    shard_tasks: int = 0
-    shard_work: int = 0            # evaluator work units inside shard tasks
-    exchange_reads: int = 0        # cross-shard sibling reads out of this node
     # VAP construction (virtual side)
     constructs: int = 0            # temp_built events
     construct_rows: int = 0        # rows in built temporaries
@@ -94,7 +88,7 @@ class NodeCost:
 
     @property
     def propagation_time(self) -> float:
-        return self.process_time + self.shard_time
+        return self.process_time
 
     @property
     def propagation_rows(self) -> int:
@@ -108,10 +102,6 @@ class EdgeCost:
     fires: int = 0
     delta_rows: int = 0
     contribution_rows: int = 0
-    shard_tasks: int = 0
-    shard_time: float = 0.0
-    shard_work: int = 0
-    exchange_reads: int = 0
 
 
 @dataclasses.dataclass
@@ -208,7 +198,6 @@ class CostProfile:
                 "cache_misses": cost.cache_misses,
                 "construct_rows": cost.construct_rows,
                 "constructs": cost.constructs,
-                "exchange_reads": cost.exchange_reads,
                 "poll_rows": cost.poll_rows,
                 "propagation_rows": cost.propagation_rows,
                 "propagation_time": cost.propagation_time,
@@ -278,8 +267,6 @@ class CostProfile:
                 stats.cache_invalidations,
             ),
             ("subsumption_hits", self.cache_subsumption_hits, stats.subsumption_hits),
-            ("shard_tasks", self.total("shard_tasks"), stats.shard_tasks),
-            ("exchange_reads", self.total("exchange_reads"), stats.exchange_reads),
         ]
         mismatches = []
         for name, profiled, counted in checks:
@@ -313,7 +300,6 @@ class CostProfiler:
         self._pending_query_refs: Dict[int, List[str]] = {}
         self._span_handlers: Dict[str, Callable[[Dict[str, Any], float], None]] = {
             "process_node": self._span_process_node,
-            "shard_worker": self._span_shard_worker,
             "poll": self._span_poll,
             "query": self._span_query,
             "update_txn": self._span_update_txn,
@@ -322,7 +308,6 @@ class CostProfiler:
         self._event_handlers: Dict[str, Callable[[Dict[str, Any]], None]] = {
             "rule_fire": self._event_rule_fire,
             "node_apply": self._event_node_apply,
-            "exchange": self._event_exchange,
             "poll_answer": self._event_poll_answer,
             "temp_built": self._event_temp_built,
             "cache_hit": self._event_cache_hit,
@@ -391,18 +376,6 @@ class CostProfiler:
         cost.processed += 1
         cost.process_time += duration
 
-    def _span_shard_worker(self, record: Dict[str, Any], duration: float) -> None:
-        attrs = record["attrs"]
-        work = attrs.get("work", 0)
-        node = self._node(attrs["node"])
-        node.shard_tasks += 1
-        node.shard_time += duration
-        node.shard_work += work
-        edge = self._edge(attrs["node"], attrs["parent"])
-        edge.shard_tasks += 1
-        edge.shard_time += duration
-        edge.shard_work += work
-
     def _span_poll(self, record: Dict[str, Any], duration: float) -> None:
         cost = self._source(record["attrs"]["source"])
         cost.poll_spans += 1
@@ -450,12 +423,6 @@ class CostProfiler:
         node = self._node(attrs["node"])
         node.applies += 1
         node.apply_rows += attrs["delta_size"]
-
-    def _event_exchange(self, record: Dict[str, Any]) -> None:
-        attrs = record["attrs"]
-        reads = len(attrs.get("siblings", ()))
-        self._node(attrs["child"]).exchange_reads += reads
-        self._edge(attrs["child"], attrs["parent"]).exchange_reads += reads
 
     def _event_poll_answer(self, record: Dict[str, Any]) -> None:
         attrs = record["attrs"]

@@ -40,10 +40,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import EvaluationError
-from repro.relalg.columnar import ColumnarRelation
 from repro.relalg.expressions import (
     Difference,
     Expression,
@@ -92,15 +91,6 @@ class EvalCounters:
     rows_hashed: int = 0
     index_probes: int = 0
     index_rebuilds: int = 0
-    #: Physical-layer counters.  Unlike the logical counters above — which
-    #: are identical for the row and columnar layouts (parity-pinned in
-    #: ``tests/relalg/test_columnar_parity.py``) — these describe what the
-    #: storage layout actually touched: ``rows_materialized`` counts Row
-    #: objects built from column arrays, ``cells_scanned`` counts individual
-    #: column cells read.  They are excluded from the cross-layout parity
-    #: contract and from the shard work model (:func:`repro.core.iup._task_work`).
-    rows_materialized: int = 0
-    cells_scanned: int = 0
 
     def merge(self, other: "EvalCounters") -> None:
         """Accumulate another counter set into this one.
@@ -188,47 +178,6 @@ def compile_scan_chain(expr: Expression) -> Optional[ScanChain]:
         else:
             return None
     return ScanChain(base=node.name, steps=tuple(reversed(steps)))
-
-
-@dataclass(frozen=True)
-class _ChainProgram:
-    """A :class:`ScanChain` lowered to column accesses over its base.
-
-    ``selects`` holds each selection predicate with the (visible name,
-    base attribute) pairs it reads; ``out`` maps every output attribute to
-    the base column it is sourced from, in output order.  Valid only for
-    the base schema it was compiled against.
-    """
-
-    base: str
-    selects: Tuple[Tuple[Predicate, Tuple[Tuple[str, str], ...]], ...]
-    out: Tuple[Tuple[str, str], ...]
-
-
-def _compile_chain_program(
-    chain: ScanChain, base_attrs: Tuple[str, ...]
-) -> Optional[_ChainProgram]:
-    """Lower a chain to column accesses; None when a name cannot be traced."""
-    cur_attrs = list(base_attrs)
-    to_base = {a: a for a in base_attrs}
-    selects: List[Tuple[Predicate, Tuple[Tuple[str, str], ...]]] = []
-    for kind, payload in chain.steps:
-        if kind == "rename":
-            cur_attrs = [payload.get(a, a) for a in cur_attrs]
-            to_base = {payload.get(a, a): b for a, b in to_base.items()}
-        elif kind == "select":
-            needed = payload.attributes()
-            if not needed <= set(to_base):
-                return None
-            selects.append((payload, tuple((a, to_base[a]) for a in sorted(needed))))
-        else:  # project (non-dedup; dedup never compiles to a chain)
-            if not set(payload) <= set(to_base):
-                return None
-            cur_attrs = list(payload)
-            to_base = {a: to_base[a] for a in payload}
-    return _ChainProgram(
-        chain.base, tuple(selects), tuple((a, to_base[a]) for a in cur_attrs)
-    )
 
 
 @dataclass(frozen=True)
@@ -331,10 +280,6 @@ class Evaluator:
         # cached id.
         self._join_plans: Dict[int, JoinPlan] = dict(join_plans) if join_plans else {}
         self._plan_pins: Dict[int, Join] = {}
-        # Vectorized chain programs for columnar bases, compiled once per
-        # expression node (id-keyed and pinned, like join plans).
-        self._chain_programs: Dict[int, Optional["_ChainProgram"]] = {}
-        self._chain_pins: Dict[int, Expression] = {}
 
     # ------------------------------------------------------------------
     def evaluate(self, expr: Expression, name: str = "result") -> Relation:
@@ -357,10 +302,6 @@ class Evaluator:
     # operators like select may filter their child in place.
     # ------------------------------------------------------------------
     def _eval(self, expr: Expression) -> Dict[Row, int]:
-        if isinstance(expr, (Select, Project, Rename)):
-            fast = self._eval_columnar_chain(expr)
-            if fast is not None:
-                return fast
         if isinstance(expr, Scan):
             return self._eval_scan(expr)
         if isinstance(expr, Select):
@@ -382,76 +323,10 @@ class Evaluator:
             rel = self.catalog[expr.name]
         except KeyError as exc:
             raise EvaluationError(f"relation {expr.name!r} not in catalog") from exc
-        if isinstance(rel, ColumnarRelation):
-            # A full scan of a columnar base touches every live cell and
-            # materializes every distinct row once.
-            self.counters.cells_scanned += rel.distinct_size() * rel.schema.arity
-            self.counters.rows_materialized += rel.distinct_size()
         counts: Dict[Row, int] = {}
         for r, n in rel.items():
             counts[r] = n
             self.counters.rows_scanned += n
-        return counts
-
-    # ------------------------------------------------------------------
-    # Vectorized chain evaluation over columnar bases
-    # ------------------------------------------------------------------
-    def _eval_columnar_chain(self, expr: Expression) -> Optional[Dict[Row, int]]:
-        """Evaluate a select/project/rename chain column-wise, if possible.
-
-        Applicable when the expression compiles to a :class:`ScanChain`
-        whose base relation is a :class:`ColumnarRelation`: selection
-        predicates then read only the column cells they reference and
-        ``Row`` objects are materialized for *surviving* slots only.  The
-        logical counters (``rows_scanned``, and ``rows_produced`` added by
-        :meth:`evaluate`) are bumped exactly as the row-at-a-time path
-        would, so both layouts stay counter-identical on the logical plane;
-        the physical difference shows up in ``cells_scanned`` /
-        ``rows_materialized``.  Returns None when not applicable.
-        """
-        key = id(expr)
-        if key in self._chain_programs:
-            prog = self._chain_programs[key]
-        else:
-            prog = None
-            chain = compile_scan_chain(expr)
-            if chain is not None and chain.steps:
-                base_rel = self.catalog.get(chain.base)
-                if isinstance(base_rel, ColumnarRelation):
-                    prog = _compile_chain_program(chain, base_rel.schema.attribute_names)
-            self._chain_programs[key] = prog
-            self._chain_pins[key] = expr
-        if prog is None:
-            return None
-        rel = self.catalog.get(prog.base)
-        if not isinstance(rel, ColumnarRelation):
-            return None
-        counters = self.counters
-        sel_cols = [
-            (pred, [(name, rel.column(base)) for name, base in pairs])
-            for pred, pairs in prog.selects
-        ]
-        out_cols = [(a, rel.column(b)) for a, b in prog.out]
-        arity_out = len(out_cols)
-        counts: Dict[Row, int] = {}
-        counts_col = rel.counts_column()
-        for slot in range(len(counts_col)):
-            n = counts_col[slot]
-            if n <= 0:
-                continue
-            counters.rows_scanned += n
-            survived = True
-            for pred, cols in sel_cols:
-                counters.cells_scanned += len(cols)
-                if not pred.evaluate({name: col[slot] for name, col in cols}):
-                    survived = False
-                    break
-            if not survived:
-                continue
-            counters.cells_scanned += arity_out
-            counters.rows_materialized += 1
-            out = Row({a: col[slot] for a, col in out_cols})
-            counts[out] = counts.get(out, 0) + n
         return counts
 
     def _eval_select(self, expr: Select) -> Dict[Row, int]:
@@ -567,17 +442,7 @@ class Evaluator:
                 continue
             self.counters.index_probes += 1
             values = tuple(by_base[k] for k in spec.index_keys)
-            if isinstance(rel, ColumnarRelation):
-                # Slot-based probe: the index answers with a row-id slice;
-                # rows materialize (cached) only for the matching bucket.
-                slots = rel.slot_lookup(spec.index_keys, values)
-                self.counters.rows_materialized += len(slots)
-                bucket: Iterable[Tuple[Row, int]] = (
-                    (rel.row_at(s), rel.count_at(s)) for s in slots
-                )
-            else:
-                bucket = rel.index_lookup(spec.index_keys, values)
-            for br, bn in bucket:
+            for br, bn in rel.index_lookup(spec.index_keys, values):
                 out = chain.apply(br)
                 if out is None:
                     continue

@@ -24,7 +24,6 @@ indexes: a copy is a fresh relation and re-declares what it needs.
 
 from __future__ import annotations
 
-import zlib
 from collections import Counter
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -36,22 +35,7 @@ __all__ = [
     "Relation",
     "SetRelation",
     "BagRelation",
-    "PartitionedRelation",
-    "stable_shard_hash",
 ]
-
-
-def stable_shard_hash(values: Tuple[Any, ...]) -> int:
-    """A deterministic hash of a key-value tuple for shard routing.
-
-    Python's builtin ``hash`` is salted per process (PYTHONHASHSEED), which
-    would make shard assignment — and therefore every per-shard counter —
-    unreproducible across runs.  Routing instead hashes a canonical text
-    encoding (type name + repr, the same total order ``_sort_key`` uses)
-    with crc32, so a row lands on the same shard in every process.
-    """
-    encoded = "\x1f".join(f"{type(v).__name__}:{v!r}" for v in values)
-    return zlib.crc32(encoded.encode("utf-8"))
 
 
 class Relation:
@@ -132,8 +116,7 @@ class Relation:
         """A coarse storage-footprint estimate (value cells + count slots).
 
         Counts each distinct row's cell values once plus a machine word per
-        multiplicity slot, so the row and columnar layouts report
-        comparable figures for equal contents.
+        multiplicity slot.
         """
         import sys
 
@@ -404,162 +387,3 @@ class BagRelation(Relation):
         """Build from bare value tuples ordered like the schema attributes."""
         names = schema.attribute_names
         return cls.from_rows(schema, (Row(dict(zip(names, vals))) for vals in value_rows))
-
-
-class PartitionedRelation(Relation):
-    """A relation hash-partitioned into shard sub-relations by a key tuple.
-
-    Every row lives on exactly one shard, chosen by
-    :func:`stable_shard_hash` over its shard-key attribute values.  The
-    container implements the full :class:`Relation` protocol transparently
-    — callers (the evaluator, the delta machinery, persistence encoding)
-    cannot tell a partitioned repository from a plain one — while exposing
-    the per-shard structure the parallel IUP kernel needs:
-
-    * persistent hash indexes are **per shard** (each shard maintains its
-      own, incrementally, exactly as a plain relation would);
-    * an :meth:`index_lookup` whose probe keys cover the shard key routes
-      to the single owning shard (the co-partitioned/"shard-local" case);
-      any other probe fans out across all shards (a cross-shard exchange
-      read — still correct, just not partition-pruned).
-
-    Shard membership is a pure layout property: iteration order differs
-    from a plain relation, but contents, counts, and every probe answer
-    are identical, which is what keeps sharded propagation byte-equal to
-    serial on sorted snapshots.
-    """
-
-    def __init__(
-        self,
-        schema: RelationSchema,
-        shard_key: Sequence[str],
-        num_shards: int,
-        is_bag: bool = True,
-        layout: str = "row",
-    ):
-        if num_shards < 1:
-            raise DeltaError(f"num_shards must be >= 1, got {num_shards}")
-        super().__init__(schema)
-        schema.check_attributes(tuple(shard_key))
-        self.shard_key: Tuple[str, ...] = tuple(shard_key)
-        self.num_shards = num_shards
-        self.is_bag = is_bag
-        self.layout = layout
-        self._shards: List[Relation] = [self._make_shard() for _ in range(num_shards)]
-
-    def _make_shard(self) -> Relation:
-        if self.layout == "columnar":
-            from repro.relalg.columnar import ColumnarRelation
-
-            return ColumnarRelation(self.schema, is_bag=self.is_bag)
-        return BagRelation(self.schema) if self.is_bag else SetRelation(self.schema)
-
-    @classmethod
-    def partition(
-        cls,
-        relation: Relation,
-        shard_key: Sequence[str],
-        num_shards: int,
-        layout: str = "row",
-    ) -> "PartitionedRelation":
-        """Build a partitioned copy of an existing relation (indexes dropped)."""
-        out = cls(relation.schema, shard_key, num_shards, is_bag=relation.is_bag, layout=layout)
-        for r, n in relation.items():
-            out.insert(r, n)
-        return out
-
-    # -- shard structure ---------------------------------------------------
-    def shard_of(self, row: Row) -> int:
-        """The shard index owning ``row``."""
-        return stable_shard_hash(row.values_for(self.shard_key)) % self.num_shards
-
-    def shard(self, index: int) -> Relation:
-        """The live sub-relation of one shard."""
-        return self._shards[index]
-
-    def shards(self) -> Tuple[Relation, ...]:
-        """All shard sub-relations, in shard order."""
-        return tuple(self._shards)
-
-    def unpartitioned(self) -> Relation:
-        """A plain (single-container) copy with the same contents and layout."""
-        if self.layout == "columnar":
-            from repro.relalg.columnar import ColumnarRelation
-
-            flat: Relation = ColumnarRelation(self.schema, is_bag=self.is_bag)
-        else:
-            flat = BagRelation(self.schema) if self.is_bag else SetRelation(self.schema)
-        for r, n in self.items():
-            flat.insert(r, n)
-        return flat
-
-    # -- container protocol ------------------------------------------------
-    def items(self) -> Iterator[Tuple[Row, int]]:
-        for shard in self._shards:
-            for pair in shard.items():
-                yield pair
-
-    def count(self, row: Row) -> int:
-        return self._shards[self.shard_of(row)].count(row)
-
-    def insert(self, row: Row, multiplicity: int = 1) -> None:
-        self._shards[self.shard_of(row)].insert(row, multiplicity)
-
-    def delete(self, row: Row, multiplicity: int = 1) -> None:
-        self._shards[self.shard_of(row)].delete(row, multiplicity)
-
-    def adjust(self, row: Row, signed: int) -> None:
-        """Signed multiplicity change (bag shards only), routed to the owner."""
-        if not self.is_bag:
-            raise DeltaError(f"set relation {self.schema.name!r} has no adjust()")
-        if signed > 0:
-            self.insert(row, signed)
-        elif signed < 0:
-            self.delete(row, -signed)
-
-    def distinct_size(self) -> int:
-        return sum(shard.distinct_size() for shard in self._shards)
-
-    def copy(self) -> "PartitionedRelation":
-        clone = PartitionedRelation(
-            self.schema, self.shard_key, self.num_shards, self.is_bag, self.layout
-        )
-        clone._shards = [shard.copy() for shard in self._shards]
-        return clone
-
-    # -- per-shard persistent indexes --------------------------------------
-    def ensure_index(self, keys: Sequence[str], counters: Optional[Any] = None) -> None:
-        for shard in self._shards:
-            shard.ensure_index(keys, counters)
-
-    def has_index(self, keys: Sequence[str]) -> bool:
-        return all(shard.has_index(keys) for shard in self._shards)
-
-    def index_keysets(self) -> Tuple[Tuple[str, ...], ...]:
-        return self._shards[0].index_keysets()
-
-    def index_lookup(
-        self, keys: Sequence[str], values: Tuple[Any, ...]
-    ) -> List[Tuple[Row, int]]:
-        keys = tuple(keys)
-        if set(self.shard_key) <= set(keys):
-            # Co-partitioned probe: the key values determine the owner.
-            key_values = tuple(values[keys.index(a)] for a in self.shard_key)
-            owner = stable_shard_hash(key_values) % self.num_shards
-            return self._shards[owner].index_lookup(keys, values)
-        # Exchange read: the probe cannot be pruned to one partition.
-        out: List[Tuple[Row, int]] = []
-        for shard in self._shards:
-            out.extend(shard.index_lookup(keys, values))
-        return out
-
-    def drop_indexes(self) -> None:
-        for shard in self._shards:
-            shard.drop_indexes()
-
-    def __repr__(self) -> str:
-        kind = "Bag" if self.is_bag else "Set"
-        return (
-            f"<Partitioned{kind}Relation {self.schema.name} "
-            f"key={self.shard_key} shards={self.num_shards} |{self.cardinality()}|>"
-        )

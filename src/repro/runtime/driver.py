@@ -164,8 +164,6 @@ class SimulatedEnvironment:
         record_updates: bool = True,
         fault_plan: Optional[FaultPlan] = None,
         backoff: Optional[BackoffPolicy] = None,
-        shards: int = 1,
-        layout: str = "row",
         tracer: Tracer = NULL_TRACER,
     ):
         """``flush_period`` defaults to ``delays.u_hold_delay_med`` (the
@@ -251,8 +249,6 @@ class SimulatedEnvironment:
             eca_enabled=eca_enabled,
             key_based_enabled=key_based_enabled,
             vap_cache_enabled=vap_cache_enabled,
-            shards=shards,
-            layout=layout,
             tracer=tracer,
         )
         self.mediator.initialize()

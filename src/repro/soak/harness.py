@@ -109,10 +109,6 @@ class SoakConfig:
     durability_dir: Optional[str] = None
     eca_enabled: bool = True
     key_based_enabled: bool = True
-    #: Hash-partitioned parallel propagation (1 = serial, the default).
-    shards: int = 1
-    #: Node-repository storage layout (``"row"`` or ``"columnar"``).
-    layout: str = "row"
     #: WAL-shipped read replicas fed by the durability manager (implies
     #: durability).  Each replica applies shipped records over the fault
     #: plan's ``ship:replica-<i>`` channels, is checked for lag-SLO burn
@@ -273,8 +269,6 @@ class SoakHarness:
             self.sources,
             eca_enabled=config.eca_enabled,
             key_based_enabled=config.key_based_enabled,
-            shards=config.shards,
-            layout=config.layout,
             tracer=tracer,
         )
         # generate_mediator builds its own DirectLinks; swap in the
@@ -588,8 +582,6 @@ class SoakHarness:
             links=member_links,
             eca_enabled=self.config.eca_enabled,
             key_based_enabled=self.config.key_based_enabled,
-            shards=self.config.shards,
-            layout=self.config.layout,
             tracer=self.tracer,
         )
         self.mediator = recovery.mediator

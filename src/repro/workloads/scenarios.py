@@ -143,9 +143,6 @@ def figure1_mediator(
     indexing_enabled: bool = True,
     vap_cache_enabled: bool = True,
     parallel_polls: bool = True,
-    shards: int = 1,
-    parallel_propagation: Optional[bool] = None,
-    layout: str = "row",
     smash_enabled: bool = True,
     tracer: Tracer = NULL_TRACER,
     profiling_enabled: bool = False,
@@ -164,9 +161,6 @@ def figure1_mediator(
         indexing_enabled=indexing_enabled,
         vap_cache_enabled=vap_cache_enabled,
         parallel_polls=parallel_polls,
-        shards=shards,
-        parallel_propagation=parallel_propagation,
-        layout=layout,
         smash_enabled=smash_enabled,
         tracer=tracer,
         profiling_enabled=profiling_enabled,
@@ -195,9 +189,6 @@ def chain_mediator(
     rows_per_source: int = 30,
     seed: int = 37,
     default_annotation: str = "m",
-    shards: int = 1,
-    parallel_propagation: Optional[bool] = None,
-    layout: str = "row",
     smash_enabled: bool = True,
     tracer: Tracer = NULL_TRACER,
 ) -> Tuple[SquirrelMediator, Dict[str, SourceDatabase]]:
@@ -228,9 +219,6 @@ def chain_mediator(
     mediator = SquirrelMediator(
         annotate(vdp, {}, default=default_annotation),
         sources,
-        shards=shards,
-        parallel_propagation=parallel_propagation,
-        layout=layout,
         smash_enabled=smash_enabled,
         tracer=tracer,
     )
@@ -285,9 +273,6 @@ def union_vdp() -> VDP:
 def union_mediator(
     overrides: Optional[Mapping[str, str]] = None,
     seed: int = 23,
-    shards: int = 1,
-    parallel_propagation: Optional[bool] = None,
-    layout: str = "row",
     smash_enabled: bool = True,
     tracer: Tracer = NULL_TRACER,
 ) -> Tuple[SquirrelMediator, Dict[str, SourceDatabase]]:
@@ -297,9 +282,6 @@ def union_mediator(
     mediator = SquirrelMediator(
         annotated,
         sources,
-        shards=shards,
-        parallel_propagation=parallel_propagation,
-        layout=layout,
         smash_enabled=smash_enabled,
         tracer=tracer,
     )
@@ -435,9 +417,6 @@ def figure4_mediator(
     indexing_enabled: bool = True,
     vap_cache_enabled: bool = True,
     parallel_polls: bool = True,
-    shards: int = 1,
-    parallel_propagation: Optional[bool] = None,
-    layout: str = "row",
     smash_enabled: bool = True,
     tracer: Tracer = NULL_TRACER,
 ) -> Tuple[SquirrelMediator, Dict[str, SourceDatabase]]:
@@ -473,9 +452,6 @@ def figure4_mediator(
         indexing_enabled=indexing_enabled,
         vap_cache_enabled=vap_cache_enabled,
         parallel_polls=parallel_polls,
-        shards=shards,
-        parallel_propagation=parallel_propagation,
-        layout=layout,
         smash_enabled=smash_enabled,
         tracer=tracer,
     )

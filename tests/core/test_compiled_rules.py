@@ -137,7 +137,7 @@ def test_steady_state_propagation_is_rebuild_free():
 
 def _g_rule_counters_for_c_modification(cd_rows):
     """Fire one 10-row in-place modification of ``C`` through a default
-    (row-layout) Figure 4 mediator; return the counters of G's F-edge rule."""
+    Figure 4 mediator; return the counters of G's F-edge rule."""
     from repro.relalg import EvalCounters
 
     sources = figure4_sources(a_rows=30, b_rows=20, cd_rows=cd_rows, seed=11)

@@ -136,25 +136,6 @@ def test_accumulate_counts_smashed_atoms():
     assert not store.has_pending_delta("T")
 
 
-def test_invalid_layout_rejected():
-    annotated = annotate(figure1_vdp(), {})
-    with pytest.raises(MediatorError):
-        LocalStore(annotated, layout="diagonal")
-
-
-def test_columnar_layout_stores_columnar_repos():
-    from repro.relalg import ColumnarRelation
-
-    annotated = annotate(figure1_vdp(), {})
-    store = LocalStore(annotated, layout="columnar")
-    store.initialize(leaf_values())
-    row_store = make_store()
-    for name in ("R_p", "S_p", "T"):
-        repo = store.repo(name)
-        assert isinstance(repo, ColumnarRelation)
-        assert repo.to_sorted_list() == row_store.repo(name).to_sorted_list()
-
-
 def test_storage_metrics_per_node():
     store = make_store()
     metrics = store.storage_metrics()

@@ -196,146 +196,3 @@ def test_chaos_faults_actually_fire(data):
     )
     decisions = plan.schedule("sx", 50)
     assert any(d.faulty for d in decisions)
-
-
-@given(st.data())
-@settings(max_examples=25, deadline=None, derandomize=True)
-def test_chaos_convergence_with_sharded_propagation(data):
-    """Shard-count ablation through the same chaos harness: hash-partitioned
-    parallel propagation must converge to the recompute oracle under the
-    same randomized fault plans, at every shard count."""
-    shape, views = data.draw(vdp_specs())
-    vdp = build_vdp(
-        source_schemas={"X": X, "Y": Y},
-        source_of={"X": "sx", "Y": "sy"},
-        views=views,
-        exports=["V"],
-    )
-    marks = data.draw(annotations_for(vdp.non_leaves(), vdp))
-    try:
-        annotated = AnnotatedVDP(vdp, marks)
-    except AnnotationError:
-        return
-    shards = data.draw(st.sampled_from([2, 3, 4]))
-
-    rng = random.Random(7)
-    sx = MemorySource(
-        "sx",
-        [X],
-        initial={"X": [(i, rng.randrange(10), rng.randrange(10)) for i in range(12)]},
-    )
-    sy = MemorySource(
-        "sy", [Y], initial={"Y": [(i, rng.randrange(10)) for i in range(8)]}
-    )
-    delays = EnvironmentDelays.uniform(
-        ["sx", "sy"], ann_delay=0.3, comm_delay=0.2, u_hold_delay_med=1.0
-    )
-    env = SimulatedEnvironment(
-        annotated,
-        {"sx": sx, "sy": sy},
-        delays,
-        fault_plan=data.draw(fault_plans()),
-        record_updates=False,
-        shards=shards,
-    )
-
-    counter = [1000]
-
-    def make_op(op, arg):
-        def run():
-            counter[0] += 1
-            if op == "ix":
-                sx.insert("X", x1=counter[0], x2=arg % 10, x3=arg % 13)
-            elif op == "iy":
-                sy.insert("Y", y1=counter[0], y2=arg % 10)
-            else:
-                source, relation = (sx, "X") if op == "dx" else (sy, "Y")
-                rows = sorted(
-                    source.relation(relation).rows(), key=lambda r: sorted(r.items())
-                )
-                if rows:
-                    source.delete(relation, **dict(rows[arg % len(rows)]))
-
-        return run
-
-    for op, arg, t in data.draw(ops_strategy):
-        env.schedule_action(t, make_op(op, arg), f"chaos op {op}")
-
-    env.run_until(DRAIN_UNTIL)
-    env.mediator.run_update_transaction()
-
-    assert env.drained(), env.fault_stats()
-    assert env.mediator.shards == shards
-    assert_materialized_correct(env.mediator)
-    assert_view_correct(env.mediator)
-
-
-@given(st.data())
-@settings(max_examples=25, deadline=None, derandomize=True)
-def test_chaos_convergence_with_columnar_layout(data):
-    """Layout ablation through the same chaos harness: struct-of-arrays
-    repositories (probe-based set rules, vectorized chains) must converge
-    to the recompute oracle under the same randomized fault plans."""
-    shape, views = data.draw(vdp_specs())
-    vdp = build_vdp(
-        source_schemas={"X": X, "Y": Y},
-        source_of={"X": "sx", "Y": "sy"},
-        views=views,
-        exports=["V"],
-    )
-    marks = data.draw(annotations_for(vdp.non_leaves(), vdp))
-    try:
-        annotated = AnnotatedVDP(vdp, marks)
-    except AnnotationError:
-        return
-
-    rng = random.Random(7)
-    sx = MemorySource(
-        "sx",
-        [X],
-        initial={"X": [(i, rng.randrange(10), rng.randrange(10)) for i in range(12)]},
-    )
-    sy = MemorySource(
-        "sy", [Y], initial={"Y": [(i, rng.randrange(10)) for i in range(8)]}
-    )
-    delays = EnvironmentDelays.uniform(
-        ["sx", "sy"], ann_delay=0.3, comm_delay=0.2, u_hold_delay_med=1.0
-    )
-    env = SimulatedEnvironment(
-        annotated,
-        {"sx": sx, "sy": sy},
-        delays,
-        fault_plan=data.draw(fault_plans()),
-        record_updates=False,
-        layout="columnar",
-    )
-
-    counter = [1000]
-
-    def make_op(op, arg):
-        def run():
-            counter[0] += 1
-            if op == "ix":
-                sx.insert("X", x1=counter[0], x2=arg % 10, x3=arg % 13)
-            elif op == "iy":
-                sy.insert("Y", y1=counter[0], y2=arg % 10)
-            else:
-                source, relation = (sx, "X") if op == "dx" else (sy, "Y")
-                rows = sorted(
-                    source.relation(relation).rows(), key=lambda r: sorted(r.items())
-                )
-                if rows:
-                    source.delete(relation, **dict(rows[arg % len(rows)]))
-
-        return run
-
-    for op, arg, t in data.draw(ops_strategy):
-        env.schedule_action(t, make_op(op, arg), f"chaos op {op}")
-
-    env.run_until(DRAIN_UNTIL)
-    env.mediator.run_update_transaction()
-
-    assert env.drained(), env.fault_stats()
-    assert env.mediator.store.layout == "columnar"
-    assert_materialized_correct(env.mediator)
-    assert_view_correct(env.mediator)

@@ -51,21 +51,16 @@ def test_propagation_records_fold_into_node_and_edge_costs():
             span("process_node", 1.0, 3.0, node="R_p"),
             event("rule_fire", child="R_p", parent="T", delta_size=4, contribution_size=6),
             event("node_apply", node="T", delta_size=6),
-            span("shard_worker", 3.0, 4.0, span_id=2, node="R_p", parent="T", work=9),
-            event("exchange", child="R_p", parent="T", siblings=[0, 2]),
         ]
     )
     rp, t = profile.nodes["R_p"], profile.nodes["T"]
     assert rp.processed == 1 and rp.process_time == 2.0
     assert rp.fires_out == 1 and rp.delta_rows_out == 4
-    assert rp.shard_tasks == 1 and rp.shard_time == 1.0 and rp.shard_work == 9
-    assert rp.exchange_reads == 2
-    assert rp.propagation_time == 3.0  # process + shard
+    assert rp.propagation_time == 2.0
     assert t.contribution_rows_in == 6
     assert t.applies == 1 and t.apply_rows == 6 and t.propagation_rows == 6
     edge = profile.edges[("R_p", "T")]
     assert edge.fires == 1 and edge.delta_rows == 4 and edge.contribution_rows == 6
-    assert edge.shard_tasks == 1 and edge.shard_work == 9 and edge.exchange_reads == 2
 
 
 def test_vap_and_source_records_fold():
@@ -162,7 +157,6 @@ def test_attribute_costs_shape_is_stable():
         "cache_misses",
         "construct_rows",
         "constructs",
-        "exchange_reads",
         "poll_rows",
         "propagation_rows",
         "propagation_time",

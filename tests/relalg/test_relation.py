@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import DeltaError, SchemaError
-from repro.relalg import BagRelation, ColumnarRelation, SetRelation, make_schema, row
+from repro.relalg import BagRelation, SetRelation, make_schema, row
 
 R = make_schema("R", ["a", "b"], key=["a"])
 
@@ -47,7 +47,7 @@ def test_schema_mismatch_rejected():
 def test_wrong_attribute_row_rejected_by_insert_delete_and_bulk_load(wrong):
     """The per-row schema check survives on every entry point, including
     the bulk constructor that fills the container in one copy."""
-    for rel in (SetRelation(R), BagRelation(R), ColumnarRelation(R)):
+    for rel in (SetRelation(R), BagRelation(R)):
         with pytest.raises(SchemaError):
             rel.insert(wrong)
         with pytest.raises(SchemaError):

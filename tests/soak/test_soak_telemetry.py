@@ -1,4 +1,4 @@
-"""Soak-run telemetry round trip: the sharded + columnar federation streams
+"""Soak-run telemetry round trip: the federation streams
 schema-valid JSONL (trace and metrics), a cost profile, and zero burn-rate
 alerts under the default Theorem 7.2 bound."""
 
@@ -9,15 +9,13 @@ from repro.obs import validate_jsonl_file, validate_telemetry_file
 from repro.soak import SoakConfig, run_soak, slo_report
 
 
-def test_sharded_columnar_soak_telemetry_round_trip(tmp_path):
+def test_soak_telemetry_round_trip(tmp_path):
     telemetry_dir = tmp_path / "telemetry"
     config = SoakConfig(
         sources=8,
         seed=3,
         steps=12,
         checkpoint_every=6,
-        shards=2,
-        layout="columnar",
         telemetry_dir=str(telemetry_dir),
     )
     result = run_soak(config)
