@@ -4,20 +4,11 @@ The paper's incremental-maintenance story (§5.2, §6.2) is that update
 propagation touches deltas, not databases.  This harness pins that claim
 for the compiled propagation engine: it sweeps database size at fixed
 delta size (1, 10, 100 rows) over the Figure 1 (ex21, fully materialized)
-and Figure 4 (all_m) scenarios and records the ``rows_hashed`` work
-counter for two engines built from identical sources:
-
-* **indexed** — the default: compiled rules probe persistent join indexes
-  maintained incrementally on the repositories.  Steady-state propagation
-  hashes nothing and never rebuilds an index, so ``rows_hashed`` is flat
-  in database size.
-* **legacy** — ``indexing_enabled=False``: no persistent indexes exist, so
-  the evaluator falls back to building an ephemeral hash table over the
-  sibling relation on every rule firing — ``rows_hashed`` grows linearly
-  with the database.
-
-Both engines must land in identical repository states (asserted per cell);
-the speedup is reported as legacy/indexed rows hashed at each scale.
+and Figure 4 (all_m) scenarios and records the work counters of one
+update transaction.  Compiled rules probe persistent join indexes
+maintained incrementally on the repositories, so steady-state propagation
+hashes nothing and never rebuilds an index: ``rows_hashed`` is 0 and flat
+in database size.
 
 All reported counters are deterministic (fixed seeds, no wall-clock
 anywhere near them), so ``BENCH_propagation.json`` at the repo root is an
@@ -34,6 +25,7 @@ import pathlib
 import sys
 
 from repro.deltas import SetDelta
+from repro.obs import NULL_TRACER
 from repro.relalg import row
 from repro.workloads import (
     figure1_mediator,
@@ -58,18 +50,11 @@ DEFAULT_BASELINE = (
 # ---------------------------------------------------------------------------
 # Scenario builders: (mediator, source_name, delta) per cell
 # ---------------------------------------------------------------------------
-def build_fig1(db_size: int, indexing_enabled: bool, tracer=None):
-    from repro.obs import NULL_TRACER
-
+def build_fig1(db_size: int, tracer=NULL_TRACER):
     sources = figure1_sources(
         r_rows=db_size, s_rows=db_size // 2, seed=7, join_domain=db_size // 2
     )
-    mediator, _ = figure1_mediator(
-        "ex21",
-        sources=sources,
-        indexing_enabled=indexing_enabled,
-        tracer=tracer or NULL_TRACER,
-    )
+    mediator, _ = figure1_mediator("ex21", sources=sources, tracer=tracer)
     return mediator
 
 
@@ -80,14 +65,12 @@ def fig1_delta(delta_rows: int) -> SetDelta:
     return delta
 
 
-def build_fig4(db_size: int, indexing_enabled: bool):
+def build_fig4(db_size: int):
     # A and B stay small: E's theta join (a1^2 + a2 < b2^2) has no equi keys
     # and would swamp the sweep quadratically without exercising hashing.
     # C and D carry the scaling — F's equi join c1 = d1 is the hash path.
     sources = figure4_sources(a_rows=30, b_rows=20, cd_rows=db_size, seed=11)
-    mediator, _ = figure4_mediator(
-        "all_m", sources=sources, indexing_enabled=indexing_enabled
-    )
+    mediator, _ = figure4_mediator("all_m", sources=sources)
     return mediator
 
 
@@ -117,48 +100,24 @@ SCENARIOS = {
 # ---------------------------------------------------------------------------
 # Measurement
 # ---------------------------------------------------------------------------
-def repo_snapshot(mediator):
-    out = {}
-    for name, repo in mediator.store.repos().items():
-        out[name] = sorted(
-            (tuple(sorted(dict(r).items())), n) for r, n in repo.items()
-        )
-    return out
-
-
-def run_engine(scenario: str, db_size: int, delta_rows: int, indexing_enabled: bool):
+def run_cell(scenario: str, db_size: int, delta_rows: int) -> dict:
     spec = SCENARIOS[scenario]
-    mediator = spec["build"](db_size, indexing_enabled)
+    mediator = spec["build"](db_size)
     mediator.reset_stats()
     mediator.enqueue_update(spec["source"], spec["delta"](delta_rows, db_size))
     mediator.run_update_transaction()
     stats = mediator.stats()
     return {
-        "rows_hashed": stats.rows_hashed,
-        "index_probes": stats.index_probes,
-        "index_rebuilds": stats.index_rebuilds,
-        "hash_probes": mediator.store.counters.hash_probes,
-        "propagation_passes": stats.propagation_passes,
-    }, repo_snapshot(mediator)
-
-
-def run_cell(scenario: str, db_size: int, delta_rows: int) -> dict:
-    indexed, state_indexed = run_engine(scenario, db_size, delta_rows, True)
-    legacy, state_legacy = run_engine(scenario, db_size, delta_rows, False)
-    assert state_indexed == state_legacy, (
-        f"{scenario} db={db_size} delta={delta_rows}: "
-        "indexed and legacy engines diverged"
-    )
-    return {
         "scenario": scenario,
         "db_size": db_size,
         "delta_rows": delta_rows,
-        "indexed": indexed,
-        "legacy": legacy,
-        "rows_hashed_ratio": round(
-            legacy["rows_hashed"] / max(indexed["rows_hashed"], 1), 1
-        ),
-        "states_match": True,
+        "indexed": {
+            "rows_hashed": stats.rows_hashed,
+            "index_probes": stats.index_probes,
+            "index_rebuilds": stats.index_rebuilds,
+            "hash_probes": mediator.store.counters.hash_probes,
+            "propagation_passes": stats.propagation_passes,
+        },
     }
 
 
@@ -186,13 +145,8 @@ def check_shapes(results) -> list:
             ]
             if len(set(hashed)) != 1:
                 flat = False
-    largest = [r for r in results if r["db_size"] == max(DB_SIZES)]
     return [
         ("indexed rows_hashed is flat in database size at fixed delta size", flat),
-        (
-            "≥10× fewer rows hashed than the legacy engine at the largest scale",
-            all(r["rows_hashed_ratio"] >= 10 for r in largest),
-        ),
         (
             "steady-state propagation never rebuilds an index",
             all(r["indexed"]["index_rebuilds"] == 0 for r in results),
@@ -203,13 +157,8 @@ def check_shapes(results) -> list:
         ),
         (
             "every batch costs exactly one propagation pass",
-            all(
-                r[eng]["propagation_passes"] == 1
-                for r in results
-                for eng in ("indexed", "legacy")
-            ),
+            all(r["indexed"]["propagation_passes"] == 1 for r in results),
         ),
-        ("indexed and legacy engines agree on every final state", True),
     ]
 
 
@@ -224,8 +173,6 @@ def render(results, times=None) -> None:
                 r["db_size"],
                 r["delta_rows"],
                 r["indexed"]["rows_hashed"],
-                r["legacy"]["rows_hashed"],
-                f"{r['rows_hashed_ratio']}x",
                 r["indexed"]["index_probes"],
                 r["indexed"]["index_rebuilds"],
                 f"{times[i] * 1e3:.1f}" if times else "-",
@@ -238,9 +185,7 @@ def render(results, times=None) -> None:
             "scenario",
             "db rows",
             "delta rows",
-            "hashed (indexed)",
-            "hashed (legacy)",
-            "speedup",
+            "rows hashed",
             "index probes",
             "rebuilds",
             "wall ms",
@@ -293,7 +238,7 @@ def main(argv=None) -> int:
         from repro.obs import Tracer, export_jsonl
 
         tracer = Tracer(enabled=True, provenance=True)
-        mediator = build_fig1(DB_SIZES[-1], True, tracer=tracer)
+        mediator = build_fig1(DB_SIZES[-1], tracer=tracer)
         mediator.enqueue_update("db1", fig1_delta(DELTA_SIZES[-1]))
         mediator.run_update_transaction()
         written = export_jsonl(tracer, args.trace)

@@ -8,7 +8,7 @@ optimizations layered on top of it:
   touching virtual ``r3`` is repeated while sources are quiescent.  With
   the cache on, only the *first* execution polls; a follow-up query with a
   strictly narrower predicate is answered by **subsumption** (the dual of
-  the §6.3 step-(2b) merge).  With ``vap_cache_enabled=False`` every
+  the §6.3 step-(2b) merge).  Under ``vap.cache_bypassed()`` every
   repetition re-polls — poll count grows linearly with the window.
 
 * **B — precise invalidation.**  An update transaction through ``db2``
@@ -22,7 +22,9 @@ optimizations layered on top of it:
   per query.  With a 50 ms injected per-source delay
   (:class:`~repro.core.DelayedLink`), serial polling costs ~sum over
   sources while the bounded thread-pool fan-out costs ~max — wall-clock
-  speedup ≥ 3× with four sources, identical answers either way.
+  speedup ≥ 3× with four sources, identical answers either way.  The VAP
+  picks the loop from ``link.supports_parallel_poll``, so the serial arm
+  runs over links that declare it false.
 
 All counters reported are deterministic (fixed seeds, one-transaction-
 per-source snapshots, sorted merge order), so ``BENCH_query_cache.json``
@@ -38,6 +40,7 @@ import argparse
 import json
 import pathlib
 import sys
+from contextlib import nullcontext
 
 from repro.core import DelayedLink, TempRequest
 from repro.relalg import TRUE
@@ -63,20 +66,19 @@ FANOUT_DELAY = 0.05  # injected per-source poll latency in experiment C
 # A — repeated-query window: flat polls vs linear
 # ---------------------------------------------------------------------------
 def run_window(cache_enabled: bool) -> dict:
-    mediator, _ = figure1_mediator(
-        "ex23", seed=BENCH_SEED, vap_cache_enabled=cache_enabled
-    )
-    mediator.reset_stats()
-    answers = [mediator.query(HOT_QUERY) for _ in range(WINDOW)]
-    assert all(a == answers[0] for a in answers)
-    polls_trajectory = []
-    mediator.reset_stats()
-    mediator.vap.clear_cache()
-    for _ in range(WINDOW):
-        mediator.query(HOT_QUERY)
-        polls_trajectory.append(mediator.vap.stats.polls)
-    narrow_before = mediator.vap.stats.polls
-    mediator.query(NARROW_QUERY)
+    mediator, _ = figure1_mediator("ex23", seed=BENCH_SEED)
+    with nullcontext() if cache_enabled else mediator.vap.cache_bypassed():
+        mediator.reset_stats()
+        answers = [mediator.query(HOT_QUERY) for _ in range(WINDOW)]
+        assert all(a == answers[0] for a in answers)
+        polls_trajectory = []
+        mediator.reset_stats()
+        mediator.vap.clear_cache()
+        for _ in range(WINDOW):
+            mediator.query(HOT_QUERY)
+            polls_trajectory.append(mediator.vap.stats.polls)
+        narrow_before = mediator.vap.stats.polls
+        mediator.query(NARROW_QUERY)
     stats = mediator.vap.stats
     return {
         "cache_enabled": cache_enabled,
@@ -139,12 +141,17 @@ def run_invalidation() -> dict:
 # ---------------------------------------------------------------------------
 # C — concurrent fan-out: wall ≈ max over sources, not sum
 # ---------------------------------------------------------------------------
+class SerialDelayedLink(DelayedLink):
+    """A delayed link that must be polled on the caller's thread."""
+
+    supports_parallel_poll = False
+
+
 def build_fanout_mediator(parallel: bool):
-    mediator, _ = figure4_mediator(
-        "all_v", seed=BENCH_SEED, parallel_polls=parallel
-    )
+    mediator, _ = figure4_mediator("all_v", seed=BENCH_SEED)
+    link_class = DelayedLink if parallel else SerialDelayedLink
     for name, link in list(mediator.links.items()):
-        delayed = DelayedLink(
+        delayed = link_class(
             link.source,
             announcement_sink=link.announcement_sink,
             announces=link.announces,

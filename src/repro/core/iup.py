@@ -91,7 +91,6 @@ class IncrementalUpdateProcessor:
         vap: VirtualAttributeProcessor,
         queue: UpdateQueue,
         tracer: Tracer = NULL_TRACER,
-        smash_enabled: bool = True,
     ):
         self.annotated = annotated
         self.vdp = annotated.vdp
@@ -100,12 +99,6 @@ class IncrementalUpdateProcessor:
         self.vap = vap
         self.queue = queue
         self.tracer = tracer
-        #: Net-effect compaction (default on): the flushed batch is smashed
-        #: into one per-leaf delta set and costs one kernel pass.  Off (the
-        #: smash ablation), the kernel runs once per flushed message in
-        #: arrival order — each pass is a correct incremental step, so the
-        #: final state is identical; only the work differs.
-        self.smash_enabled = smash_enabled
         self.stats = IUPStats()
         #: A :class:`~repro.durability.DurabilityManager`, when attached.
         #: Notified at commit time — after the kernel has applied every
@@ -137,19 +130,6 @@ class IncrementalUpdateProcessor:
                 return UpdateTransactionResult(0, 0, (), 0, (), 0)
 
             leaf_deltas = self._leaf_deltas(combined)
-            if self.smash_enabled:
-                passes = [leaf_deltas]
-            else:
-                # Smash ablation: one kernel pass per flushed message, in
-                # arrival order.  Sequential incremental passes over the
-                # same temporaries reach exactly the netted single pass's
-                # final state — the cancelled churn is just propagated
-                # instead of vanishing at the queue/ΔR smash.
-                passes = [
-                    p for p in (self._leaf_deltas(e.delta) for e in entries) if p
-                ]
-                if not passes:
-                    passes = [leaf_deltas]
             prov = tracer.provenance
             if prov.enabled:
                 prov.begin_transaction(self._leaf_subs(entries))
@@ -168,10 +148,6 @@ class IncrementalUpdateProcessor:
             # attribution-only firings), so their rules' reads are prepared
             # too.
             extra_affected: Set[str] = set(prov.live_nodes()) if prov.enabled else set()
-            for pass_deltas in passes:
-                # Leaves whose net delta cancelled to empty still get
-                # per-message passes with smash off; prepare their reads too.
-                extra_affected |= set(pass_deltas)
             with tracer.span("iup_prepare") as prep_span:
                 requests = self._prepare(leaf_deltas, extra_affected)
                 prep_span.set(temps=sorted(requests))
@@ -205,16 +181,9 @@ class IncrementalUpdateProcessor:
             self._index_temps(temps)
             self.stats.batched_messages += len(entries)
             self._txn_applies = []
-            processed: List[str] = []
-            fired = 0
             with tracer.span("kernel") as kernel_span:
-                for pass_deltas in passes:
-                    self.stats.propagation_passes += 1
-                    pass_processed, pass_fired = self._kernel(pass_deltas, temps)
-                    fired += pass_fired
-                    for n in pass_processed:
-                        if n not in processed:
-                            processed.append(n)
+                self.stats.propagation_passes += 1
+                processed, fired = self._kernel(leaf_deltas, temps)
                 kernel_span.set(nodes=list(processed), rules_fired=fired)
             prov.commit()
             self.queue.mark_reflected(entries)
@@ -298,8 +267,6 @@ class IncrementalUpdateProcessor:
         (:meth:`_apply_to_node`) with the indexes maintained incrementally,
         and every rule firing probes instead of re-hashing.
         """
-        if not self.store.indexing_enabled:
-            return
         for name, temp in temps.items():
             attrs = set(temp.schema.attribute_names)
             for keys in sorted(self.store.index_requirements_for(name)):

@@ -66,15 +66,10 @@ class StoreStats:
 class LocalStore:
     """Materialized repositories and per-transaction delta repositories."""
 
-    def __init__(
-        self,
-        annotated: AnnotatedVDP,
-        indexing_enabled: bool = True,
-    ):
+    def __init__(self, annotated: AnnotatedVDP):
         self.annotated = annotated
         self.vdp = annotated.vdp
         self.counters = EvalCounters()
-        self.indexing_enabled = indexing_enabled
         self.stats = StoreStats()
         self._repos: Dict[str, Relation] = {}
         self._deltas: Dict[str, AnyDelta] = {}
@@ -100,15 +95,13 @@ class LocalStore:
         skipped; those reads go through temporaries, which the IUP indexes
         per transaction.
         """
-        if not self.indexing_enabled:
-            return
         for base, keysets in requirements.items():
             self._index_requirements.setdefault(base, set()).update(keysets)
         if self._initialized:
             self._build_declared_indexes()
 
     def index_requirements_for(self, name: str) -> Set[Tuple[str, ...]]:
-        """Declared key tuples for one node (empty when indexing is off)."""
+        """Declared key tuples for one node."""
         return set(self._index_requirements.get(name, ()))
 
     def _build_declared_indexes(self) -> None:

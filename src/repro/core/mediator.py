@@ -39,7 +39,6 @@ from repro.deltas import SetDelta
 from repro.errors import AnnotationError, MediatorError, SourceUnavailableError
 from repro.faults.staleness import StalenessTag, TaggedAnswer
 from repro.obs.metrics import MetricsRegistry, dataclass_counter_items
-from repro.obs.profile import CostProfile, CostProfiler
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.relalg import (
     TRUE,
@@ -204,44 +203,23 @@ class SquirrelMediator:
         links: Optional[Mapping[str, SourceLink]] = None,
         eca_enabled: bool = True,
         key_based_enabled: bool = True,
-        indexing_enabled: bool = True,
-        vap_cache_enabled: bool = True,
-        parallel_polls: bool = True,
-        smash_enabled: bool = True,
         tracer: Tracer = NULL_TRACER,
-        profiling_enabled: bool = False,
     ):
         """Wire a mediator over the given sources.
 
         ``links`` overrides the default in-process :class:`DirectLink` per
         source — the simulation runtime passes channel-aware links here.
-        ``eca_enabled`` / ``key_based_enabled`` / ``indexing_enabled`` /
-        ``vap_cache_enabled`` / ``parallel_polls`` exist for the ablation
-        benchmarks; production use leaves them on
-        (``indexing_enabled=False`` drops the persistent join indexes, so
-        the evaluator falls back to per-firing ephemeral hash joins;
-        ``vap_cache_enabled=False`` re-polls sources on every virtual
-        query; ``parallel_polls=False`` forces the serial poll loop).
-        ``smash_enabled=False`` disables transaction-level net-effect
-        compaction — the kernel runs one propagation pass per queued
-        message instead of one pass over the smashed batch (the smash
-        ablation; final states are identical either way).
+        ``eca_enabled`` / ``key_based_enabled`` are the two mechanisms the
+        paper ablates — Eager-Compensation of polled answers (§6.3) and
+        key-based construction (Example 2.3); production use leaves them
+        on.
         ``tracer`` (default: the shared disabled :data:`NULL_TRACER`) is
         threaded through every component; pass an enabled
-        :class:`~repro.obs.tracer.Tracer` to record spans/events, and
-        construct it with ``provenance=True`` for delta provenance.
-        ``profiling_enabled`` attaches a
-        :class:`~repro.obs.profile.CostProfiler` to the tracer (creating
-        a retain-free enabled tracer if the default disabled one was
-        passed, so profiling alone never accumulates a trace); read the
-        folded profile via :meth:`profile`.
+        :class:`~repro.obs.tracer.Tracer` to record spans/events, construct
+        it with ``provenance=True`` for delta provenance, and attach a
+        :class:`~repro.obs.profile.CostProfiler` to it
+        (``CostProfiler().attach(tracer)``) for per-node costs.
         """
-        if profiling_enabled:
-            if not tracer.enabled:
-                tracer = Tracer(enabled=True, retain=False)
-            self.profiler: Optional[CostProfiler] = CostProfiler().attach(tracer)
-        else:
-            self.profiler = None
         self.tracer = tracer
         self.annotated = annotated
         self.vdp = annotated.vdp
@@ -249,9 +227,8 @@ class SquirrelMediator:
         self.contributor_kinds: Dict[str, ContributorKind] = annotated.contributor_kinds()
         self._check_sources()
 
-        self.smash_enabled = smash_enabled
         self.queue = UpdateQueue()
-        self.store = LocalStore(annotated, indexing_enabled=indexing_enabled)
+        self.store = LocalStore(annotated)
         self.rulebase = RuleBase(self.vdp)
         self.store.declare_index_requirements(self.rulebase.index_requirements())
         self.links: Dict[str, SourceLink] = dict(links) if links else {}
@@ -271,8 +248,6 @@ class SquirrelMediator:
             self.contributor_kinds,
             eca_enabled=eca_enabled,
             key_based_enabled=key_based_enabled,
-            cache_enabled=vap_cache_enabled,
-            parallel_polls=parallel_polls,
             tracer=tracer,
         )
         self.iup = IncrementalUpdateProcessor(
@@ -282,7 +257,6 @@ class SquirrelMediator:
             self.vap,
             self.queue,
             tracer=tracer,
-            smash_enabled=smash_enabled,
         )
         self.qp = QueryProcessor(annotated, self.store, self.vap, tracer=tracer)
         self.metrics = MetricsRegistry()
@@ -845,25 +819,13 @@ class SquirrelMediator:
             **{field: snapshot[metric] for field, metric in STATS_METRICS.items()}
         )
 
-    def profile(self) -> CostProfile:
-        """The live cost profile folded from the trace stream (requires
-        ``profiling_enabled=True`` at construction).  The profile's
-        counters reconcile exactly with :meth:`stats` — see
-        :meth:`~repro.obs.profile.CostProfile.reconcile`."""
-        if self.profiler is None:
-            raise MediatorError(
-                "profiling is off; construct with profiling_enabled=True"
-            )
-        return self.profiler.profile()
-
     def reset_stats(self) -> None:
         """Zero every component counter (benchmark hygiene).  Fields-derived
         through the registry: new counters on any registered stats object
-        reset for free.  An attached profiler resets too, so its window
-        stays the counter window and :meth:`profile` keeps reconciling."""
+        reset for free.  A caller that attached a
+        :class:`~repro.obs.profile.CostProfiler` calls its ``reset()``
+        beside this so the profile window stays the counter window."""
         self.metrics.reset()
-        if self.profiler is not None:
-            self.profiler.reset()
 
     def _require_init(self) -> None:
         if not self._initialized:

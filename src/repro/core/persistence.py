@@ -210,7 +210,6 @@ def restore_mediator(
     key_based_enabled: bool = True,
     on_stale: str = "raise",
     on_orphan: str = "drop",
-    smash_enabled: bool = True,
 ) -> SquirrelMediator:
     """Rebuild a mediator from a snapshot and catch up from source logs.
 
@@ -248,7 +247,6 @@ def restore_mediator(
         sources,
         eca_enabled=eca_enabled,
         key_based_enabled=key_based_enabled,
-        smash_enabled=smash_enabled,
     )
 
     expected = set(annotated.nodes_with_storage())

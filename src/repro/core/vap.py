@@ -64,6 +64,9 @@ from repro.sources.contributors import ContributorKind
 
 __all__ = ["PlannedTemp", "VAPStats", "VirtualAttributeProcessor"]
 
+#: Cap on the threads one concurrent poll round may use.
+_MAX_POLL_WORKERS = 8
+
 
 @dataclass(frozen=True)
 class PlannedTemp:
@@ -114,9 +117,6 @@ class VirtualAttributeProcessor:
         contributor_kinds: Mapping[str, ContributorKind],
         eca_enabled: bool = True,
         key_based_enabled: bool = True,
-        cache_enabled: bool = True,
-        parallel_polls: bool = True,
-        max_poll_workers: int = 8,
         tracer: Tracer = NULL_TRACER,
     ):
         self.tracer = tracer
@@ -128,9 +128,6 @@ class VirtualAttributeProcessor:
         self.contributor_kinds = dict(contributor_kinds)
         self.eca_enabled = eca_enabled
         self.key_based_enabled = key_based_enabled
-        self.cache_enabled = cache_enabled
-        self.parallel_polls = parallel_polls
-        self.max_poll_workers = max_poll_workers
         self.stats = VAPStats()
         self.cache = VAPTempCache(self.vdp)
         self._cache_bypass = False
@@ -170,7 +167,7 @@ class VirtualAttributeProcessor:
         announces its updates — a non-announcing virtual contributor can
         change without the mediator ever hearing, so its polls stay live.
         """
-        if not self.cache_enabled or not self.eca_enabled or self._cache_bypass:
+        if not self.eca_enabled or self._cache_bypass:
             return False
         memo = self._cacheable_memo.get(relation)
         if memo is None:
@@ -271,12 +268,7 @@ class VirtualAttributeProcessor:
                     self.stats.cache_misses += 1
                     if tracer.enabled:
                         tracer.event("cache_miss", relation=name)
-                elif (
-                    tracer.enabled
-                    and served is not None
-                    and self._cache_bypass
-                    and self.cache_enabled
-                ):
+                elif tracer.enabled and served is not None and self._cache_bypass:
                     tracer.event("cache_bypass", relation=name)
                 plan = self._plan_one(request, unprocessed)
                 if name in seen:
@@ -552,13 +544,8 @@ class VirtualAttributeProcessor:
         several fail — stay deterministic.
         """
         tracer = self.tracer
-        use_threads = (
-            self.parallel_polls
-            and len(links) > 1
-            and all(
-                getattr(link, "supports_parallel_poll", False)
-                for link in links.values()
-            )
+        use_threads = len(links) > 1 and all(
+            link.supports_parallel_poll for link in links.values()
         )
         if not use_threads:
             answers: Dict[str, Dict[str, Relation]] = {}
@@ -567,7 +554,7 @@ class VirtualAttributeProcessor:
                     answers[source] = links[source].poll_many(queries)
             return answers
         self.stats.parallel_poll_batches += 1
-        workers = min(len(links), self.max_poll_workers)
+        workers = min(len(links), _MAX_POLL_WORKERS)
 
         def timed_poll(source: str, queries: Dict[str, Expression]):
             # Worker threads never touch the span stack — they just time

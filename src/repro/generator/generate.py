@@ -123,17 +123,13 @@ def generate_mediator(
     plan_profile: Optional[WorkloadProfile] = None,
     eca_enabled: bool = True,
     key_based_enabled: bool = True,
-    smash_enabled: bool = True,
     tracer: Tracer = NULL_TRACER,
-    profiling_enabled: bool = False,
 ) -> SquirrelMediator:
     """Generate, wire, and initialize a mediator from a specification.
 
     When ``plan_profile`` is given, relations the spec leaves unannotated
     get planner-suggested annotations instead of defaulting to fully
-    materialized; explicit spec annotations always win.  ``smash_enabled``
-    configures net-effect compaction exactly as on
-    :class:`SquirrelMediator`.
+    materialized; explicit spec annotations always win.
     """
     spec = _resolve(spec)
     _check_sources_match(spec, sources)
@@ -143,9 +139,7 @@ def generate_mediator(
         sources,
         eca_enabled=eca_enabled,
         key_based_enabled=key_based_enabled,
-        smash_enabled=smash_enabled,
         tracer=tracer,
-        profiling_enabled=profiling_enabled,
     )
     mediator.initialize()
     return mediator

@@ -160,7 +160,6 @@ class SimulatedEnvironment:
         flush_period: Optional[float] = None,
         eca_enabled: bool = True,
         key_based_enabled: bool = True,
-        vap_cache_enabled: bool = True,
         record_updates: bool = True,
         fault_plan: Optional[FaultPlan] = None,
         backoff: Optional[BackoffPolicy] = None,
@@ -240,15 +239,14 @@ class SimulatedEnvironment:
             source.on_commit(self._make_commit_hook(name, profile.ann_delay, announces))
 
         # Simulated-channel links leave supports_parallel_poll False (the
-        # event clock is single-threaded), so the VAP's serial poll loop is
-        # used regardless of the mediator's parallel_polls default.
+        # event clock is single-threaded), so the VAP picks its serial poll
+        # loop.
         self.mediator = SquirrelMediator(
             annotated,
             self.sources,
             links=links,
             eca_enabled=eca_enabled,
             key_based_enabled=key_based_enabled,
-            vap_cache_enabled=vap_cache_enabled,
             tracer=tracer,
         )
         self.mediator.initialize()

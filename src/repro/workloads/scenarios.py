@@ -140,12 +140,7 @@ def figure1_mediator(
     seed: int = 7,
     eca_enabled: bool = True,
     key_based_enabled: bool = True,
-    indexing_enabled: bool = True,
-    vap_cache_enabled: bool = True,
-    parallel_polls: bool = True,
-    smash_enabled: bool = True,
     tracer: Tracer = NULL_TRACER,
-    profiling_enabled: bool = False,
 ) -> Tuple[SquirrelMediator, Dict[str, SourceDatabase]]:
     """A deployed, initialized Figure-1 mediator under one of the paper's
     annotations (``"ex21"``, ``"ex22"``, ``"ex23"``)."""
@@ -158,12 +153,7 @@ def figure1_mediator(
         sources,
         eca_enabled=eca_enabled,
         key_based_enabled=key_based_enabled,
-        indexing_enabled=indexing_enabled,
-        vap_cache_enabled=vap_cache_enabled,
-        parallel_polls=parallel_polls,
-        smash_enabled=smash_enabled,
         tracer=tracer,
-        profiling_enabled=profiling_enabled,
     )
     mediator.initialize()
     return mediator, sources
@@ -189,7 +179,6 @@ def chain_mediator(
     rows_per_source: int = 30,
     seed: int = 37,
     default_annotation: str = "m",
-    smash_enabled: bool = True,
     tracer: Tracer = NULL_TRACER,
 ) -> Tuple[SquirrelMediator, Dict[str, SourceDatabase]]:
     """A join chain of the given depth: ``Ni = N(i-1) ⋈_{v(i-1)=ki} Ti``.
@@ -219,7 +208,6 @@ def chain_mediator(
     mediator = SquirrelMediator(
         annotate(vdp, {}, default=default_annotation),
         sources,
-        smash_enabled=smash_enabled,
         tracer=tracer,
     )
     mediator.initialize()
@@ -273,7 +261,6 @@ def union_vdp() -> VDP:
 def union_mediator(
     overrides: Optional[Mapping[str, str]] = None,
     seed: int = 23,
-    smash_enabled: bool = True,
     tracer: Tracer = NULL_TRACER,
 ) -> Tuple[SquirrelMediator, Dict[str, SourceDatabase]]:
     """A deployed union-scenario mediator (fully materialized by default)."""
@@ -282,7 +269,6 @@ def union_mediator(
     mediator = SquirrelMediator(
         annotated,
         sources,
-        smash_enabled=smash_enabled,
         tracer=tracer,
     )
     mediator.initialize()
@@ -414,10 +400,6 @@ def figure4_mediator(
     seed: int = 11,
     eca_enabled: bool = True,
     key_based_enabled: bool = True,
-    indexing_enabled: bool = True,
-    vap_cache_enabled: bool = True,
-    parallel_polls: bool = True,
-    smash_enabled: bool = True,
     tracer: Tracer = NULL_TRACER,
 ) -> Tuple[SquirrelMediator, Dict[str, SourceDatabase]]:
     """A deployed Figure-4 mediator.
@@ -449,10 +431,6 @@ def figure4_mediator(
         sources,
         eca_enabled=eca_enabled,
         key_based_enabled=key_based_enabled,
-        indexing_enabled=indexing_enabled,
-        vap_cache_enabled=vap_cache_enabled,
-        parallel_polls=parallel_polls,
-        smash_enabled=smash_enabled,
         tracer=tracer,
     )
     mediator.initialize()

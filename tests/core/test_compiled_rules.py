@@ -9,8 +9,7 @@ Three layers of claims:
   its compiled plans can probe, excluding synthetic delta aliases;
 * **steady state** — a fully materialized mediator propagates updates with
   zero rows hashed and zero index rebuilds, only probes of incrementally
-  maintained indexes; the ablation (``indexing_enabled=False``) hashes the
-  sibling per firing yet lands in the identical state.
+  maintained indexes.
 """
 
 import pytest
@@ -175,29 +174,6 @@ def test_difference_rule_work_is_flat_in_database_size():
     assert small.rows_scanned == large.rows_scanned == 20
     assert small.index_probes > 0 and large.index_probes > 0
     assert small.rows_hashed == large.rows_hashed == 0
-
-
-def test_indexing_ablation_hashes_but_agrees():
-    indexed, _ = figure1_mediator("ex21", sources=figure1_sources(seed=3))
-    legacy, _ = figure1_mediator(
-        "ex21", sources=figure1_sources(seed=3), indexing_enabled=False
-    )
-    indexed.reset_stats()
-    legacy.reset_stats()
-    for k in range(3):
-        _one_update(indexed, k)
-        _one_update(legacy, k)
-    assert legacy.stats().rows_hashed > 0
-    assert legacy.stats().index_probes == 0
-    assert indexed.stats().rows_hashed == 0
-
-    def snapshot(med):
-        return {
-            name: sorted((tuple(sorted(dict(r).items())), n) for r, n in repo.items())
-            for name, repo in med.store.repos().items()
-        }
-
-    assert snapshot(indexed) == snapshot(legacy)
 
 
 def test_repository_indexes_survive_apply_delta():

@@ -255,14 +255,15 @@ def test_update_outside_leaf_parent_filter_invalidates_nothing():
 
 
 def test_cache_ablation_polls_linearly():
-    mediator, _ = figure1_mediator("ex23", vap_cache_enabled=False)
+    mediator, _ = figure1_mediator("ex23")
     mediator.reset_stats()
     q = "project[r1, s1](select[r3 < 100](T))"
-    mediator.query(q)
-    per_query = mediator.vap.stats.polls
-    assert per_query > 0
-    for _ in range(4):
+    with mediator.vap.cache_bypassed():
         mediator.query(q)
+        per_query = mediator.vap.stats.polls
+        assert per_query > 0
+        for _ in range(4):
+            mediator.query(q)
     assert mediator.vap.stats.polls == 5 * per_query
     assert mediator.vap.stats.cache_hits == 0
     assert mediator.vap.cache.entry_count() == 0

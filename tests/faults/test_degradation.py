@@ -36,7 +36,7 @@ Y = make_schema("Y", ["y1", "y2"], key=["y1"])
 OUTAGE = OutageWindow(3.0, 6.0)
 
 
-def build_env(marks, outage_on="sx", window=OUTAGE, vap_cache_enabled=True):
+def build_env(marks, outage_on="sx", window=OUTAGE):
     vdp = build_vdp(
         source_schemas={"X": X, "Y": Y},
         source_of={"X": "sx", "Y": "sy"},
@@ -69,7 +69,6 @@ def build_env(marks, outage_on="sx", window=OUTAGE, vap_cache_enabled=True):
         {"sx": sx, "sy": sy},
         delays,
         fault_plan=plan,
-        vap_cache_enabled=vap_cache_enabled,
         record_updates=False,
     )
     return env, sx, sy
@@ -162,13 +161,14 @@ def test_update_transactions_defer_and_retry_until_source_returns():
     """An X update needs a Y poll (Yp virtual).  With sy down, the flush
     must requeue the update untouched — phase (b) fails before any store
     mutation — and the periodic policy retries until the poll succeeds.
-    The temp cache is disabled: with it on, a pre-outage fill would let
-    phase (b) succeed without the poll (pinned in test_cache_degradation.py)
-    and nothing would ever defer."""
-    env, sx, sy = build_env(Y_VIRTUAL, outage_on="sy", vap_cache_enabled=False)
+    The run bypasses the temp cache: with it live, a pre-outage fill would
+    let phase (b) succeed without the poll (pinned in
+    test_cache_degradation.py) and nothing would ever defer."""
+    env, sx, sy = build_env(Y_VIRTUAL, outage_on="sy")
     env.schedule_action(3.2, lambda: sx.insert("X", x1=600, x2=2, x3=1), "commit during sy outage")
-    env.run_until(30.0)
-    env.mediator.run_update_transaction()
+    with env.mediator.vap.cache_bypassed():
+        env.run_until(30.0)
+        env.mediator.run_update_transaction()
 
     stats = env.mediator.iup.stats
     assert stats.deferred_transactions >= 1

@@ -4,7 +4,7 @@ The headline invariant is *exact* reconciliation: every count the profiler
 folds from the trace stream is emitted at the same instrumentation site as
 the ``MediatorStats`` counter it mirrors, so
 :meth:`CostProfile.reconcile` must return ``[]`` (no tolerance) for every
-workload — canned scenarios, the mediator-owned profiler, and
+workload — canned scenarios, a profiler reset mid-run, and
 Hypothesis-generated interleavings alike.
 """
 
@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.mediator import MediatorError
 from repro.obs import CostProfile, CostProfiler, Tracer, run_scenario, scenario_names
 from repro.workloads import figure1_mediator
 
@@ -216,24 +215,21 @@ def test_retain_free_tracer_profiles_without_accumulating_a_trace():
     assert profile.queries.count > 0 and profile.txns.count > 0
 
 
-def test_mediator_owned_profiler_reconciles_and_survives_reset():
-    mediator, sources = figure1_mediator("ex23", profiling_enabled=True)
+def test_attached_profiler_reconciles_and_survives_reset():
+    tracer = Tracer(enabled=True, retain=False)
+    profiler = CostProfiler().attach(tracer)
+    mediator, sources = figure1_mediator("ex23", tracer=tracer)
     sources["db1"].insert("R", r1=9001, r2=5, r3=77, r4=100)
     mediator.refresh()
     mediator.query_relation("T")
-    assert mediator.profile().reconcile(mediator.stats()) == []
-    mediator.reset_stats()  # must reset the profiler too, keeping alignment
-    assert mediator.profile().reconcile(mediator.stats()) == []
+    assert profiler.profile().reconcile(mediator.stats()) == []
+    mediator.reset_stats()
+    profiler.reset()  # beside reset_stats(), keeping the windows aligned
+    assert profiler.profile().reconcile(mediator.stats()) == []
     sources["db2"].insert("S", s1=5, s2=888, s3=10)
     mediator.refresh()
-    assert mediator.profile().reconcile(mediator.stats()) == []
-    assert mediator.profile().txns.count == mediator.stats().update_transactions == 1
-
-
-def test_profile_requires_profiling_enabled():
-    mediator, _ = figure1_mediator("ex21")
-    with pytest.raises(MediatorError, match="profiling_enabled"):
-        mediator.profile()
+    assert profiler.profile().reconcile(mediator.stats()) == []
+    assert profiler.profile().txns.count == mediator.stats().update_transactions == 1
 
 
 @settings(max_examples=25, deadline=None)

@@ -2,16 +2,16 @@
 
 Over the Figure-4 mediator under randomized churn:
 
-* ``smash_enabled=False`` (one propagation pass per queued source message,
-  in arrival order, instead of one pass over the smashed net delta) must
+* per-message replay (one ``refresh()`` per source announcement, in commit
+  order, instead of one pass over the smashed net delta of a batch) must
   reach exactly the same exports — the Heraclitus smash theorem, checked
   through the whole kernel rather than on delta values alone;
 * the support-probe difference rules must agree with the from-scratch
   recomputation after every random delta stream.
 
 Churn deliberately includes insert-then-delete of the *same* rows within
-one flush window so the smashed run actually cancels work (visible in
-``deltas_smashed``) while the unsmashed run replays it.
+one flush window so the batched run actually cancels work (visible in
+``deltas_compacted``) while the per-message run replays it.
 """
 
 from hypothesis import given, settings
@@ -32,34 +32,41 @@ churn_ops = st.lists(
 )
 
 
-def _drive(mediators, sources_list, ops):
-    """Apply the same op script to every (mediator, sources) pair."""
+def _drive(mediator, sources, ops, per_message=False):
+    """Apply the op script; refresh every third op, or — ``per_message`` —
+    after every single source commit."""
+
+    def committed():
+        if per_message:
+            mediator.refresh()
+
     for counter, (which, op, arg) in enumerate(ops):
-        for mediator, sources in zip(mediators, sources_list):
-            source_name, relation = SOURCE_OF[which]
-            source = sources[source_name]
-            cols = source.schema(relation).attribute_names
-            # Join-relevant second column: keeps deltas flowing through
-            # F = C ⋈ D and the E-join rather than dying at the leaves.
-            fresh = {cols[0]: 50_000 + counter, cols[1]: arg % 25}
-            if op == "insert":
-                source.insert(relation, **fresh)
-            elif op == "bounce":
-                # Insert + delete of the same row inside one flush window:
-                # the net announcement cancels, the unsmashed run replays.
-                source.insert(relation, **fresh)
-                source.delete(relation, **fresh)
-            else:
-                rows = sorted(
-                    source.relation(relation).rows(), key=lambda r: sorted(r.items())
-                )
-                if rows:
-                    source.delete(relation, **dict(rows[arg % len(rows)]))
+        source_name, relation = SOURCE_OF[which]
+        source = sources[source_name]
+        cols = source.schema(relation).attribute_names
+        # Join-relevant second column: keeps deltas flowing through
+        # F = C ⋈ D and the E-join rather than dying at the leaves.
+        fresh = {cols[0]: 50_000 + counter, cols[1]: arg % 25}
+        if op == "insert":
+            source.insert(relation, **fresh)
+            committed()
+        elif op == "bounce":
+            # Insert + delete of the same row inside one flush window:
+            # the net announcement cancels, the per-message run replays.
+            source.insert(relation, **fresh)
+            committed()
+            source.delete(relation, **fresh)
+            committed()
+        else:
+            rows = sorted(
+                source.relation(relation).rows(), key=lambda r: sorted(r.items())
+            )
+            if rows:
+                source.delete(relation, **dict(rows[arg % len(rows)]))
+                committed()
         if counter % 3 == 0:
-            for mediator, _ in zip(mediators, sources_list):
-                mediator.refresh()
-    for mediator in mediators:
-        mediator.refresh()
+            mediator.refresh()
+    mediator.refresh()
 
 
 def _exports(mediator):
@@ -77,7 +84,7 @@ def test_probe_rules_match_recompute(annotation, ops):
         # G = π_{a1,b1} E − F: both operands are probed on (a1, b1).
         for node in ("E", "F"):
             assert mediator.store.repo(node).has_index(("a1", "b1"))
-    _drive([mediator], [sources], ops)
+    _drive(mediator, sources, ops)
     assert_materialized_correct(mediator)
     assert_view_correct(mediator)
 
@@ -85,42 +92,39 @@ def test_probe_rules_match_recompute(annotation, ops):
 @given(st.sampled_from(["paper", "all_m"]), churn_ops)
 @settings(max_examples=15, deadline=None)
 def test_unsmashed_propagation_exports_match_smashed(annotation, ops):
-    smashed_m, smashed_s = figure4_mediator(
-        annotation, sources=figure4_sources(seed=5), smash_enabled=True
-    )
-    plain_m, plain_s = figure4_mediator(
-        annotation, sources=figure4_sources(seed=5), smash_enabled=False
-    )
-    _drive([smashed_m, plain_m], [smashed_s, plain_s], ops)
+    smashed_m, smashed_s = figure4_mediator(annotation, sources=figure4_sources(seed=5))
+    plain_m, plain_s = figure4_mediator(annotation, sources=figure4_sources(seed=5))
+    _drive(smashed_m, smashed_s, ops)
+    _drive(plain_m, plain_s, ops, per_message=True)
     assert _exports(plain_m) == _exports(smashed_m)
     assert_view_correct(plain_m)
 
 
 def test_bounce_churn_is_cancelled_by_smash_and_counted():
-    """Deterministic spotlight on the ablation: rows bounced across
-    *separate announcements* cost the unsmashed kernel one propagation pass
-    per message, while the smashed kernel's queue fold cancels them into a
-    single net pass (counted in ``deltas_compacted``)."""
-    smashed_m, smashed_s = figure4_mediator(
-        "paper", sources=figure4_sources(seed=5), smash_enabled=True
-    )
-    plain_m, plain_s = figure4_mediator(
-        "paper", sources=figure4_sources(seed=5), smash_enabled=False
-    )
-    for mediator, sources in ((smashed_m, smashed_s), (plain_m, plain_s)):
-        # collect between the insert and the delete so each half lands in
-        # its own queue entry — bounces inside one source transaction
-        # window already cancel at the source's announcement accumulator.
+    """Deterministic spotlight: rows bounced across *separate
+    announcements* cost per-message replay one propagation pass per
+    message, while one transaction over the queued batch cancels them in
+    the queue fold into a single net pass (counted in
+    ``deltas_compacted``)."""
+    smashed_m, smashed_s = figure4_mediator("paper", sources=figure4_sources(seed=5))
+    plain_m, plain_s = figure4_mediator("paper", sources=figure4_sources(seed=5))
+    # collect between the insert and the delete so each half lands in its
+    # own queue entry — bounces inside one source transaction window
+    # already cancel at the source's announcement accumulator.
+    for mediator, sources, announced in (
+        (smashed_m, smashed_s, smashed_m.collect_announcements),
+        (plain_m, plain_s, plain_m.refresh),
+    ):
         for i in range(6):
             sources["dbC"].insert("C", c1=9_000 + i, c2=i % 25)
-            mediator.collect_announcements()
+            announced()
             sources["dbC"].delete("C", c1=9_000 + i, c2=i % 25)
-            mediator.collect_announcements()
+            announced()
         sources["dbA"].insert("A", a1=9_100, a2=3)
-        mediator.collect_announcements()
-        mediator.run_update_transaction()
+        announced()
+    smashed_m.run_update_transaction()
     assert _exports(plain_m) == _exports(smashed_m)
-    # 13 queued messages replay as 13 passes unsmashed, 1 pass smashed;
+    # 13 messages replay as 13 passes one at a time, 1 pass batched;
     # the 6 bounced inserts+deletes (12 atoms) vanish in the queue fold.
     assert smashed_m.stats().propagation_passes == 1
     assert plain_m.stats().propagation_passes == 13
