@@ -33,7 +33,11 @@ from repro.durability.harness import (
     run_crash_workload,
 )
 from repro.durability.manager import DurabilityManager, DurabilityStats
-from repro.durability.recovery import RecoveryManager, RecoveryResult
+from repro.durability.recovery import (
+    RecoveryManager,
+    RecoveryResult,
+    restart_after_crash,
+)
 from repro.durability.wal import WalRecord, WalSourceEntry, WriteAheadLog
 
 __all__ = [
@@ -43,6 +47,7 @@ __all__ = [
     "DurabilityStats",
     "RecoveryManager",
     "RecoveryResult",
+    "restart_after_crash",
     "WalRecord",
     "WalSourceEntry",
     "WriteAheadLog",

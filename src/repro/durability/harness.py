@@ -25,7 +25,7 @@ from repro.core.vdp import AnnotatedVDP
 from repro.deltas import SetDelta
 from repro.durability.checkpoint import CheckpointPolicy
 from repro.durability.manager import DurabilityManager
-from repro.durability.recovery import RecoveryManager, RecoveryResult
+from repro.durability.recovery import RecoveryResult, restart_after_crash
 from repro.errors import SimulatedCrash
 from repro.sources.base import SourceDatabase
 
@@ -110,26 +110,18 @@ def run_crash_workload(
             mediator.refresh()
         except SimulatedCrash as crash:
             manager.close()
-            while True:
-                outcome.crashes.append((crash.phase, crash.txn))
-                # The process is "dead": drop every in-memory structure,
-                # keep only what the durability directory and the sources
-                # hold.
-                recovery = RecoveryManager(directory).recover(
-                    annotated, sources, **kwargs
-                )
-                outcome.recoveries.append(recovery)
-                mediator = recovery.mediator
-                try:
-                    manager = DurabilityManager.attach(
-                        mediator, directory, policy=policy,
-                        crash_schedule=crash_schedule,
-                    )
-                    break
-                except SimulatedCrash as again:
-                    # Died during the post-recovery re-base checkpoint;
-                    # nothing was published, so recovery simply restarts.
-                    crash = again
-            outcome.mediator = mediator
+            # The process is "dead": drop every in-memory structure, keep
+            # only what the durability directory and the sources hold.
+            manager, recoveries, again = restart_after_crash(
+                directory,
+                annotated,
+                sources,
+                policy=policy,
+                crash_schedule=crash_schedule,
+                **kwargs,
+            )
+            outcome.crashes.extend((c.phase, c.txn) for c in [crash, *again])
+            outcome.recoveries.extend(recoveries)
+            mediator = outcome.mediator = manager.mediator
             outcome.manager = manager
     return outcome

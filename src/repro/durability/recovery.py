@@ -38,19 +38,19 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.core.mediator import SquirrelMediator
 from repro.core.persistence import decode_repo, reinitialize_sources
 from repro.core.vdp import AnnotatedVDP
 from repro.deltas import SetDelta, net_accumulate
-from repro.durability.checkpoint import CheckpointStore
-from repro.durability.manager import WAL_FILENAME
+from repro.durability.checkpoint import CheckpointPolicy, CheckpointStore
+from repro.durability.manager import WAL_FILENAME, DurabilityManager
 from repro.durability.wal import WriteAheadLog
-from repro.errors import MediatorError, SnapshotStaleError
+from repro.errors import MediatorError, SimulatedCrash, SnapshotStaleError
 from repro.sources.base import SourceDatabase
 
-__all__ = ["RecoveryResult", "RecoveryManager"]
+__all__ = ["RecoveryResult", "RecoveryManager", "restart_after_crash"]
 
 
 @dataclass
@@ -233,3 +233,41 @@ class RecoveryManager:
             "recovery.reinitialized_sources", lambda: len(result.reinitialized_sources)
         )
         return result
+
+
+def restart_after_crash(
+    directory: str,
+    annotated: AnnotatedVDP,
+    sources: Mapping[str, SourceDatabase],
+    policy: Optional[CheckpointPolicy] = None,
+    crash_schedule=None,
+    **recover_kwargs,
+) -> Tuple[DurabilityManager, List[RecoveryResult], List[SimulatedCrash]]:
+    """The restart half of kill/restart: recover, then re-attach durability.
+
+    Only the durability directory and the sources survived.  Recovery
+    builds a fresh mediator from them (``recover_kwargs`` go to
+    :meth:`RecoveryManager.recover`) and :meth:`DurabilityManager.attach`
+    re-bases it; when the crash schedule kills that re-base checkpoint
+    too, nothing was published, so recovery simply restarts.  Returns the
+    live manager (``manager.mediator`` is the recovered mediator), every
+    recovery that ran, and every crash that hit a re-attach, in order.
+    """
+    recoveries: List[RecoveryResult] = []
+    crashes: List[SimulatedCrash] = []
+    while True:
+        recovery = RecoveryManager(directory).recover(
+            annotated, sources, **recover_kwargs
+        )
+        recoveries.append(recovery)
+        try:
+            manager = DurabilityManager.attach(
+                recovery.mediator,
+                directory,
+                policy=policy,
+                crash_schedule=crash_schedule,
+            )
+        except SimulatedCrash as crash:
+            crashes.append(crash)
+            continue
+        return manager, recoveries, crashes

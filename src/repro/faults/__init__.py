@@ -34,7 +34,6 @@ from repro.faults.reliable import (
     Envelope,
     ReliableInbox,
     ReliableSender,
-    StreamBackoff,
 )
 from repro.faults.staleness import StalenessTag, TaggedAnswer
 
@@ -51,7 +50,6 @@ __all__ = [
     "ReliableInbox",
     "ReliableSender",
     "BackoffPolicy",
-    "StreamBackoff",
     "StalenessTag",
     "TaggedAnswer",
 ]

@@ -38,7 +38,6 @@ from repro.obs.tracer import NULL_TRACER, Tracer
 __all__ = [
     "Envelope",
     "BackoffPolicy",
-    "StreamBackoff",
     "ReliableInbox",
     "ReliableSender",
 ]
@@ -107,41 +106,6 @@ class BackoffPolicy:
     def _draw_seed(self, key: str, step: int) -> int:
         material = f"{self.jitter_seed}:{key}:{step}".encode()
         return int.from_bytes(hashlib.sha256(material).digest()[:8], "big")
-
-
-class StreamBackoff:
-    """Retry pacing for one *long-lived* stream sharing one policy.
-
-    :class:`ReliableSender` keeps a per-message attempt counter, which is
-    the right shape for independent announcements.  A shipping stream is
-    different: one logical peer, an unbounded message sequence, one shared
-    notion of "is the peer reachable right now".  Naively feeding a
-    stream-lifetime retry count into :meth:`BackoffPolicy.delay` pins a
-    replica that recovers after a long outage at ``max_backoff`` forever —
-    the counter only ever grows.  This wrapper owns the stream's attempt
-    counter and **resets it on acknowledged progress**, so the first
-    retransmit after a recovered outage waits ``base_timeout`` again.
-    """
-
-    def __init__(self, policy: BackoffPolicy, key: str = ""):
-        self.policy = policy
-        self.key = key
-        self.attempt = 0
-
-    def next_delay(self) -> float:
-        """The wait before the next retransmission; escalates the counter."""
-        delay = self.policy.delay(self.attempt, key=self.key)
-        self.attempt += 1
-        return delay
-
-    def record_success(self) -> None:
-        """Acknowledged progress: the peer is reachable, reset to base."""
-        self.attempt = 0
-
-    @property
-    def current_delay(self) -> float:
-        """What the next :meth:`next_delay` call would return."""
-        return self.policy.delay(self.attempt, key=self.key)
 
 
 class ReliableInbox:
@@ -236,7 +200,8 @@ class ReliableSender:
         self.inbox = inbox
         self.simulator = simulator
         self.policy = policy
-        self._next_seq = 0
+        #: The sequence number the next :meth:`send` will use.
+        self.next_seq = 0
         self._unacked: Dict[int, Envelope] = {}
         self.sent = 0
         self.retransmits = 0
@@ -247,8 +212,8 @@ class ReliableSender:
     # ------------------------------------------------------------------
     def send(self, payload: Any) -> Envelope:
         """Transmit one payload reliably; returns its envelope."""
-        envelope = Envelope(self._next_seq, payload, self.simulator.now)
-        self._next_seq += 1
+        envelope = Envelope(self.next_seq, payload, self.simulator.now)
+        self.next_seq += 1
         self._unacked[envelope.seq] = envelope
         self.sent += 1
         self.channel.send(envelope, attempt=0)
@@ -296,6 +261,30 @@ class ReliableSender:
         acked = [s for s in self._unacked if s <= self.inbox.delivered_through]
         for seq in acked:
             del self._unacked[seq]
+
+    def holds(self, seq: int) -> bool:
+        """True while ``seq`` is still in the retransmission buffer."""
+        return seq in self._unacked
+
+    def forget_all(self) -> None:
+        """Abandon everything sent so far: what is still on the wire is
+        cancelled and nothing is retried, so the inbox hears no more."""
+        self.channel.discard_in_flight()
+        self._unacked.clear()
+
+    def forget_oldest(self) -> int:
+        """Lose the oldest unacked envelope, copies on the wire included
+        (sender-side buffer loss).
+
+        Returns its sequence number, or -1 when everything is acked.
+        """
+        self._prune()
+        if not self._unacked:
+            return -1
+        seq = min(self._unacked)
+        del self._unacked[seq]
+        self.channel.discard_in_flight(lambda envelope: envelope.seq == seq)
+        return seq
 
     def sync_into_inbox(self) -> int:
         """Hand every unacked envelope directly to the inbox (poll path).

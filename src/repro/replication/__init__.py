@@ -7,9 +7,9 @@ a replication stream:
 * :class:`WalShipper` — primary side: taps the durability manager's
   observer hook and streams each committed
   :class:`~repro.durability.WalRecord` to every replica over the
-  fault-injectable channel layer, with in-order/exactly-once delivery
-  (:class:`~repro.faults.ReliableInbox`), stream-aware retransmission
-  backoff (:class:`~repro.faults.StreamBackoff`), heartbeats, and
+  transport announcements use (:class:`~repro.sim.Channel`,
+  :class:`~repro.faults.ReliableSender`,
+  :class:`~repro.faults.ReliableInbox`), with heartbeats and
   checkpoint-based gap healing;
 * :class:`ReplicaMediator` — replica side: a full mediator kept current
   by replaying each shipped record's physical repository writes

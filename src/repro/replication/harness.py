@@ -6,8 +6,10 @@ one primary :class:`~repro.core.SquirrelMediator` under a
 :class:`~repro.durability.DurabilityManager`, a :class:`WalShipper`
 streaming to N :class:`ReplicaMediator`\\ s through a seeded
 :class:`~repro.faults.FaultPlan` (channel keys ``ship:replica-<i>``), a
-:class:`ReadRouter` and a :class:`FailoverCoordinator`.  Time is an
-integer step counter; every run with the same parameters is bit-identical.
+:class:`ReadRouter` and a :class:`FailoverCoordinator`.  Time is one
+:class:`~repro.sim.Simulator` (``harness.sim``) the shipper's streams run
+on; ``harness.step`` counts whole time units along it.  Every run with the
+same parameters is bit-identical.
 
 The ground truth for every assertion is :meth:`expected_exports`: a
 from-scratch mediator built over the *same live sources* — whatever the
@@ -28,6 +30,7 @@ from repro.faults.plan import CrashSchedule, FaultPlan
 from repro.faults.reliable import BackoffPolicy
 from repro.obs.tracer import NULL_TRACER
 from repro.relalg import row
+from repro.sim.scheduler import Simulator
 from repro.workloads import FIGURE1_ANNOTATIONS, figure1_sources, figure1_vdp
 
 from repro.replication.failover import FailoverCoordinator
@@ -39,7 +42,7 @@ __all__ = ["ReplicationHarness"]
 
 
 class ReplicationHarness:
-    """One primary, N replicas, a fault plan, and an integer clock."""
+    """One primary, N replicas, and a simulator carrying the fault plan."""
 
     def __init__(
         self,
@@ -72,8 +75,9 @@ class ReplicationHarness:
             policy=CheckpointPolicy(every_txns=checkpoint_every, every_wal_bytes=0),
             crash_schedule=CrashSchedule(list(crash_points)) if crash_points else None,
         )
+        self.sim = Simulator(fault_plan=faults)
         self.shipper = WalShipper(
-            self.durability, faults=faults, policy=policy, tracer=tracer
+            self.durability, simulator=self.sim, policy=policy, tracer=tracer
         )
         self.replicas: List[ReplicaMediator] = []
         for i in range(replicas):
@@ -85,7 +89,7 @@ class ReplicationHarness:
                 tracer=tracer,
             )
             self.replicas.append(replica)
-            self.shipper.attach_replica(replica, now=0.0)
+            self.shipper.attach_replica(replica)
         self.router = ReadRouter(
             self.replicas, primary=self.primary, on_stale=on_stale, tracer=tracer
         )
@@ -163,7 +167,7 @@ class ReplicationHarness:
 
     def drain(self) -> None:
         """Force every replica current (test/convergence-check hook)."""
-        self.shipper.drain(float(self.step))
+        self.shipper.drain()
 
     # ------------------------------------------------------------------
     # Failure

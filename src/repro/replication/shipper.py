@@ -5,20 +5,21 @@ A :class:`WalShipper` taps the primary's
 :class:`~repro.durability.WalRecord` only *after* it is durable, so a
 shipped record is by construction an acknowledged transaction — and
 streams the records to each attached :class:`ReplicaMediator` over the
-fault-injectable channel layer:
+same transport source announcements use:
 
-* every (replica, record) transmission consults the
-  :class:`~repro.faults.FaultPlan` under channel key ``ship:<replica>``,
-  so drops, duplicates, delays, reorders, and outage windows all apply;
-* per-replica :class:`~repro.faults.ReliableInbox` sequencing releases
-  records to the replica in order and exactly once, buffering past gaps;
-* retransmission is paced by a :class:`~repro.faults.StreamBackoff` —
-  the per-stream attempt counter resets on acknowledged progress, so a
-  replica that recovers from a long outage is not pinned at max backoff;
+* each replica's stream is a :class:`~repro.sim.Channel` named
+  ``ship:<replica>``, so the simulator's :class:`~repro.faults.FaultPlan`
+  applies drops, duplicates, delays, reorders, and outage windows to it;
+* a :class:`~repro.faults.ReliableSender` retransmits each record on its
+  own timeout (every new record starts at ``base_timeout``, so a replica
+  that recovers from a long outage is not pinned at max backoff) and a
+  :class:`~repro.faults.ReliableInbox` releases records to the replica in
+  order and exactly once, buffering past gaps;
 * a gap no retransmission can fill (sender buffer loss, retry budget
   exhausted) marks the replica for **checkpoint-based resync**: the
   replica reloads the primary's newest checkpoint chain and the shipper
-  re-ships the live WAL tail past it — the same heal path as bootstrap.
+  re-ships the live WAL tail past it over a fresh stream — the same heal
+  path as bootstrap.
 
 Each shipped record travels with the committing transaction's exact
 per-node repository writes (the durability manager's
@@ -29,22 +30,25 @@ transaction for as long as the record stays in the live WAL; a resync
 that needs a tail record whose writes predate this shipper (it attached
 later) simply forces a full checkpoint first, absorbing the tail.
 
-Time is the caller's simulated clock: drive :meth:`tick` once per step.
-Heartbeats (carrying the primary's committed transaction index) ride the
-tick directly rather than the faulted channel — the failover detector
-cares about *shipper* liveness, and a dead primary stops ticking.
+Time is the :class:`~repro.sim.Simulator`'s: :meth:`WalShipper.tick`
+advances it (whatever falls due is delivered or retransmitted), then heals
+and heartbeats.  Heartbeats (carrying the primary's committed transaction
+index) ride the tick directly rather than the faulted channel — the
+failover detector cares about *shipper* liveness, and a dead primary
+stops ticking.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.durability.manager import DurabilityManager
 from repro.durability.wal import WalRecord
-from repro.faults.plan import FaultPlan
-from repro.faults.reliable import BackoffPolicy, Envelope, ReliableInbox, StreamBackoff
+from repro.faults.reliable import BackoffPolicy, Envelope, ReliableInbox, ReliableSender
 from repro.obs.tracer import NULL_TRACER
+from repro.sim.network import Channel
+from repro.sim.scheduler import Simulator
 
 from repro.replication.replica import ReplicaMediator
 
@@ -60,37 +64,19 @@ class ShippedRecord:
 
 
 @dataclass
-class _Transmission:
-    """One in-flight copy set of an envelope, due at ``deliver_at``."""
-
-    deliver_at: float
-    envelope: Envelope
-    copies: int
-
-
-@dataclass
 class _ReplicaStream:
-    """Sender-side state for one replica's ordered record stream."""
+    """One replica's ordered record stream: channel + sender + inbox."""
 
     replica: ReplicaMediator
+    channel: Channel
+    sender: ReliableSender
     inbox: ReliableInbox
-    backoff: StreamBackoff
-    next_seq: int = 0
-    transmissions: int = 0
-    abandoned: int = 0
-    unacked: Dict[int, Envelope] = field(default_factory=dict)
-    attempts: Dict[int, int] = field(default_factory=dict)
-    retry_at: Dict[int, float] = field(default_factory=dict)
-    pending: List[_Transmission] = field(default_factory=list)
 
-    def reset(self, inbox: ReliableInbox) -> None:
-        """Start a fresh stream after a resync re-baselines the replica."""
-        self.inbox = inbox
-        self.next_seq = 0
-        self.unacked.clear()
-        self.attempts.clear()
-        self.retry_at.clear()
-        self.pending.clear()
+    def permanent_gap(self) -> bool:
+        """True when the inbox needs a seq no retransmission can still fill
+        (retry budget exhausted, or sender-side buffer loss)."""
+        needed = self.inbox.next_seq
+        return needed < self.sender.next_seq and not self.sender.holds(needed)
 
 
 class WalShipper:
@@ -99,16 +85,18 @@ class WalShipper:
     def __init__(
         self,
         manager: DurabilityManager,
-        faults: Optional[FaultPlan] = None,
+        simulator: Optional[Simulator] = None,
         policy: Optional[BackoffPolicy] = None,
         tracer=NULL_TRACER,
     ):
+        """``simulator`` is the clock the streams run on, and its
+        ``fault_plan`` governs the ``ship:<replica>`` channels; a caller
+        with other traffic passes its own (default: private, fault-free)."""
         self.manager = manager
         self.mediator = manager.mediator
-        self.faults = faults
+        self.sim = simulator if simulator is not None else Simulator()
         self.policy = policy or BackoffPolicy()
         self.tracer = tracer
-        self.now = 0.0
         self.streams: Dict[str, _ReplicaStream] = {}
         #: Per live-WAL transaction: its physical repository writes,
         #: snapshotted from the manager at observation time (pruned as
@@ -120,22 +108,17 @@ class WalShipper:
     # ------------------------------------------------------------------
     # Membership
     # ------------------------------------------------------------------
-    def attach_replica(self, replica: ReplicaMediator, now: float = 0.0) -> None:
+    def attach_replica(self, replica: ReplicaMediator) -> None:
         """Register a replica and bootstrap it (checkpoint + WAL tail)."""
         if replica.name in self.streams:
             raise ValueError(f"replica {replica.name!r} already attached")
-        self.now = max(self.now, now)
-        stream = _ReplicaStream(
-            replica=replica,
-            inbox=self._make_inbox(replica),
-            backoff=StreamBackoff(self.policy, key=f"ship:{replica.name}"),
-        )
-        self.streams[replica.name] = stream
-        self.resync_replica(replica.name, self.now)
+        self._bootstrap(replica)
 
     def detach_replica(self, name: str) -> None:
         """Drop a replica's stream (the replica object is untouched)."""
-        self.streams.pop(name, None)
+        stream = self.streams.pop(name, None)
+        if stream is not None:
+            stream.sender.forget_all()
 
     @property
     def replicas(self) -> List[ReplicaMediator]:
@@ -143,16 +126,28 @@ class WalShipper:
         return [self.streams[name].replica for name in sorted(self.streams)]
 
     def close(self) -> None:
-        """Stop shipping: deregister from the durability manager."""
+        """Stop shipping: deregister from the durability manager and cancel
+        every stream (the simulator may outlive this shipper)."""
         if self._observer in self.manager.observers:
             self.manager.observers.remove(self._observer)
+        for stream in self.streams.values():
+            stream.sender.forget_all()
 
-    def _make_inbox(self, replica: ReplicaMediator) -> ReliableInbox:
+    def _open_stream(self, replica: ReplicaMediator) -> _ReplicaStream:
         def sink(envelope: Envelope) -> None:
             shipped = envelope.payload
-            replica.apply_record(shipped.record, shipped.node_applies, self.now)
+            replica.apply_record(shipped.record, shipped.node_applies, self.sim.now)
 
-        return ReliableInbox(sink, name=f"replica:{replica.name}", tracer=self.tracer)
+        inbox = ReliableInbox(sink, name=f"replica:{replica.name}", tracer=self.tracer)
+        channel = Channel(
+            self.sim,
+            0.0,
+            deliver=lambda envelope, send_time: inbox.deliver(envelope),
+            name=f"ship:{replica.name}",
+            tracer=self.tracer,
+        )
+        sender = ReliableSender(channel, inbox, self.sim, self.policy, tracer=self.tracer)
+        return _ReplicaStream(replica, channel, sender, inbox)
 
     # ------------------------------------------------------------------
     # Shipping
@@ -172,113 +167,32 @@ class WalShipper:
             )
 
     def _ship(self, stream: _ReplicaStream, shipped: ShippedRecord) -> None:
-        envelope = Envelope(seq=stream.next_seq, payload=shipped, send_time=self.now)
-        stream.next_seq += 1
-        stream.unacked[envelope.seq] = envelope
-        stream.attempts[envelope.seq] = 0
         self.mediator.replication.records_shipped += 1
-        self._transmit(stream, envelope, attempt=0)
-
-    def _transmit(self, stream: _ReplicaStream, envelope: Envelope, attempt: int) -> None:
-        """One transmission attempt through the fault plan."""
-        stream.transmissions += 1
-        if self.faults is not None:
-            decision = self.faults.decide(
-                f"ship:{stream.replica.name}",
-                stream.transmissions,
-                attempt=attempt,
-                now=self.now,
-            )
-        else:
-            decision = None
-        if decision is not None and decision.drop:
-            stream.retry_at[envelope.seq] = self.now + stream.backoff.next_delay()
-            return
-        extra_delay = decision.extra_delay if decision is not None else 0.0
-        duplicates = decision.duplicates if decision is not None else 0
-        reorder = decision.reorder if decision is not None else False
-        deliver_at = self.now + extra_delay + (1.0 if reorder else 0.0)
-        stream.pending.append(
-            _Transmission(deliver_at=deliver_at, envelope=envelope, copies=1 + duplicates)
-        )
-        # Ack timeout: if delivery does not move the high-water mark past
-        # this seq by then (it was out of order, or a later gap holds it),
-        # retransmit.
-        stream.retry_at[envelope.seq] = deliver_at + stream.backoff.current_delay
+        stream.sender.send(shipped)
 
     # ------------------------------------------------------------------
-    # The clock tick: deliver, ack, retransmit, heal, heartbeat
+    # The clock tick: deliver + retransmit (the simulator), heal, heartbeat
     # ------------------------------------------------------------------
     def tick(self, now: float) -> None:
-        """Advance the shipping pipeline to ``now`` (one simulation step)."""
-        self.now = max(self.now, now)
+        """Advance the shipping pipeline to ``now``: on a fault-free stream
+        every record shipped so far is applied when this returns."""
+        self.sim.run_until(max(now, self.sim.now))
         for name in sorted(self.streams):
-            stream = self.streams[name]
-            self._deliver_due(stream)
-            self._ack(stream)
-            self._retransmit_due(stream)
-            if stream.replica.needs_resync or self._permanent_gap(stream):
-                if not stream.replica.needs_resync:
-                    stream.replica.mark_gap()
-                self.resync_replica(name, self.now)
-            stream.replica.observe_heartbeat(self.now, self.manager._txn)
+            self._heal(name)
+            self.streams[name].replica.observe_heartbeat(self.sim.now, self.manager._txn)
         self._update_lag_gauge()
 
-    def _deliver_due(self, stream: _ReplicaStream) -> None:
-        due = [t for t in stream.pending if t.deliver_at <= self.now]
-        if not due:
-            return
-        stream.pending = [t for t in stream.pending if t.deliver_at > self.now]
-        for transmission in sorted(due, key=lambda t: (t.deliver_at, t.envelope.seq)):
-            for _ in range(transmission.copies):
-                stream.inbox.deliver(transmission.envelope)
-
-    def _ack(self, stream: _ReplicaStream) -> None:
-        """Prune envelopes the inbox high-water mark acknowledges."""
-        acked = [s for s in stream.unacked if s <= stream.inbox.delivered_through]
-        if not acked:
-            return
-        for seq in acked:
-            stream.unacked.pop(seq, None)
-            stream.attempts.pop(seq, None)
-            stream.retry_at.pop(seq, None)
-        stream.backoff.record_success()
-
-    def _retransmit_due(self, stream: _ReplicaStream) -> None:
-        for seq in sorted(stream.unacked):
-            if stream.retry_at.get(seq, 0.0) > self.now:
-                continue
-            attempt = stream.attempts.get(seq, 0) + 1
-            stream.attempts[seq] = attempt
-            if (
-                self.policy.max_retries is not None
-                and attempt > self.policy.max_retries
-            ):
-                # Retry budget exhausted: this seq will never arrive by
-                # retransmission — an unhealable stream gap.
-                envelope = stream.unacked.pop(seq)
-                stream.attempts.pop(seq, None)
-                stream.retry_at.pop(seq, None)
-                stream.abandoned += 1
-                if self.tracer.enabled:
-                    self.tracer.event(
-                        "replica_gap",
-                        replica=stream.replica.name,
-                        seq=seq,
-                        txn=envelope.payload.record.txn,
-                    )
-                stream.replica.mark_gap()
-                continue
-            self._transmit(stream, stream.unacked[seq], attempt=attempt)
-
-    def _permanent_gap(self, stream: _ReplicaStream) -> bool:
-        """True when the inbox needs a seq no transmission can still fill."""
-        if not stream.inbox.pending_gap():
-            return False
-        needed = stream.inbox.delivered_through + 1
-        if needed in stream.unacked:
-            return False
-        return all(t.envelope.seq != needed for t in stream.pending)
+    def _heal(self, name: str) -> None:
+        """Resync a replica whose stream has an unfillable gap."""
+        stream = self.streams[name]
+        if stream.permanent_gap() and not stream.replica.needs_resync:
+            if self.tracer.enabled:
+                self.tracer.event(
+                    "replica_gap", replica=name, seq=stream.inbox.next_seq
+                )
+            stream.replica.mark_gap()
+        if stream.replica.needs_resync:
+            self.resync_replica(name)
 
     def inject_gap(self, name: str) -> int:
         """Irrecoverably drop the oldest unacked envelope (test hook).
@@ -287,38 +201,36 @@ class WalShipper:
         so the next tick detects a permanent gap and heals by resync.
         Returns the dropped seq, or -1 when nothing was in flight.
         """
-        stream = self.streams[name]
-        if not stream.unacked:
-            return -1
-        seq = min(stream.unacked)
-        stream.unacked.pop(seq)
-        stream.attempts.pop(seq, None)
-        stream.retry_at.pop(seq, None)
-        stream.pending = [t for t in stream.pending if t.envelope.seq != seq]
-        if self.tracer.enabled:
-            self.tracer.event("replica_gap", replica=name, seq=seq, txn=-1)
-        return seq
+        return self.streams[name].sender.forget_oldest()
 
     # ------------------------------------------------------------------
     # Gap healing
     # ------------------------------------------------------------------
-    def resync_replica(self, name: str, now: float) -> None:
+    def resync_replica(self, name: str) -> None:
         """Heal one replica: checkpoint reload + live WAL tail re-ship.
+
+        The old stream is cancelled first, so no record it still had on the
+        wire or in its buffer can be applied on top of the reloaded state.
+        """
+        stream = self.streams[name]
+        stream.sender.forget_all()
+        self._bootstrap(stream.replica)
+
+    def _bootstrap(self, replica: ReplicaMediator) -> None:
+        """Checkpoint-load ``replica``; ship the live WAL tail on a new stream.
 
         A tail record whose physical writes predate this shipper (it
         attached after the record committed) cannot be re-shipped; a full
-        checkpoint absorbs the whole tail instead, and the resync retries
+        checkpoint absorbs the whole tail instead, and the load retries
         against it.
         """
-        self.now = max(self.now, now)
-        stream = self.streams[name]
-        floor_txn = stream.replica.resync_from_checkpoint(self.now)
+        floor_txn = replica.resync_from_checkpoint(self.sim.now)
         tail = [r for r in self.manager.wal.records if r.txn > floor_txn]
         if any(r.txn not in self._applies for r in tail):
             self.manager.checkpoint(full=True)
-            floor_txn = stream.replica.resync_from_checkpoint(self.now)
+            floor_txn = replica.resync_from_checkpoint(self.sim.now)
             tail = [r for r in self.manager.wal.records if r.txn > floor_txn]
-        stream.reset(self._make_inbox(stream.replica))
+        stream = self.streams[replica.name] = self._open_stream(replica)
         for record in tail:
             self._ship(stream, ShippedRecord(record, self._applies[record.txn]))
         self.mediator.replication.replica_resyncs += 1
@@ -326,52 +238,29 @@ class WalShipper:
     # ------------------------------------------------------------------
     # Synchronous convergence (tests, soak checkpoints)
     # ------------------------------------------------------------------
-    def drain(self, now: float) -> None:
+    def drain(self) -> None:
         """Force every attached replica fully current, bypassing delays.
 
-        Delivers all in-flight and unacked envelopes in order, healing any
-        permanent gap by resync, until every stream is empty.  Used where
-        convergence must hold *now*: soak checkpoint verification and test
-        assertions.  Bounded: each pass either empties a stream or resyncs
-        it, and a resync stream's tail is re-shipped from a finite WAL.
+        Used where convergence must hold *now*: soak checkpoint
+        verification and test assertions.  Per stream: heal a permanent
+        gap by resync, then hand the sender's buffer — every undelivered
+        record is in it — to the inbox in order.
         """
-        self.now = max(self.now, now)
-        for _ in range(64):
-            settled = True
-            for name in sorted(self.streams):
-                stream = self.streams[name]
-                if stream.replica.needs_resync or self._permanent_gap(stream):
-                    if not stream.replica.needs_resync:
-                        stream.replica.mark_gap()
-                    self.resync_replica(name, self.now)
-                    settled = False
-                if stream.pending:
-                    for transmission in sorted(
-                        stream.pending, key=lambda t: (t.deliver_at, t.envelope.seq)
-                    ):
-                        stream.inbox.deliver(transmission.envelope)
-                    stream.pending.clear()
-                    settled = False
-                self._ack(stream)
-                if stream.unacked:
-                    for seq in sorted(stream.unacked):
-                        stream.inbox.deliver(stream.unacked[seq])
-                    self._ack(stream)
-                    settled = False
-                stream.replica.observe_heartbeat(self.now, self.manager._txn)
-            if settled:
-                break
-        else:
-            raise RuntimeError("WalShipper.drain did not settle")
+        for name in sorted(self.streams):
+            self._heal(name)
+            stream = self.streams[name]
+            stream.channel.discard_in_flight()
+            stream.sender.sync_into_inbox()
+            stream.replica.observe_heartbeat(self.sim.now, self.manager._txn)
         self._update_lag_gauge()
 
     def _update_lag_gauge(self) -> None:
         lags = [
             lag
-            for lag in (s.replica.lag(self.now) for s in self.streams.values())
+            for lag in (s.replica.lag(self.sim.now) for s in self.streams.values())
             if lag != float("inf")
         ]
         self.mediator.replication.replica_lag = max(lags, default=0.0)
 
     def __repr__(self) -> str:
-        return f"<WalShipper replicas={sorted(self.streams)} now={self.now}>"
+        return f"<WalShipper replicas={sorted(self.streams)} now={self.sim.now}>"

@@ -35,7 +35,7 @@ and every observed view state, ready for the Section 3 checkers.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from repro.core import SquirrelMediator
 from repro.core.links import SourceLink
@@ -68,10 +68,7 @@ class ChannelLink(SourceLink):
         return self.channel.simulator.now
 
     def is_available(self) -> bool:
-        plan = self.channel.plan
-        if plan is None:
-            return True
-        return not plan.in_outage(self.channel.fault_key, self.channel.simulator.now)
+        return self.outage_until() is None
 
     def outage_until(self) -> Optional[float]:
         plan = self.channel.plan
@@ -84,22 +81,9 @@ class ChannelLink(SourceLink):
     # Polling
     # ------------------------------------------------------------------
     def poll_many(self, queries: Mapping[str, Expression]) -> Dict[str, Relation]:
-        self._require_available()
-        self._flush_before_answer()
-        return self._answer(queries)
-
-    def _require_available(self) -> None:
         if not self.is_available():
             raise SourceUnavailableError(self.source_name, until=self.outage_until())
-
-    def _flush_before_answer(self) -> None:
-        # Flush-before-answer through the same FIFO the announcements use.
-        announcement = self.source.take_announcement()
-        if announcement is not None and self.announces:
-            self.channel.send(announcement)
-        self.channel.expedite()
-
-    def _answer(self, queries: Mapping[str, Expression]) -> Dict[str, Relation]:
+        self.flush_before_answer()
         snapshot = self.source.state()
         self.source.query_count += len(queries)
         self.poll_count += 1
@@ -111,6 +95,30 @@ class ChannelLink(SourceLink):
             answers[name] = answer
         return answers
 
+    # ------------------------------------------------------------------
+    # Announcing
+    # ------------------------------------------------------------------
+    def announce(self) -> None:
+        """Send the source's pending net update as one indivisible message.
+
+        The payload is ``(delta, cursor)``: the source-log cursor rides
+        along so the write-ahead log can record how far into the source's
+        log each committed transaction reaches.  A non-announcing
+        (virtual-contributor) source's pending update is discarded.
+        """
+        delta, cursor = self.source.take_announcement_versioned()
+        if delta is not None and self.announces:
+            self._send((delta, cursor))
+
+    def _send(self, payload) -> None:
+        self.channel.send(payload)
+
+    def flush_before_answer(self) -> None:
+        """Deliver everything the source has produced so far, through the
+        same FIFO the announcements use."""
+        self.announce()
+        self.channel.expedite()
+
 
 class ReliableChannelLink(ChannelLink):
     """A channel link whose announcements survive a faulty channel.
@@ -121,32 +129,59 @@ class ReliableChannelLink(ChannelLink):
     envelopes into the receiver's inbox so the mediator's queue is complete
     before a poll answer is used — the Section 4 in-order assumption,
     re-established over an unreliable link.
+
+    This constructor is the one place announcements get their reliable
+    transport: a :class:`~repro.sim.Channel` under fault key ``source.name``
+    (the simulator's plan decides each transmission's fate) carries the
+    sender's envelopes into a :class:`ReliableInbox`, whose in-order
+    release calls ``enqueue(source_name, delta, send_time=, arrival_time=,
+    seq=, cursor=)`` — :meth:`SquirrelMediator.enqueue_update`'s signature.
     """
 
     def __init__(
         self,
+        sim: Simulator,
         source: SourceDatabase,
-        channel: Channel,
         announces: bool,
-        sender: ReliableSender,
-        inbox: ReliableInbox,
+        enqueue: Callable[..., object],
+        policy: BackoffPolicy,
+        delay: float = 0.0,
+        tracer: Tracer = NULL_TRACER,
     ):
-        super().__init__(source, channel, announces)
-        self.sender = sender
-        self.inbox = inbox
+        name = source.name
 
-    def poll_many(self, queries: Mapping[str, Expression]) -> Dict[str, Relation]:
-        self._require_available()
-        announcement = self.source.take_announcement()
-        if announcement is not None and self.announces:
-            self.sender.send(announcement)
+        def sink(envelope: Envelope) -> None:
+            delta, cursor = envelope.payload
+            enqueue(
+                name,
+                delta,
+                send_time=envelope.send_time,
+                arrival_time=sim.now,
+                seq=envelope.seq,
+                cursor=cursor,
+            )
+
+        self.inbox = ReliableInbox(sink, name=f"{name}->mediator inbox", tracer=tracer)
+        channel = Channel(
+            sim,
+            delay,
+            deliver=lambda envelope, send_time: self.inbox.deliver(envelope),
+            name=f"{name}->mediator",
+            fault_key=name,
+            tracer=tracer,
+        )
+        super().__init__(source, channel, announces)
+        self.sender = ReliableSender(channel, self.inbox, sim, policy, tracer=tracer)
+
+    def _send(self, payload) -> None:
+        self.sender.send(payload)
+
+    def flush_before_answer(self) -> None:
         # Early-arrive whatever is still in flight, then recover anything
         # the channel lost: after the sync, the inbox has released every
         # announcement the source ever produced, gap-free and in order.
-        self.channel.expedite()
-        if self.announces:
-            self.sender.sync_into_inbox()
-        return self._answer(queries)
+        super().flush_before_answer()
+        self.sender.sync_into_inbox()
 
 
 class SimulatedEnvironment:
@@ -181,7 +216,6 @@ class SimulatedEnvironment:
         self.delays = delays
         self.sources = dict(sources)
         self.record_updates = record_updates
-        self.fault_plan = fault_plan
         self.flush_period = flush_period if flush_period is not None else delays.u_hold_delay_med
         if self.flush_period <= 0:
             raise SimulationError("flush_period must be positive")
@@ -194,13 +228,10 @@ class SimulatedEnvironment:
         self.backoff = backoff
 
         self.trace = IntegrationTrace(sorted(self.sources))
-        self._channels: Dict[str, Channel] = {}
-        self._senders: Dict[str, ReliableSender] = {}
-        self._inboxes: Dict[str, ReliableInbox] = {}
+        self.links: Dict[str, ChannelLink] = {}
         self._announce_armed: Dict[str, bool] = {name: False for name in self.sources}
 
         kinds = annotated.contributor_kinds()
-        links: Dict[str, SourceLink] = {}
         for name in sorted(self.sources):
             source = self.sources[name]
             profile = delays.profile(name)
@@ -213,29 +244,17 @@ class SimulatedEnvironment:
                     name=f"{name}->mediator",
                     tracer=tracer,
                 )
-                links[name] = ChannelLink(source, channel, announces)
+                self.links[name] = ChannelLink(source, channel, announces)
             else:
-                inbox = ReliableInbox(
-                    self._make_sink(name),
-                    name=f"{name}->mediator inbox",
-                    tracer=tracer,
-                )
-                channel = Channel(
+                self.links[name] = ReliableChannelLink(
                     self.sim,
-                    profile.comm_delay,
-                    deliver=lambda env, st, _inbox=inbox: _inbox.deliver(env),
-                    name=f"{name}->mediator",
-                    plan=fault_plan,
-                    fault_key=name,
+                    source,
+                    announces,
+                    self._enqueue,
+                    self.backoff,
+                    delay=profile.comm_delay,
                     tracer=tracer,
                 )
-                sender = ReliableSender(
-                    channel, inbox, self.sim, self.backoff, tracer=tracer
-                )
-                self._inboxes[name] = inbox
-                self._senders[name] = sender
-                links[name] = ReliableChannelLink(source, channel, announces, sender, inbox)
-            self._channels[name] = channel
             source.on_commit(self._make_commit_hook(name, profile.ann_delay, announces))
 
         # Simulated-channel links leave supports_parallel_poll False (the
@@ -244,7 +263,7 @@ class SimulatedEnvironment:
         self.mediator = SquirrelMediator(
             annotated,
             self.sources,
-            links=links,
+            links=self.links,
             eca_enabled=eca_enabled,
             key_based_enabled=key_based_enabled,
             tracer=tracer,
@@ -265,27 +284,22 @@ class SimulatedEnvironment:
     # ------------------------------------------------------------------
     # Wiring helpers
     # ------------------------------------------------------------------
+    def _enqueue(self, source_name: str, delta: SetDelta, **meta) -> None:
+        # Late-bound: the links are wired before the mediator exists.
+        self.mediator.enqueue_update(source_name, delta, **meta)
+
     def _make_deliver(self, source_name: str) -> Callable:
-        def deliver(message: SetDelta, send_time: float) -> None:
-            self.mediator.enqueue_update(
-                source_name, message, send_time=send_time, arrival_time=self.sim.now
+        def deliver(message: Tuple[SetDelta, int], send_time: float) -> None:
+            delta, cursor = message
+            self._enqueue(
+                source_name,
+                delta,
+                send_time=send_time,
+                arrival_time=self.sim.now,
+                cursor=cursor,
             )
 
         return deliver
-
-    def _make_sink(self, source_name: str) -> Callable[[Envelope], None]:
-        """The reliable inbox's in-order release target: the update queue."""
-
-        def sink(envelope: Envelope) -> None:
-            self.mediator.enqueue_update(
-                source_name,
-                envelope.payload,
-                send_time=envelope.send_time,
-                arrival_time=self.sim.now,
-                seq=envelope.seq,
-            )
-
-        return sink
 
     def _make_commit_hook(self, name: str, ann_delay: float, announces: bool) -> Callable:
         def hook(source: SourceDatabase, delta: SetDelta) -> None:
@@ -301,14 +315,7 @@ class SimulatedEnvironment:
 
     def _announce(self, name: str) -> None:
         self._announce_armed[name] = False
-        announcement = self.sources[name].take_announcement()
-        if announcement is None:
-            return
-        sender = self._senders.get(name)
-        if sender is not None:
-            sender.send(announcement)
-        else:
-            self._channels[name].send(announcement)
+        self.links[name].announce()
 
     def _update_transaction(self) -> None:
         result = self.mediator.run_update_transaction()
@@ -329,37 +336,33 @@ class SimulatedEnvironment:
         """Per-source transport counters (what the faults did, what the
         reliability layer repaired)."""
         stats: Dict[str, Dict[str, int]] = {}
-        for name, channel in self._channels.items():
+        for name, link in self.links.items():
+            channel = link.channel
             entry = {
                 "sent": channel.messages_sent,
                 "delivered": channel.messages_delivered,
                 "dropped": channel.messages_dropped,
                 "duplicated": channel.messages_duplicated,
             }
-            sender = self._senders.get(name)
-            if sender is not None:
-                entry["retransmits"] = sender.retransmits
-                entry["unacked"] = sender.unacked_count()
-                entry["abandoned"] = sender.abandoned
-            inbox = self._inboxes.get(name)
-            if inbox is not None:
-                entry["dedup_dropped"] = inbox.duplicates_dropped
-                entry["gaps_detected"] = inbox.gaps_detected
-                entry["released_in_order"] = inbox.delivered
+            if isinstance(link, ReliableChannelLink):
+                entry["retransmits"] = link.sender.retransmits
+                entry["unacked"] = link.sender.unacked_count()
+                entry["abandoned"] = link.sender.abandoned
+                entry["dedup_dropped"] = link.inbox.duplicates_dropped
+                entry["gaps_detected"] = link.inbox.gaps_detected
+                entry["released_in_order"] = link.inbox.delivered
             stats[name] = entry
         return stats
 
     def drained(self) -> bool:
         """True when no announcement is in flight, buffered, or unacked —
         the quiescence precondition of convergence checks."""
-        for name, channel in self._channels.items():
-            if channel.in_flight_count() > 0:
+        for name, link in self.links.items():
+            if link.channel.in_flight_count() > 0:
                 return False
-            inbox = self._inboxes.get(name)
-            if inbox is not None and inbox.pending_gap():
-                return False
-            sender = self._senders.get(name)
-            if sender is not None and sender.unacked_count() > 0:
+            if isinstance(link, ReliableChannelLink) and (
+                link.inbox.pending_gap() or link.sender.unacked_count() > 0
+            ):
                 return False
             if self.sources[name].has_pending_announcement() and self._announce_armed.get(name):
                 return False

@@ -150,7 +150,7 @@ class Channel:
                 )
             self.simulator.schedule_at(
                 delivery_time,
-                lambda: self._discard(record),
+                lambda: self._remove(record),
                 f"{self.name}: lose message",
             )
 
@@ -173,9 +173,6 @@ class Channel:
         self.messages_delivered += 1
         self.deliver(record.message, record.send_time)
 
-    def _discard(self, record: _Transit) -> None:
-        self._remove(record)
-
     def _remove(self, record: _Transit) -> None:
         for i, candidate in enumerate(self._in_flight):
             if candidate is record:
@@ -190,6 +187,15 @@ class Channel:
         (and poll-path expediting) wait on ghosts.
         """
         return sum(1 for record in self._in_flight if not record.dropped)
+
+    def discard_in_flight(self, match: Optional[Callable[[Any], bool]] = None) -> None:
+        """Cancel the scheduled delivery of every in-flight message (or of
+        those ``match(message)`` selects).  For a channel whose far end is
+        being replaced: nothing sent to the old end may reach the new one."""
+        for record in list(self._in_flight):
+            if match is None or match(record.message):
+                record.event.cancel()
+                self._remove(record)
 
     def expedite(self) -> int:
         """Deliver all deliverable in-flight messages right now, in FIFO

@@ -20,13 +20,11 @@ from repro.soak.harness import (
     SoakStats,
     run_soak,
 )
-from repro.soak.links import SoakLink
 from repro.soak.report import slo_report, write_slo_report
 
 __all__ = [
     "SoakConfig",
     "SoakHarness",
-    "SoakLink",
     "SoakResult",
     "SoakStats",
     "run_soak",

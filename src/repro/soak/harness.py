@@ -5,13 +5,15 @@ against a live mediator, step by step:
 
 1. **churn** — ``leave`` events detach sources (dropping their in-flight
    messages), ``join`` events attach new or previously detached sources
-   with staleness-tagged backfill, ``outage`` events take links down for a
-   window of steps, ``update`` events commit deterministic source
-   transactions;
-2. **messaging** — announcements are taken from announcing members and
-   pushed through a :class:`~repro.faults.FaultPlan`: drops retransmit on
-   later steps, delays hold delivery, duplicates exercise the queue's
-   sequence-number dedup.  All of it is a pure function of the seed;
+   with staleness-tagged backfill, ``outage`` events write an
+   :class:`~repro.faults.OutageWindow` into the run's fault plan,
+   ``update`` events commit deterministic source transactions;
+2. **messaging** — every reachable announcing member sends its pending
+   net update over a :class:`~repro.runtime.ReliableChannelLink` — the
+   transport :class:`~repro.runtime.SimulatedEnvironment` uses (faulty
+   :class:`~repro.sim.Channel`, retransmitting sender, in-order inbox) —
+   on the harness's one :class:`~repro.sim.Simulator`: step ``n`` is
+   simulated time ``n``.  All of it is a pure function of the seed;
 3. **propagation** — one IUP transaction per step; transactions deferred
    by an outage retry on later steps.  A :class:`~repro.faults.CrashSchedule`
    may kill the mediator mid-durability-protocol, after which the harness
@@ -22,7 +24,7 @@ against a live mediator, step by step:
    ``docs/scenarios.md`` for the bound's derivation and the attach-age
    adjustment);
 5. **convergence checkpoints** — periodically the harness clears
-   outages, drains the network, quiesces, and proves *churned ≡ static*:
+   outages, flushes every link, quiesces, and proves *churned ≡ static*:
    every export equals a freshly generated mediator over the same member
    set and live sources, and every materialized repository equals a
    from-scratch rebuild.
@@ -33,6 +35,8 @@ Any discrepancy is recorded as a violation in the :class:`SoakResult`
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -44,13 +48,9 @@ from repro.correctness import (
     check_tagged_staleness,
 )
 from repro.deltas import SetDelta
-from repro.durability import (
-    CheckpointPolicy,
-    DurabilityManager,
-    RecoveryManager,
-)
+from repro.durability import DurabilityManager, restart_after_crash
 from repro.errors import SimulatedCrash, SourceUnavailableError
-from repro.faults import CrashPoint, CrashSchedule, ChannelFaults, FaultPlan
+from repro.faults import ChannelFaults, CrashPoint, CrashSchedule, FaultPlan, OutageWindow
 from repro.faults.staleness import StalenessTag
 from repro.generator import (
     ChurnPlan,
@@ -73,7 +73,8 @@ from repro.obs.telemetry import (
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.relalg import Row
 from repro.replication import ReplicaMediator, WalShipper
-from repro.soak.links import SoakLink
+from repro.runtime import ReliableChannelLink
+from repro.sim import Simulator
 
 __all__ = ["SoakConfig", "SoakHarness", "SoakResult", "SoakStats", "run_soak"]
 
@@ -89,6 +90,10 @@ DEFAULT_CHANNEL_FAULTS = ChannelFaults(
     delay_range=(1.0, 2.0),
     max_duplicates=2,
 )
+
+#: Announcement retry pacing: an unacknowledged message is retransmitted
+#: one step after each attempt, every step, until it is acknowledged.
+RETRY_NEXT_STEP = BackoffPolicy(base_timeout=1.0, multiplier=1.0, max_backoff=1.0)
 
 
 @dataclass(frozen=True)
@@ -175,25 +180,6 @@ class SoakResult:
         return not self.convergence_violations and not self.slo_violations
 
 
-class _Message:
-    """One announcement in flight across the simulated network."""
-
-    __slots__ = ("source", "seq", "delta", "cursor", "send_step", "attempt",
-                 "deliver_at", "retry_at", "copies")
-
-    def __init__(self, source: str, seq: int, delta: SetDelta, cursor: int,
-                 send_step: int):
-        self.source = source
-        self.seq = seq
-        self.delta = delta
-        self.cursor = cursor
-        self.send_step = send_step
-        self.attempt = 0
-        self.deliver_at: Optional[int] = None
-        self.retry_at: Optional[int] = None
-        self.copies = 1
-
-
 class SoakHarness:
     """Drives one seeded churn & soak run; see the module docstring."""
 
@@ -222,10 +208,15 @@ class SoakHarness:
         self.plan: ChurnPlan = plan_events(
             self.fed, config.steps, updates_per_step=config.updates_per_step
         )
-        self.faults = config.faults or FaultPlan(
-            seed=config.seed, default=DEFAULT_CHANNEL_FAULTS
+        # A private copy: churn outages are written into its channel table,
+        # and the caller's plan must come back unchanged.
+        self.faults = copy.copy(
+            config.faults or FaultPlan(seed=config.seed, default=DEFAULT_CHANNEL_FAULTS)
         )
-        self.step = 0
+        self.faults.channels = dict(self.faults.channels)
+        #: The run's one clock and event queue: announcements and shipped
+        #: WAL records all travel on it.
+        self.sim = Simulator(fault_plan=self.faults)
         self.members: set = set(self.plan.initial_members)
         self.stats = SoakStats()
         self.result = SoakResult(
@@ -250,10 +241,11 @@ class SoakHarness:
                     backend="sqlite",
                 )
             )
-        self.links: Dict[str, SoakLink] = {
-            name: SoakLink(self.sources[name], self) for name in sorted(self.sources)
-        }
-        self.in_flight: Dict[str, List[_Message]] = {}
+        self.links: Dict[str, ReliableChannelLink] = {}
+        # Links a re-wire replaced; kept for their transport counters.
+        self._retired_links: List[ReliableChannelLink] = []
+        for name in sorted(self.sources):
+            self._wire(name)
         self._update_counts: Dict[str, int] = {}
         self._fresh_keys: Dict[str, int] = {}
         self._live_rows: Dict[str, List[Tuple[int, int, int]]] = {
@@ -298,6 +290,11 @@ class SoakHarness:
             )
             self._rebuild_replication()
 
+    @property
+    def step(self) -> int:
+        """The current step: the simulator's clock in whole time units."""
+        return int(self.sim.now)
+
     # ------------------------------------------------------------------
     # Read replicas
     # ------------------------------------------------------------------
@@ -318,7 +315,7 @@ class SoakHarness:
             self.stats.replica_rebuilds += 1
         self.shipper = WalShipper(
             self.durability,
-            faults=self.faults,
+            simulator=self.sim,
             policy=BackoffPolicy(),
             tracer=self.tracer,
         )
@@ -336,10 +333,11 @@ class SoakHarness:
                 key_based_enabled=self.config.key_based_enabled,
             )
             self.replicas.append(replica)
-            self.shipper.attach_replica(replica, now=float(self.step))
+            self.shipper.attach_replica(replica)
 
     def _tick_replication(self) -> None:
-        """Advance shipping one step and check every replica's lag SLO."""
+        """Heal and heartbeat the fleet (its records move on the shared
+        simulator), then check every replica's lag SLO."""
         if self.shipper is None:
             return
         now = float(self.step)
@@ -369,7 +367,30 @@ class SoakHarness:
     # ------------------------------------------------------------------
     # Link plumbing
     # ------------------------------------------------------------------
+    def _wire(self, name: str) -> None:
+        """Connect one source to the mediator over a fresh transport.
+
+        Re-wiring (the source left, or the mediator crashed) abandons the
+        old transport's in-flight and unacked messages: their payloads are
+        in the source's log, re-attach backfill or recovery catch-up reads
+        them there, and a stale copy delivered later would double-apply.
+        """
+        old = self.links.get(name)
+        if old is not None:
+            old.sender.forget_all()
+            self._retired_links.append(old)
+        self.links[name] = ReliableChannelLink(
+            self.sim,
+            self.sources[name],
+            True if old is None else old.announces,
+            # Late-bound: crash recovery replaces the mediator.
+            lambda *args, **meta: self.mediator.enqueue_update(*args, **meta),
+            RETRY_NEXT_STEP,
+            tracer=self.tracer,
+        )
+
     def _install_links(self) -> None:
+        """Hand the mediator the harness's links, announce flags current."""
         for name in self.mediator.sources:
             link = self.links[name]
             kind = self.mediator.contributor_kinds.get(name)
@@ -377,106 +398,31 @@ class SoakHarness:
             self.mediator.links[name] = link
         self.mediator.vap.links = dict(self.mediator.links)
 
-    def deliver_direct(self, source: str, delta: SetDelta, cursor: int) -> None:
-        """Deliver one just-flushed announcement synchronously (poll path)."""
-        self.mediator.enqueue_update(
-            source,
-            delta,
-            send_time=float(self.step),
-            arrival_time=float(self.step),
-            seq=cursor,
-            cursor=cursor,
-        )
-        self.stats.messages_sent += 1
-        self.stats.messages_delivered += 1
-
-    def expedite(self, source: str) -> None:
-        """Force-deliver every in-flight message for one source, in order."""
-        pending = self.in_flight.pop(source, None)
-        if not pending:
-            return
-        for msg in sorted(pending, key=lambda m: m.seq):
-            self._deliver(msg)
+    def _set_outages(self, name: str, windows: Tuple[OutageWindow, ...]) -> None:
+        faults = self.faults.faults_for(name)
+        if faults.outages != windows:
+            self.faults.channels[name] = dataclasses.replace(faults, outages=windows)
 
     # ------------------------------------------------------------------
     # Messaging
     # ------------------------------------------------------------------
-    def _deliver(self, msg: _Message) -> None:
-        for _ in range(max(1, msg.copies)):
-            self.mediator.enqueue_update(
-                msg.source,
-                msg.delta,
-                send_time=float(msg.send_step),
-                arrival_time=float(self.step),
-                seq=msg.seq,
-                cursor=msg.cursor,
-            )
-            self.stats.messages_delivered += 1
-
-    def _transmit(self, msg: _Message) -> None:
-        """Decide one physical transmission's fate per the fault plan."""
-        decision = self.faults.decide(
-            msg.source, msg.seq, msg.attempt, now=float(self.step)
-        )
-        if decision.drop:
-            self.stats.messages_dropped += 1
-            msg.attempt += 1
-            msg.retry_at = self.step + 1
-            msg.deliver_at = None
-        else:
-            msg.retry_at = None
-            msg.deliver_at = self.step + int(round(decision.extra_delay))
-            msg.copies = 1 + decision.duplicates
-            self.stats.duplicates += decision.duplicates
-
-    def _pump(self) -> None:
-        """Take announcements from reachable announcing members and move
-        the in-flight mail one step forward."""
+    def _send_pending(self) -> None:
+        """Every reachable announcing member sends its pending net update
+        (a down link sends nothing; its pending update accumulates)."""
         for name in sorted(self.members):
-            kind = self.mediator.contributor_kinds.get(name)
-            if not (kind and kind.announces):
-                continue
-            if not self.links[name].is_available():
-                continue  # a down link sends nothing; pending accumulates
-            delta, cursor = self.sources[name].take_announcement_versioned()
-            if delta is None:
-                continue
-            msg = _Message(name, cursor, delta, cursor, self.step)
-            self.stats.messages_sent += 1
-            self._transmit(msg)
-            self.in_flight.setdefault(name, []).append(msg)
-        for name in sorted(self.in_flight):
-            remaining: List[_Message] = []
-            for msg in sorted(self.in_flight[name], key=lambda m: m.seq):
-                if msg.retry_at is not None and self.step >= msg.retry_at:
-                    self.stats.retransmissions += 1
-                    self._transmit(msg)
-                # Head-of-line blocking restores Section 4's per-source
-                # in-order contract across steps: once one message is held
-                # back (dropped awaiting retry, or delayed), every
-                # later-seq sibling waits behind it.  Without this, a
-                # delayed insert can be overtaken by the matching delete —
-                # the queue's in-queue reorder defense cannot help when the
-                # earlier message is still on the wire at flush time, and
-                # the reversed fold corrupts leaf-parent bag
-                # multiplicities.  (The replication path gets the same
-                # guarantee from :class:`~repro.faults.ReliableInbox`.)
-                if (
-                    not remaining
-                    and msg.deliver_at is not None
-                    and self.step >= msg.deliver_at
-                ):
-                    self._deliver(msg)
-                else:
-                    remaining.append(msg)
-            if remaining:
-                self.in_flight[name] = remaining
-            else:
-                self.in_flight.pop(name, None)
+            link = self.links[name]
+            if link.announces and link.is_available():
+                link.announce()
 
-    def _drain_network(self) -> None:
-        for name in sorted(self.in_flight):
-            self.expedite(name)
+    def _count_network(self) -> None:
+        """Read the network counters off every transport this run wired."""
+        links = self._retired_links + list(self.links.values())
+        stats = self.stats
+        stats.messages_sent = sum(link.sender.sent for link in links)
+        stats.messages_delivered = sum(link.inbox.delivered for link in links)
+        stats.messages_dropped = sum(link.channel.messages_dropped for link in links)
+        stats.retransmissions = sum(link.sender.retransmits for link in links)
+        stats.duplicates = sum(link.channel.messages_duplicated for link in links)
 
     # ------------------------------------------------------------------
     # Churn events
@@ -505,11 +451,11 @@ class SoakHarness:
         if name not in self.sources:
             spec = self.fed.spec_text_for([name])
             self.sources.update(make_sources(spec, self.fed.initial_data([name])))
-            self.links[name] = SoakLink(self.sources[name], self)
+            self._wire(name)
             self._live_rows[name] = list(self.fed.initial_rows(name))
         views, annotations = self.fed.attach_payload(name, sorted(self.members))
         link = self.links[name]
-        link.down_until = None
+        self._set_outages(name, ())
         try:
             result = self.mediator.attach_source(
                 self.sources[name], views, annotations, link=link
@@ -518,12 +464,13 @@ class SoakHarness:
             # The plan never schedules a join during a *planned* outage,
             # but crash/recovery timing can still leave a partner down at
             # backfill time; model the join as waiting out the outage.
-            for other in self.links.values():
-                other.down_until = None
+            for other in self.links:
+                self._set_outages(other, ())
             result = self.mediator.attach_source(
                 self.sources[name], views, annotations, link=link
             )
         self.members.add(name)
+        self._install_links()
         self.reflected_floor[name] = self.step
         self.stats.attaches += 1
         self.stats.backfill_rows += result.backfill_rows
@@ -534,7 +481,8 @@ class SoakHarness:
     def _detach(self, name: str) -> None:
         self.mediator.detach_source(name)
         self.members.discard(name)
-        self.in_flight.pop(name, None)
+        self._wire(name)
+        self._install_links()
         self.stats.detaches += 1
         self._rebuild_replication()
 
@@ -550,7 +498,8 @@ class SoakHarness:
                 elif event.kind == "join" and event.source not in self.members:
                     self._attach(event.source)
                 elif event.kind == "outage" and event.source in self.members:
-                    self.links[event.source].down_until = self.step + event.duration
+                    window = OutageWindow(self.step, self.step + event.duration)
+                    self._set_outages(event.source, (window,))
                     self.stats.outages += 1
                 elif event.kind == "update" and event.source in self.sources:
                     # Detached sources keep committing — re-attach backfills
@@ -563,40 +512,32 @@ class SoakHarness:
     # Crash / recovery
     # ------------------------------------------------------------------
     def _recover(self) -> None:
-        self.stats.crashes += 1
         if self.durability is not None:
             self.durability.close()
-        # In-flight payloads are already in the source logs; recovery's
-        # catch-up replays them from there, so delivering stale copies
-        # afterwards would be wrong.
-        self.in_flight.clear()
-        annotated = build_annotated_from_spec(
-            self.fed.spec_text_for(sorted(self.members))
-        )
-        member_sources = {n: self.sources[n] for n in sorted(self.members)}
-        member_links = {n: self.links[n] for n in sorted(self.members)}
-        recovery = RecoveryManager(self.durability_dir).recover(
-            annotated,
-            member_sources,
+        members = sorted(self.members)
+        for name in members:
+            self._wire(name)
+        manager, recoveries, again = restart_after_crash(
+            self.durability_dir,
+            build_annotated_from_spec(self.fed.spec_text_for(members)),
+            {n: self.sources[n] for n in members},
+            crash_schedule=self.durability.crash_schedule if self.durability else None,
             on_stale="reinit",
-            links=member_links,
+            links={n: self.links[n] for n in members},
             eca_enabled=self.config.eca_enabled,
             key_based_enabled=self.config.key_based_enabled,
             tracer=self.tracer,
         )
-        self.mediator = recovery.mediator
+        self.stats.crashes += 1 + len(again)
+        self.stats.recoveries += len(recoveries)
+        self.durability = manager
+        self.mediator = manager.mediator
         self._install_links()
         self.mediator.metrics.register_stats("soak", self.stats)
-        self.durability = DurabilityManager.attach(
-            self.mediator,
-            self.durability_dir,
-            crash_schedule=self.durability.crash_schedule if self.durability else None,
-        )
         # Recovery's catch-up replays every member's source log to its
         # current end, so every member's state is known reflected as of now.
-        for name in self.members:
+        for name in members:
             self.reflected_floor[name] = self.step
-        self.stats.recoveries += 1
         # The shipper's tap died with the old durability manager; rebuild
         # the fleet against the recovered one.
         self._rebuild_replication()
@@ -647,30 +588,19 @@ class SoakHarness:
     # Convergence checkpoints
     # ------------------------------------------------------------------
     def _quiesce(self) -> bool:
-        for link in self.links.values():
-            link.down_until = None
+        for name in self.links:
+            self._set_outages(name, ())
         for _ in range(200):
-            self._drain_network()
-            pumped_any = False
             for name in sorted(self.members):
-                kind = self.mediator.contributor_kinds.get(name)
-                if not (kind and kind.announces):
-                    continue
-                delta, cursor = self.sources[name].take_announcement_versioned()
-                if delta is not None:
-                    self.deliver_direct(name, delta, cursor)
-                    pumped_any = True
+                if self.links[name].announces:
+                    self.links[name].flush_before_answer()
+            idle = self.mediator.queue.is_empty()
             try:
                 result = self.mediator.run_update_transaction()
             except SimulatedCrash:
                 self._recover()
                 continue
-            if (
-                not pumped_any
-                and result.was_empty
-                and not result.deferred
-                and self.mediator.queue.is_empty()
-            ):
+            if idle and not result.deferred and self.mediator.queue.is_empty():
                 return True
         return False
 
@@ -723,7 +653,7 @@ class SoakHarness:
         # primary's, node for node.  (Repos, not exports: bulk-tier
         # exports are virtual, and a replica never polls a source.)
         if self.shipper is not None:
-            self.shipper.drain(float(step))
+            self.shipper.drain()
             primary_repos = self.mediator.store.repos()
             for replica in self.replicas:
                 assert replica.mediator is not None
@@ -756,18 +686,21 @@ class SoakHarness:
     def run(self) -> SoakResult:
         """Execute the whole schedule; returns the populated result."""
         for step in range(self.config.steps):
-            self.step = step
+            self.sim.run_until(step)  # due deliveries and retransmissions
             self._apply_events()
-            self._pump()
+            self._send_pending()
+            self.sim.run_until(step)
             self._run_txn()
             self._tick_replication()
+            self._count_network()
             self._check_slo()
             self.result.steps_run = step + 1
             if (step + 1) % self.config.checkpoint_every == 0:
                 self._check_convergence()
         if self.config.steps % self.config.checkpoint_every != 0:
-            self.step = self.config.steps
+            self.sim.run_until(self.config.steps)
             self._check_convergence()
+        self._count_network()
         self.result.final_members = tuple(sorted(self.members))
         self.result.metrics = {
             name: value

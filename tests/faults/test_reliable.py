@@ -237,3 +237,50 @@ def test_reordered_arrivals_released_in_sequence_order():
     sim.run_until(60.0)
     assert [e.payload for e in released] == [f"m{i}" for i in range(8)]
     assert sender.unacked_count() == 0
+
+
+def test_every_new_message_starts_at_base_timeout():
+    """The attempt counter is per message: after one message escalated to
+    the cap, the next one's first retransmission still waits only
+    ``base_timeout`` (the property a stream-lifetime counter would lose)."""
+    sim, channel, sender, inbox, released = env(
+        faults=ChannelFaults(drop_rate=1.0),
+        fault_free_after_attempt=3,
+        backoff=BackoffPolicy(base_timeout=1.0, multiplier=2.0, max_backoff=4.0),
+    )
+    sender.send("first")
+    sim.run_until(20.0)  # checks at 1, 3, 7: the last two waits hit the cap
+    assert sender.retransmits == 3 and len(released) == 1
+    sender.send("second")  # t=20, attempt 0 drops
+    sim.run_until(20.9)
+    assert sender.retransmits == 3
+    sim.run_until(21.0)  # base_timeout later, not max_backoff
+    assert sender.retransmits == 4
+
+
+def test_forget_all_cancels_the_wire_and_the_buffer():
+    sim, channel, sender, inbox, released = env(
+        faults=ChannelFaults(drop_rate=0.5), seed=3
+    )
+    for i in range(6):
+        sender.send(i)
+    assert sender.next_seq == 6
+    sender.forget_all()
+    assert channel.in_flight_count() == 0 and sender.unacked_count() == 0
+    sim.run_until(60.0)
+    assert released == [] and sender.retransmits == 0
+
+
+def test_forget_oldest_leaves_a_gap_only_a_resync_can_fill():
+    sim, channel, sender, inbox, released = env()
+    assert sender.forget_oldest() == -1  # nothing sent yet
+    sender.send("a")
+    sender.send("b")
+    assert sender.holds(0) and sender.holds(1)
+    assert sender.forget_oldest() == 0  # the copy on the wire goes too
+    assert not sender.holds(0) and sender.holds(1)
+    assert channel.in_flight_count() == 1
+    sim.run_until(30.0)
+    # "b" arrived and waits behind "a", which nobody can send again.
+    assert released == [] and inbox.pending_gap()
+    assert inbox.next_seq == 0 < sender.next_seq and not sender.holds(inbox.next_seq)

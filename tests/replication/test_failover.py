@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.faults import ChannelFaults, CrashPoint, FaultPlan
+from repro.faults import ChannelFaults, CrashPoint, FaultPlan, OutageWindow
 from repro.obs import Tracer
 from repro.replication import ReplicationHarness
 
@@ -70,12 +70,17 @@ def test_promotion_recovers_txns_compacted_out_of_the_wal():
     lagging may need transactions that survive *only* in the newest
     checkpoint chain — promotion must re-baseline from it, not silently
     skip from its own floors to the on-disk tail."""
+    # The replica's link goes down at t=5 and stays down: it is still on
+    # an early txn when the txn-8 checkpoint compacts the WAL and the
+    # primary dies at txn 10.
     faults = FaultPlan(
-        seed=0, channels={"ship:replica-0": ChannelFaults(drop_rate=0.4)}
+        channels={
+            "ship:replica-0": ChannelFaults(outages=(OutageWindow(5.0, 100.0),))
+        }
     )
     h = ReplicationHarness(
         replicas=1,
-        seed=178,
+        seed=0,
         faults=faults,
         crash_points=[CrashPoint(10, "post-wal-append")],
         heartbeat_timeout=3.0,

@@ -1,6 +1,6 @@
 """WAL shipping: clean streaming, faulted channels, gap healing, tracing."""
 
-from repro.faults import ChannelFaults, FaultPlan
+from repro.faults import BackoffPolicy, ChannelFaults, FaultPlan, OutageWindow
 from repro.obs import Tracer
 from repro.replication import ReplicationHarness
 
@@ -71,6 +71,76 @@ def test_injected_gap_heals_by_checkpoint_resync():
         assert h.primary.replication.replica_resyncs > resyncs_before
         assert h.replicas[0].resyncs >= 2  # bootstrap + at least one heal
         assert not h.replicas[0].needs_resync
+    finally:
+        h.close()
+
+
+def test_exhausted_retry_budget_heals_by_checkpoint_resync():
+    """The other way a stream gets a permanent gap: the sender gives a
+    record up.  Same predicate as ``inject_gap`` — the inbox needs a seq
+    the sender no longer holds — same heal."""
+    tracer = Tracer(enabled=True)
+    faults = FaultPlan(
+        channels={"ship:replica-0": ChannelFaults(outages=(OutageWindow(2.0, 6.0),))}
+    )
+    h = ReplicationHarness(
+        replicas=1,
+        seed=7,
+        faults=faults,
+        policy=BackoffPolicy(base_timeout=1.0, max_retries=1),
+        tracer=tracer,
+    )
+    try:
+        h.run(commits=2)
+        resyncs_before = h.primary.replication.replica_resyncs
+        h.run(commits=8)  # t=2..5 ship into the outage and are abandoned
+        assert h.shipper.streams["replica-0"].sender.abandoned == 0  # a new stream
+        assert h.primary.replication.replica_resyncs > resyncs_before
+        gaps = [r for r in tracer.records() if r.get("name") == "replica_gap"]
+        assert gaps and gaps[0]["attrs"]["replica"] == "replica-0"
+        h.assert_converged()
+        assert not h.replicas[0].needs_resync
+    finally:
+        h.close()
+
+
+def test_backoff_restarts_at_base_timeout_after_an_outage():
+    """A replica cut off long enough for retransmissions to reach
+    ``max_backoff`` is not pinned there: once the link is back its lag
+    returns to 0, and the next lost record is retried ``base_timeout``
+    later."""
+    tracer = Tracer(enabled=True)
+    faults = FaultPlan(
+        channels={
+            "ship:replica-0": ChannelFaults(
+                outages=(OutageWindow(2.0, 12.0), OutageWindow(20.0, 20.5))
+            )
+        }
+    )
+    h = ReplicationHarness(
+        replicas=1,
+        seed=2,
+        faults=faults,
+        policy=BackoffPolicy(base_timeout=1.0, multiplier=2.0, max_backoff=3.0),
+        tracer=tracer,
+    )
+    try:
+        replica = h.replicas[0]
+        h.run(commits=12)
+        assert replica.lag(float(h.step)) > 0.0  # still cut off at t=12
+        attempts = [
+            r["attrs"]["attempt"]
+            for r in tracer.records()
+            if r.get("name") == "fault_retransmit"
+        ]
+        assert max(attempts) >= 4  # waits of 1, 2, 3, 3: the cap was reached
+        h.run(commits=8)
+        assert h.step == 20 and replica.lag(20.0) == 0.0
+        h.commit()  # shipped at t=20.0, inside the second window: lost
+        assert replica.applied_txn == h.durability._txn - 1
+        h.tick()  # t=21.0 = one base_timeout later
+        assert replica.applied_txn == h.durability._txn
+        assert replica.lag(21.0) == 0.0
     finally:
         h.close()
 

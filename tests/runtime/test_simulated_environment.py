@@ -10,9 +10,17 @@ import random
 import pytest
 
 from repro.core import annotate
-from repro.correctness import check_consistency, check_freshness, view_function_from_vdp
+from repro.correctness import (
+    assert_materialized_correct,
+    assert_view_correct,
+    check_consistency,
+    check_freshness,
+    view_function_from_vdp,
+)
 from repro.deltas import SetDelta
+from repro.durability import CheckpointPolicy, DurabilityManager, RecoveryManager
 from repro.errors import SimulationError
+from repro.faults import FaultPlan
 from repro.relalg import row
 from repro.sim import EnvironmentDelays
 from repro.runtime import SimulatedEnvironment
@@ -126,12 +134,10 @@ def test_announcements_batch_within_ann_delay():
     env.schedule_action(1.5, commit(1))
     env.schedule_action(2.5, commit(2))
     env.run_until(10.0)
-    assert env._channels["db1"].messages_sent == 1
+    assert env.links["db1"].channel.messages_sent == 1
     # All three rows made it into the view anyway.
     t = env.mediator.query_relation("T")
     assert env.mediator.store.repo("T").cardinality() >= 0  # smoke
-    from repro.correctness import assert_view_correct
-
     assert_view_correct(env.mediator)
 
 
@@ -215,3 +221,30 @@ def test_flush_period_must_be_positive():
     annotated = annotate(figure1_vdp(), {})
     with pytest.raises(SimulationError):
         SimulatedEnvironment(annotated, figure1_sources(), delays)
+
+
+@pytest.mark.parametrize("fault_plan", [None, FaultPlan()], ids=["plain", "reliable"])
+def test_channel_path_threads_source_log_cursors_into_the_wal(tmp_path, fault_plan):
+    """Regression: the channel links announced without the source-log
+    cursor, so a durable mediator behind a SimulatedEnvironment logged
+    ``cursor: null`` and recovery re-replayed every source transaction the
+    WAL already covered."""
+    env = build_env("ex21", ann=0.1, comm=0.1, hold=1.0, fault_plan=fault_plan)
+    manager = DurabilityManager.attach(
+        env.mediator, str(tmp_path), policy=CheckpointPolicy(every_txns=0, every_wal_bytes=0)
+    )
+    base = env.sources["db1"].txn_count
+    for k in range(6):
+        delta = SetDelta()
+        delta.insert("R", row(r1=7000 + k, r2=k, r3=k, r4=100))
+        env.schedule_transaction(1.0 + 2.0 * k, "db1", delta)
+    env.run_until(14.0)
+    cursors = [record.sources["db1"].cursor for record in manager.wal.records]
+    assert cursors == [base + k for k in range(1, 7)]
+    manager.close()
+
+    recovery = RecoveryManager(str(tmp_path)).recover(env.mediator.annotated, env.sources)
+    assert recovery.wal_records_replayed == 6
+    assert recovery.replayed_txns == 0  # nothing past the WAL's cursors
+    assert_materialized_correct(recovery.mediator)
+    assert_view_correct(recovery.mediator)

@@ -150,3 +150,21 @@ def test_simulator_fault_plan_is_inherited_by_channels():
     sim.run_until(5.0)
     assert received == []
     assert channel.messages_dropped == 1
+
+
+def test_discard_in_flight_cancels_deliveries_without_delivering():
+    sim = Simulator()
+    received = []
+    channel = Channel(sim, 1.0, deliver=lambda m, st: received.append(m), name="ch")
+    for message in ("a", "b", "c"):
+        channel.send(message)
+    channel.discard_in_flight(lambda message: message == "b")
+    assert channel.in_flight_count() == 2
+    sim.run_until(2.0)
+    assert received == ["a", "c"]
+    channel.send("d")
+    channel.send("e")
+    channel.discard_in_flight()
+    assert channel.in_flight_count() == 0
+    sim.run_until(10.0)
+    assert received == ["a", "c"] and channel.messages_delivered == 2

@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+from repro.faults import OutageWindow
 from repro.soak import SoakConfig, run_soak, slo_report, write_slo_report
 from repro.soak.harness import SoakHarness
 
@@ -41,6 +42,24 @@ def test_soak_with_crash_points_recovers_and_converges():
     assert result.stats.recoveries == result.stats.crashes
 
 
+def test_crash_during_post_recovery_reattach_restarts_recovery():
+    """Regression: the torn-wal crash at txn 4 recovers to txn 3, and the
+    re-attach's re-base checkpoint then hits the txn-3 mid-checkpoint
+    crash point — which used to escape the run instead of restarting
+    recovery (``repro.durability.restart_after_crash``)."""
+    result = run_soak(
+        SoakConfig(
+            sources=8,
+            seed=5,
+            steps=12,
+            checkpoint_every=6,
+            crash_points=((4, "torn-wal"), (3, "mid-checkpoint")),
+        )
+    )
+    assert result.ok, (result.convergence_violations, result.slo_violations)
+    assert result.stats.crashes == result.stats.recoveries == 2
+
+
 def test_soak_is_deterministic_for_a_seed():
     config = SoakConfig(sources=8, seed=9, steps=10, checkpoint_every=5)
     first = run_soak(config)
@@ -64,12 +83,13 @@ def test_join_while_partner_link_down_waits_out_outage_and_converges():
     assert (partner, joiner) in harness.fed.joins or (joiner, partner) in harness.fed.joins
 
     harness._detach(joiner)
-    harness.links[partner].down_until = harness.step + 10_000
+    harness._set_outages(partner, (OutageWindow(0.0, 10_000.0),))
+    assert not harness.links[partner].is_available()
     harness._attach(joiner)
 
-    # down_until is cleared for *partner* links only by the retry branch,
-    # so this proves the first attempt failed and the retry succeeded.
-    assert harness.links[partner].down_until is None
+    # Outages on *partner* links are cleared only by the retry branch, so
+    # this proves the first attempt failed and the retry succeeded.
+    assert harness.links[partner].is_available()
     assert joiner in harness.members
     assert harness.stats.attaches == 1
     harness._check_convergence()
