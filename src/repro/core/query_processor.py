@@ -107,10 +107,15 @@ class QueryProcessor:
                 else:
                     raise MediatorError(f"no data available for relation {ref!r}")
             schemas = {alias: rel.schema.rename_relation(alias) for alias, rel in catalog.items()}
-            evaluator = Evaluator(catalog, schemas=schemas, counters=self.store.counters)
-            with tracer.span("query_evaluate"):
+            counters = self.store.counters
+            evaluator = Evaluator(catalog, schemas=schemas, counters=counters)
+            scanned = counters.rows_scanned
+            with tracer.span("query_evaluate") as evaluate_span:
                 answer = evaluator.evaluate(expr, name)
-            span.set(rows=answer.cardinality(), virtual=bool(uncovered))
+            if tracer.enabled:
+                rows = answer.cardinality()
+                evaluate_span.set(rows_scanned=counters.rows_scanned - scanned, rows_out=rows)
+                span.set(rows=rows, virtual=bool(uncovered))
             return answer
 
     def query_relation(

@@ -33,10 +33,12 @@ terms, with earlier occurrences read post-update and later ones pre-update.
 **Compiled rules.**  Everything about a rule that does not depend on the
 data is resolved once, at rule construction, by :class:`CompiledSPJ`: the
 rewritten delta expressions per occurrence and sign, the per-relation
-renamed schemas, and the per-join plans (equi-key extraction, projection
-maps, residual predicates, index probe specs — see
-:func:`repro.relalg.plan_join`).  A ``fire()`` then only splits the delta,
-extends the catalog, and evaluates the precompiled terms — probing the
+renamed schemas, the per-join plans (equi-key extraction, compiled residual
+predicates, index probe specs — see :func:`repro.relalg.plan_join`) and the
+fused select/project/rename chains with their compiled selections
+(:func:`repro.relalg.compile_scan_chain`).  A ``fire()`` then only splits
+the delta, extends the catalog, and evaluates the precompiled terms —
+compiling nothing, and probing the
 persistent join indexes that :class:`~repro.core.local_store.LocalStore`
 maintains on sibling repositories, so steady-state propagation work scales
 with |delta|, not |database|.
@@ -57,12 +59,12 @@ from repro.relalg import (
     Expression,
     Join,
     JoinPlan,
+    ProbeSpec,
     Project,
     Relation,
     Rename,
     RelationSchema,
     Scan,
-    ScanChain,
     Select,
     SetRelation,
     Union,
@@ -123,13 +125,6 @@ def _replace_occurrences(
     raise VDPError(f"unsupported node in rule rewriting: {type(expr).__name__}")
 
 
-def _collect_joins(expr: Expression, out: List[Join]) -> None:
-    if isinstance(expr, Join):
-        out.append(expr)
-    for child in expr.children():
-        _collect_joins(child, out)
-
-
 def _delta_parts(
     delta: BagDelta, relation: str, schema: RelationSchema
 ) -> Tuple[BagRelation, BagRelation]:
@@ -157,7 +152,8 @@ class CompiledSPJ:
       captured from the first catalog seen and cached;
     * one :class:`~repro.relalg.JoinPlan` per join in every term, including
       the probe specs that let the evaluator answer a sibling side from a
-      persistent index.
+      persistent index, and one :class:`~repro.relalg.ScanChain` per
+      select/project/rename stack over a scan.
 
     ``delta()`` is then a pure per-delta computation.
     """
@@ -199,7 +195,7 @@ class CompiledSPJ:
             for alias in (self.pos_name, self.neg_name, self.new_name)
         }
         self._schemas: Dict[str, RelationSchema] = dict(self._alias_schemas)
-        self._join_plans: Optional[Dict[int, JoinPlan]] = None
+        self._plans: Optional[Dict[int, object]] = None
         if schemas is not None:
             for name in part.relation_names():
                 self._schemas[name] = schemas[name].rename_relation(name)
@@ -208,10 +204,21 @@ class CompiledSPJ:
 
     # ------------------------------------------------------------------
     def _compile_plans(self) -> None:
-        joins: List[Join] = []
-        for rewritten, _ in self.terms:
-            _collect_joins(rewritten, joins)
-        self._join_plans = {id(j): plan_join(j, self._schemas) for j in joins}
+        """Plan every node the evaluator would otherwise plan per fire: a
+        JoinPlan per join, a ScanChain (or None) per chain candidate."""
+        plans = self._plans = {}
+        pending = [rewritten for rewritten, _ in self.terms]
+        while pending:
+            expr = pending.pop()
+            if isinstance(expr, Join):
+                plans[id(expr)] = plan_join(expr, self._schemas)
+            elif not isinstance(expr, (Union, Difference)):
+                chain = plans[id(expr)] = compile_scan_chain(expr, self._schemas)
+                if chain is not None:
+                    continue
+                if isinstance(expr, Select):
+                    expr.predicate.compiled()  # evaluated outside a chain: warm it here
+            pending.extend(expr.children())
 
     def _schemas_for(self, extended: Mapping[str, Relation]) -> Mapping[str, RelationSchema]:
         """The renamed-schema catalog; lazily completed from ``extended``.
@@ -237,7 +244,9 @@ class CompiledSPJ:
         repositories or temporaries benefit from persistent indexes.
         """
         out: Dict[str, Set[Tuple[str, ...]]] = {}
-        for plan in (self._join_plans or {}).values():
+        for plan in (self._plans or {}).values():
+            if not isinstance(plan, JoinPlan):
+                continue
             for spec in (plan.left_probe, plan.right_probe):
                 if spec is None or spec.base.startswith(DELTA_ALIAS_PREFIX):
                     continue
@@ -267,13 +276,11 @@ class CompiledSPJ:
             extended[self.new_name] = new_rel
 
         schemas = self._schemas_for(extended)
-        if self._join_plans is None:
+        if self._plans is None:
             self._compile_plans()
 
         result = BagDelta()
-        evaluator = Evaluator(
-            extended, schemas=schemas, counters=counters, join_plans=self._join_plans
-        )
+        evaluator = Evaluator(extended, schemas=schemas, counters=counters, plans=self._plans)
         for rewritten, sign in self.terms:
             contribution = evaluator.evaluate(rewritten, self.parent)
             for r, n in contribution.items():
@@ -413,22 +420,6 @@ class BagNodeRule:
         return {}
 
 
-@dataclass(frozen=True)
-class _ProbePlan:
-    """A difference operand lowered to index probes over its base relation.
-
-    ``out_to_base`` maps every operand-output attribute to the base column
-    it is sourced from; ``index_keys`` is the canonical (sorted,
-    de-duplicated) base-attribute tuple a persistent index must cover so
-    that the support count of one output row can be answered by probing
-    the bucket and re-applying the chain — no full operand re-evaluation.
-    """
-
-    chain: ScanChain
-    out_to_base: Tuple[Tuple[str, str], ...]
-    index_keys: Tuple[str, ...]
-
-
 @dataclass
 class SetNodeRule:
     """Rule for an edge into a set (difference) node.
@@ -436,9 +427,11 @@ class SetNodeRule:
     Construction hoists everything per-fire work used to rebuild: the
     renamed-schema catalog, the per-side operand :class:`CompiledSPJ`
     instances, and the old-operand/other-side expressions.  When both
-    operands of a side are select/project/rename chains whose output
-    attributes trace back to base columns, a :class:`_ProbePlan` pair is
-    compiled as well; ``fire`` uses it whenever the catalog relations
+    operands of a side are select/project/rename chains, a pair of
+    :class:`~repro.relalg.ProbeSpec` is compiled as well — the support count
+    of one operand-output row is then answered by probing the base
+    relation's bucket for that row's values and re-applying the chain, with
+    no full operand re-evaluation; ``fire`` uses it whenever the catalog relations
     carry the matching indexes (declared through
     :meth:`probe_index_requirements`), replacing the two full operand
     evaluations per firing with per-delta-row index probes.
@@ -461,29 +454,18 @@ class SetNodeRule:
             for name in self.definition.relation_names():
                 self._eval_schemas[name] = self.schemas[name].rename_relation(name)
             self._eval_schemas[self.child] = self.child_schema.rename_relation(self.child)
-        self._probe_plans: List[Tuple[Optional[_ProbePlan], Optional[_ProbePlan]]] = [
+        self._probe_plans: List[Tuple[Optional[ProbeSpec], Optional[ProbeSpec]]] = [
             (self._probe_plan(operand), self._probe_plan(other))
             for _, operand, other in self._sides
         ]
 
-    def _probe_plan(self, expr: Expression) -> Optional[_ProbePlan]:
+    def _probe_plan(self, expr: Expression) -> Optional[ProbeSpec]:
         if not self._eval_schemas:
             return None  # lazily-compiled rule: no schemas to trace through
-        chain = compile_scan_chain(expr)
+        chain = compile_scan_chain(expr, self._eval_schemas)
         if chain is None or chain.base.startswith(DELTA_ALIAS_PREFIX):
             return None
-        try:
-            out_schema = expr.infer_schema(self._eval_schemas, "operand")
-        except Exception:
-            return None
-        pairs: List[Tuple[str, str]] = []
-        for a in out_schema.attribute_names:
-            b = chain.to_base(a)
-            if b is None:
-                return None
-            pairs.append((a, b))
-        index_keys = tuple(sorted({b for _, b in pairs}))
-        return _ProbePlan(chain, tuple(pairs), index_keys)
+        return ProbeSpec.over(chain, tuple(chain.outmap.items()))
 
     def _schemas_for(self, catalog: Mapping[str, Relation]) -> Dict[str, RelationSchema]:
         for name, rel in catalog.items():
@@ -510,8 +492,8 @@ class SetNodeRule:
         for (side, operand, other), compiled, (op_plan, other_plan) in zip(
             self._sides, self._compiled, self._probe_plans
         ):
-            op_rel = self._probe_target(op_plan, catalog)
-            other_rel = self._probe_target(other_plan, catalog)
+            op_rel = None if op_plan is None else op_plan.target(catalog)
+            other_rel = None if other_plan is None else other_plan.target(catalog)
             if op_rel is not None and other_rel is not None:
                 # Probe path: support counts answered from persistent
                 # indexes, touching only base rows matching the delta rows.
@@ -560,39 +542,23 @@ class SetNodeRule:
     # ------------------------------------------------------------------
     # Probe fast path
     # ------------------------------------------------------------------
-    def _probe_target(
-        self, plan: Optional[_ProbePlan], catalog: Mapping[str, Relation]
-    ) -> Optional[Relation]:
-        """The base relation, iff it carries the index this plan probes."""
-        if plan is None:
-            return None
-        rel = catalog.get(plan.chain.base)
-        if rel is None or not rel.has_index(plan.index_keys):
-            return None
-        return rel
-
     def _probe_count(
         self,
-        plan: _ProbePlan,
+        plan: ProbeSpec,
         rel: Relation,
         row: Row,
         counters: Optional[EvalCounters],
     ) -> int:
         """The operand-support multiplicity of ``row``, via one index probe."""
-        values: Dict[str, object] = {}
-        for a, b in plan.out_to_base:
-            v = row[a]
-            if b in values:
-                if values[b] != v:
-                    return 0  # two output attrs demand different base values
-            else:
-                values[b] = v
-        probe = tuple(values[k] for k in plan.index_keys)
+        probe = plan.key_for(row)
+        if probe is None:
+            return 0  # two output attrs demand different base values
         if counters is not None:
             counters.index_probes += 1
+        outmap = plan.chain.outmap_over(rel.schema)
         total = 0
         for br, bn in rel.index_lookup(plan.index_keys, probe):
-            if plan.chain.apply(br) == row:
+            if plan.chain.apply(br, outmap) == row:
                 total += bn
         return total
 
@@ -621,7 +587,7 @@ class SetNodeRule:
             if op_plan is None or other_plan is None:
                 continue  # fire() needs both sides probe-able to switch paths
             for plan in (op_plan, other_plan):
-                out.setdefault(plan.chain.base, set()).add(plan.index_keys)
+                out.setdefault(plan.base, set()).add(plan.index_keys)
         return out
 
 

@@ -428,6 +428,8 @@ class VirtualAttributeProcessor:
         """
         tracer = self.tracer
         with tracer.span("vap_construct") as span:
+            counters = self.store.counters
+            scanned, produced = counters.rows_scanned, counters.rows_produced
             temps: Dict[str, Relation] = dict(initial) if initial else {}
             polls = [p for p in planned if p.strategy == "poll"]
             internals = [p for p in reversed(planned) if p.strategy != "poll"]
@@ -452,7 +454,11 @@ class VirtualAttributeProcessor:
                     self.cache.store(plan.request, temps[plan.relation])
                     if tracer.enabled:
                         tracer.event("cache_store", relation=plan.relation)
-            span.set(built=len(planned))
+            span.set(
+                built=len(planned),
+                rows_scanned=counters.rows_scanned - scanned,
+                rows_out=counters.rows_produced - produced,
+            )
             return temps
 
     def _construct_polls(

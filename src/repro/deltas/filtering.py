@@ -34,6 +34,9 @@ class LeafParentFilter:
     predicate: Predicate = TRUE
     attrs: Optional[Tuple[str, ...]] = None
 
+    def __post_init__(self) -> None:
+        self.predicate.compiled()  # compile when the filter is built, not on its first delta
+
     @classmethod
     def from_chain(cls, target: str, chain) -> "LeafParentFilter":
         """Extract the filter from a leaf-parent definition chain.
@@ -85,8 +88,9 @@ class LeafParentFilter:
         whether other mediator nodes need the full rows.
         """
         out = SetDelta()
+        test = self.predicate.compiled()
         for rel, r, sign in delta.atoms():
-            if rel != self.source_relation or self.predicate.evaluate(r):
+            if rel != self.source_relation or test(r):
                 if sign > 0:
                     out.insert(rel, r)
                 else:

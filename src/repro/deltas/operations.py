@@ -115,8 +115,9 @@ def select_project(
         entries = ((r, s) for r, s in delta.atoms_for(relation))
     else:
         entries = delta.entries_for(relation)
+    test = None if isinstance(predicate, TruePredicate) else predicate.compiled()
     for r, n in entries:
-        if not predicate.evaluate(r):
+        if test is not None and not test(r):
             continue
         projected = r.project(attrs) if attrs is not None else r
         out.add(target, projected, n)

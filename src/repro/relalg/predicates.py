@@ -14,12 +14,18 @@ Predicates know which attributes they reference (needed by the
 attributes in the attribute sets it pushes down), can be evaluated against a
 :class:`~repro.relalg.tuples.Row`, can be renamed, and can be split into
 conjuncts (used for hash-join planning and for filtering deltas).
+
+``evaluate`` walks the tree and is the reference semantics; every evaluation
+site runs the **compiled** form (:meth:`Predicate.compiled`,
+:func:`compile_test`): one generated Python function per predicate *shape*,
+constants lifted into arguments, with the walker's truth values and errors.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro.errors import EvaluationError
@@ -49,6 +55,7 @@ __all__ = [
     "disjoin",
     "equi_join_pairs",
     "implies",
+    "compile_test",
 ]
 
 
@@ -162,6 +169,15 @@ class Predicate:
     def rename(self, mapping: Mapping[str, str]) -> "Predicate":
         """A copy with attribute references renamed."""
         raise NotImplementedError
+
+    def compiled(self) -> Callable[[Mapping[str, Any]], bool]:
+        """This predicate as a plain function of one row mapping: built on
+        first use and kept on the instance (see :func:`compile_test`)."""
+        test = self.__dict__.get("_test")
+        if test is None:
+            test = compile_test(self)
+            object.__setattr__(self, "_test", test)  # frozen dataclass: not a field
+        return test
 
     # boolean sugar
     def __and__(self, other: "Predicate") -> "Predicate":
@@ -291,6 +307,71 @@ class TruePredicate(Predicate):
 
 
 TRUE = TruePredicate()
+
+
+# ---------------------------------------------------------------------------
+# Compilation
+# ---------------------------------------------------------------------------
+_TEST_SOURCE = """\
+def make({consts}):
+    def test(r, s=None):
+        try:
+            return {body}
+        except KeyError as exc:
+            raise EvaluationError(f"row has no attribute {{exc.args[0]!r}}") from exc
+    return test
+"""
+
+
+#: Operators spelled differently in generated Python source.
+_PY_OPS = {"^": "**", "=": "=="}
+
+
+def _emit(node: Any, consts: List[Any], right: FrozenSet[str]) -> str:
+    """Python source for one term or predicate node; its constants are
+    appended to ``consts`` and named ``c0, c1, …`` in text order."""
+    kind = type(node)  # the grammar is closed: no subclasses to honour
+    if kind is Attr:
+        return f"{'s' if node.name in right else 'r'}[{node.name!r}]"
+    if kind is Const:
+        consts.append(node.value)
+        return f"c{len(consts) - 1}"
+    if kind is TruePredicate:
+        return "True"
+    if kind is Not:
+        return f"(not ({_emit(node.child, consts, right)}))"
+    left = _emit(node.left, consts, right)
+    if kind is And:
+        # Unparenthesised, so a long conjunction stays flat (every other
+        # node parenthesises itself; ``not`` parenthesises its operand).
+        return f"{left} and {_emit(node.right, consts, right)}"
+    op = "or" if kind is Or else _PY_OPS.get(node.op, node.op)
+    return f"({left} {op} {_emit(node.right, consts, right)})"
+
+
+@lru_cache(maxsize=1024)
+def _shape(body: str, n_consts: int) -> Callable[..., Callable[..., bool]]:
+    """The function factory for one predicate shape (constants are arguments)."""
+    namespace: Dict[str, Any] = {"EvaluationError": EvaluationError}
+    consts = ", ".join(f"c{i}" for i in range(n_consts))
+    exec(_TEST_SOURCE.format(consts=consts, body=body), namespace)
+    return namespace["make"]
+
+
+def compile_test(pred: Predicate, right: FrozenSet[str] = frozenset()) -> Callable[..., bool]:
+    """Compile ``pred`` to ``test(r)`` — or ``test(r, s)`` over a row *pair*.
+
+    Attributes named in ``right`` are read from the second mapping, all
+    others from the first, so a join condition is tested on the two operand
+    rows before they are merged.  ``test`` agrees with ``pred.evaluate`` on
+    every row: same truth value, :class:`~repro.errors.EvaluationError` for a
+    missing attribute, arithmetic and type errors untouched.  Source text is
+    generated per call but Python-compiled once per *shape* — predicates
+    differing only in their constants share one code object — so compiling a
+    fresh query predicate costs less than interpreting a couple of dozen rows.
+    """
+    consts: List[Any] = []
+    return _shape(_emit(pred, consts, right), len(consts))(*consts)
 
 
 # ---------------------------------------------------------------------------

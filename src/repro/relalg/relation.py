@@ -54,8 +54,8 @@ class Relation:
         self._indexes: Dict[Tuple[str, ...], Dict[Tuple[Any, ...], Dict[Row, int]]] = {}
 
     # -- abstract container protocol --------------------------------------
-    def items(self) -> Iterator[Tuple[Row, int]]:
-        """Yield ``(row, multiplicity)`` pairs, multiplicity always >= 1."""
+    def items(self) -> Iterable[Tuple[Row, int]]:
+        """The ``(row, multiplicity)`` pairs, multiplicity always >= 1."""
         raise NotImplementedError
 
     def count(self, row: Row) -> int:
@@ -284,6 +284,9 @@ class SetRelation(Relation):
     def distinct_size(self) -> int:
         return len(self._rows)
 
+    def cardinality(self) -> int:
+        return len(self._rows)
+
     def copy(self) -> "SetRelation":
         return SetRelation(self.schema, self._rows)
 
@@ -323,10 +326,13 @@ class BagRelation(Relation):
                     raise DeltaError(f"insert multiplicity must be positive, got {n}")
         self._counts: Counter = Counter(counts)
 
-    def items(self) -> Iterator[Tuple[Row, int]]:
-        for r, n in self._counts.items():
-            if n > 0:
-                yield r, n
+    def items(self) -> Iterable[Tuple[Row, int]]:
+        # The dict's own view: every stored count is positive (the bulk
+        # constructor and ``insert`` reject n <= 0, ``delete`` removes at 0).
+        return self._counts.items()
+
+    def cardinality(self) -> int:
+        return sum(self._counts.values())
 
     def count(self, row: Row) -> int:
         return self._counts.get(row, 0)

@@ -121,6 +121,8 @@ class RelationSchema:
 
     def rename_relation(self, new_name: str) -> "RelationSchema":
         """The same attributes and key under a different relation name."""
+        if new_name == self.name:
+            return self  # immutable, and already so named: nothing to copy
         return RelationSchema(new_name, self.attributes, self.key)
 
     def rename_attributes(self, mapping: Mapping[str, str], new_name: Optional[str] = None) -> "RelationSchema":

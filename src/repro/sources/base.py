@@ -277,7 +277,7 @@ class SourceDatabase:
         out = SetDelta()
         for rel, r, sign in delta.atoms():
             relevant = rel not in filtered_relations or any(
-                f.predicate.evaluate(r)
+                f.predicate.compiled()(r)
                 for f in self._prefilters
                 if f.source_relation == rel
             )

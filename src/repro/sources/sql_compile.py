@@ -20,10 +20,18 @@ Algebra            SQL
 ``Rename``         ``SELECT old AS new, ...``
 =================  =======================================
 
-Constants are always emitted as ``?`` parameters, never interpolated.  The
-``^`` power operator is unrolled into repeated multiplication for small
-non-negative integer exponents (SQLite has no ``pow`` without extensions);
-anything else raises :class:`~repro.errors.EvaluationError`.
+Constants are always emitted as ``?`` parameters, never interpolated.
+``=`` / ``!=`` compile to ``IS`` / ``IS NOT``: the in-memory evaluator is
+two-valued (``None = None`` holds, ``None != 3`` holds), SQL's ``=`` / ``<>``
+are three-valued and would silently drop those rows, and SQLite searches an
+index for ``IS ?`` exactly as it does for ``= ?``.  (Two divergences remain,
+pinned as strict xfails in ``tests/properties/test_sqlite_equivalence.py``:
+an *ordering* comparison against ``None`` is a ``TypeError`` in memory and an
+unselected row in SQLite, and ``/`` on two integers is true division in
+memory and integer division in SQLite.)  The ``^`` power operator is
+unrolled into repeated multiplication for small non-negative integer
+exponents (SQLite has no ``pow`` without extensions); anything else raises
+:class:`~repro.errors.EvaluationError`.
 """
 
 from __future__ import annotations
@@ -71,7 +79,7 @@ def compile_predicate(pred: Predicate, params: List[Any]) -> str:
     if isinstance(pred, Comparison):
         left = _compile_term(pred.left, params)
         right = _compile_term(pred.right, params)
-        op = "<>" if pred.op == "!=" else pred.op
+        op = {"=": "IS", "!=": "IS NOT"}.get(pred.op, pred.op)
         return f"({left} {op} {right})"
     if isinstance(pred, And):
         return f"({compile_predicate(pred.left, params)} AND {compile_predicate(pred.right, params)})"

@@ -100,6 +100,36 @@ def test_virtual_query_span_tree_complete(ex23_trace):
     assert events_named([query], "query_classify")
 
 
+def test_evaluation_spans_say_what_a_query_read():
+    """``rows_scanned`` / ``rows_out`` on ``query_evaluate`` (and on the VAP's
+    construct evaluation) are the ``EvalCounters`` difference over the span:
+    a materialized range query reads every stored row of ``T`` — today's one
+    access path, a scan — whatever it returns."""
+    tracer = Tracer(enabled=True)
+    mediator, _ = figure1_mediator("ex23", tracer=tracer)
+    stored = mediator.store.repo("T").cardinality()
+    before = mediator.store.counters.rows_scanned
+    answer = mediator.query("project[r1, s1](select[r1 >= 20 and r1 < 60](T))")
+    evaluate = spans_named(tracer.span_tree(), "query_evaluate")[-1]
+    assert evaluate["attrs"] == {"rows_scanned": stored, "rows_out": answer.cardinality()}
+    assert mediator.store.counters.rows_scanned - before == stored
+    assert 0 < answer.cardinality() < stored
+
+    before = mediator.store.counters.rows_scanned
+    virtual = mediator.query("project[r1, r3, s1](select[r1 >= 20 and r1 < 60](T))")
+    query = spans_named(tracer.span_tree(), "query")[-1]
+    construct = spans_named([query], "vap_construct")[0]
+    evaluate = spans_named([query], "query_evaluate")[0]
+    polled = events_named([construct], "temp_built")[0]["attrs"]
+    assert polled["strategy"] == "poll"
+    # The σ below the key-based join scans T; the join's other side, the poll answer.
+    assert construct["attrs"]["rows_scanned"] == stored + polled["rows"]
+    assert construct["attrs"]["rows_out"] == virtual.cardinality()
+    assert evaluate["attrs"] == {"rows_scanned": virtual.cardinality(), "rows_out": virtual.cardinality()}
+    scanned = construct["attrs"]["rows_scanned"] + evaluate["attrs"]["rows_scanned"]
+    assert mediator.store.counters.rows_scanned - before == scanned
+
+
 def test_cache_verdict_events_present(ex23_trace):
     tracer, _ = ex23_trace
     tree = tracer.span_tree()

@@ -94,6 +94,32 @@ def test_bag_adjust():
     assert rel.count(row(a=1, b=2)) == 1
 
 
+def test_bag_items_is_the_live_view_and_never_holds_a_non_positive_count():
+    """``items()`` hands out the dict's own view with no ``n > 0`` filter, so
+    every way of changing a bag must leave only positive counts behind."""
+    rel = BagRelation(R, {row(a=1, b=2): 2})
+    for bad in (0, -1):
+        with pytest.raises(DeltaError):
+            BagRelation(R, {row(a=1, b=2): bad})
+        with pytest.raises(DeltaError):
+            rel.insert(row(a=5, b=5), bad)
+        with pytest.raises(DeltaError):
+            rel.delete(row(a=1, b=2), bad)
+    with pytest.raises(DeltaError):
+        rel.delete(row(a=1, b=2), 3)  # over-delete: refused, nothing stored
+    with pytest.raises(DeltaError):
+        rel.delete(row(a=9, b=9))  # absent row: no zero entry appears
+    rel.adjust(row(a=7, b=7), 0)
+    assert rel.count(row(a=7, b=7)) == 0 and rel.count(row(a=9, b=9)) == 0
+    view = rel.items()
+    rel.insert(row(a=3, b=4))
+    rel.delete(row(a=1, b=2))
+    rel.delete(row(a=1, b=2))  # reaches zero: the entry goes
+    assert dict(view) == {row(a=3, b=4): 1}  # live, not a snapshot
+    assert dict(rel.copy().items()) == {row(a=3, b=4): 1}
+    assert rel.cardinality() == rel.distinct_size() == 1
+
+
 def test_bag_distinct():
     rel = BagRelation(R)
     rel.insert(row(a=1, b=2), 5)

@@ -41,7 +41,7 @@ def make_source():
 def test_chain_select_flattens_to_base_table():
     expr = parse_expression("project[k](rename[c1 = k](select[c1 = 7](C)))")
     sql, params = compile_chain_select(expr, {"C": C, "D": D})
-    assert sql == 'SELECT "c1" AS "k" FROM "C" WHERE ("c1" = ?)'
+    assert sql == 'SELECT "c1" AS "k" FROM "C" WHERE ("c1" IS ?)'
     assert params == [7]
 
 
