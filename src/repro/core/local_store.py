@@ -27,6 +27,7 @@ rule firing.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Set, Tuple
 
@@ -195,10 +196,10 @@ class LocalStore:
         # Hybrid: store the bag projection onto the materialized attributes.
         if node.kind is NodeKind.SET:
             raise MediatorError(f"set node {name!r} cannot be hybrid")
-        stored = BagRelation(self.stored_schema(name))
+        stored: Counter = Counter()
         for r, n in full_value.items():
-            stored.insert(r.project(ann.materialized_attrs), n)
-        return stored
+            stored[r.project(ann.materialized_attrs)] += n
+        return BagRelation(self.stored_schema(name), stored)
 
     # ------------------------------------------------------------------
     # Delta repositories (ΔR)

@@ -40,13 +40,15 @@ from __future__ import annotations
 
 import json
 import sqlite3
+from collections import Counter
 from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple
 
 from repro.core.mediator import SquirrelMediator
 from repro.core.vdp import AnnotatedVDP, NodeKind
 from repro.deltas import SetDelta, net_accumulate
 from repro.errors import MediatorError, OrphanStateError, SnapshotStaleError
-from repro.relalg import BagRelation, Evaluator, Relation, RelationSchema, Row, SetRelation
+from repro.relalg import BagRelation, Evaluator, Relation, RelationSchema, SetRelation
+from repro.relalg.relation import rows_from_values
 
 __all__ = [
     "save_mediator",
@@ -83,9 +85,9 @@ def encode_repo_rows(repo: Relation) -> Tuple[List[str], List[Tuple[List, int]]]
     Values are listed in the stored schema's attribute order, so the pair
     round-trips through JSON without depending on dict ordering.
     """
-    names = repo.schema.attribute_names
-    rows = [(list(r.values_for(names)), n) for r, n in repo.items()]
-    return list(names), rows
+    get = repo.schema.in_declared_order
+    rows = [(list(get(r._values)), n) for r, n in repo.items()]
+    return list(repo.schema.attribute_names), rows
 
 
 def decode_repo(
@@ -106,15 +108,14 @@ def decode_repo(
             f"snapshot of {node_name!r} has columns {list(columns)}, "
             f"current annotation stores {list(stored_schema.attribute_names)}"
         )
+    rows = list(rows)
+    built = rows_from_values(stored_schema, [values for values, _ in rows])
     if kind is NodeKind.SET:
-        repo: Relation = SetRelation(stored_schema)
-        for values, _ in rows:
-            repo.insert(Row(dict(zip(columns, values))))
-    else:
-        repo = BagRelation(stored_schema)
-        for values, multiplicity in rows:
-            repo.insert(Row(dict(zip(columns, values))), multiplicity)
-    return repo
+        return SetRelation(stored_schema, built)
+    counts: Counter = Counter()
+    for r, (_, multiplicity) in zip(built, rows):
+        counts[r] += multiplicity
+    return BagRelation(stored_schema, counts)
 
 
 def source_cursor(mediator: SquirrelMediator, source_name: str) -> int:

@@ -65,11 +65,13 @@ from repro.relalg import (
     Rename,
     RelationSchema,
     Scan,
+    ScanChain,
     Select,
     SetRelation,
     Union,
     compile_scan_chain,
     plan_join,
+    plan_node,
 )
 from repro.relalg.tuples import Row
 
@@ -213,11 +215,12 @@ class CompiledSPJ:
             if isinstance(expr, Join):
                 plans[id(expr)] = plan_join(expr, self._schemas)
             elif not isinstance(expr, (Union, Difference)):
-                chain = plans[id(expr)] = compile_scan_chain(expr, self._schemas)
-                if chain is not None:
+                plan = plans[id(expr)] = plan_node(expr, self._schemas)
+                if isinstance(plan, ScanChain):
                     continue
-                if isinstance(expr, Select):
-                    expr.predicate.compiled()  # evaluated outside a chain: warm it here
+                if isinstance(expr, Select):  # evaluated outside a chain: warm it here
+                    names = expr.child.infer_schema(self._schemas).row_names
+                    expr.predicate.compiled_test().at(names)
             pending.extend(expr.children())
 
     def _schemas_for(self, extended: Mapping[str, Relation]) -> Mapping[str, RelationSchema]:

@@ -35,7 +35,7 @@ class LeafParentFilter:
     attrs: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
-        self.predicate.compiled()  # compile when the filter is built, not on its first delta
+        self.predicate.compiled_test()  # compile when the filter is built, not on its first delta
 
     @classmethod
     def from_chain(cls, target: str, chain) -> "LeafParentFilter":
@@ -88,9 +88,12 @@ class LeafParentFilter:
         whether other mediator nodes need the full rows.
         """
         out = SetDelta()
-        test = self.predicate.compiled()
+        at, names = self.predicate.compiled_test().at, None
         for rel, r, sign in delta.atoms():
-            if rel != self.source_relation or test(r):
+            if rel == self.source_relation and r._names is not names:
+                names = r._names
+                test = at(names)
+            if rel != self.source_relation or test(r._values):
                 if sign > 0:
                     out.insert(rel, r)
                 else:

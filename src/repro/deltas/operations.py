@@ -19,6 +19,7 @@ from repro.deltas.delta import SetDelta
 from repro.errors import DeltaError
 from repro.relalg.predicates import Predicate, TruePredicate
 from repro.relalg.relation import BagRelation, Relation, SetRelation
+from repro.relalg.tuples import Row, project_map, rename_map
 
 __all__ = [
     "AnyDelta",
@@ -115,11 +116,24 @@ def select_project(
         entries = ((r, s) for r, s in delta.atoms_for(relation))
     else:
         entries = delta.entries_for(relation)
-    test = None if isinstance(predicate, TruePredicate) else predicate.compiled()
+    # The test and the projection are resolved per row layout (the
+    # ``_names`` of a delta's rows), then applied by position.
+    at = None if isinstance(predicate, TruePredicate) else predicate.compiled_test().at
+    attrs = None if attrs is None else tuple(attrs)
+    new, names, test, get = Row.new, None, None, None
     for r, n in entries:
-        if test is not None and not test(r):
+        if r._names is not names:
+            names = r._names
+            test = None if at is None else at(names)
+            if attrs is not None:
+                out_names, get, _ = project_map(names, attrs)
+        values = r._values
+        if test is not None and not test(values):
             continue
-        projected = r.project(attrs) if attrs is not None else r
+        if attrs is None:
+            projected = r
+        else:
+            projected = new(Row, (out_names, get(values))) if get else r.project(attrs)
         out.add(target, projected, n)
     return out
 
@@ -133,8 +147,13 @@ def rename_delta(delta: AnyDelta, mapping: Mapping[str, str], relation: str,
         entries = ((r, s) for r, s in delta.atoms_for(relation))
     else:
         entries = delta.entries_for(relation)
+    pairs = tuple(mapping.items())
+    new, names = Row.new, None
     for r, n in entries:
-        out.add(target, r.rename(mapping), n)
+        if r._names is not names:
+            names = r._names
+            out_names, get = rename_map(names, pairs)
+        out.add(target, new(Row, (out_names, get(r._values))), n)
     return out
 
 

@@ -49,7 +49,7 @@ _MAGIC = "W1"
 
 
 def _encode_delta(delta: SetDelta) -> List:
-    return [[rel, dict(r), sign] for rel, r, sign in delta.atoms()]
+    return [[rel, dict(zip(r._names, r._values)), sign] for rel, r, sign in delta.atoms()]
 
 
 def _decode_delta(atoms: List) -> SetDelta:

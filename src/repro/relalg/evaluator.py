@@ -18,7 +18,9 @@ relation — test the base row, build an output ``Row`` only for survivors,
 accumulate — with no intermediate ``{row: count}`` copy and no second
 projection pass; an identity projection returns the stored rows themselves.
 An index probe runs the same ``(test, outmap)`` over the probed bucket.
-``rows_scanned`` still counts every base row read.
+``rows_scanned`` still counts every base row read.  Rows are read and built
+by position (:mod:`repro.relalg.tuples`): the test and the output index map
+are resolved once per row layout (:class:`ChainLayout`).
 
 Joins are executed as hash joins on whatever equality conjuncts can be
 extracted from the condition (see
@@ -26,12 +28,14 @@ extracted from the condition (see
 compiled over the operand-row *pair* and tested before the pair is merged —
 so Figure 4's arithmetic join condition ``a1^2 + a2 < b2^2`` degrades
 gracefully to a filtered cross product while ``r2 = s1`` runs in linear
-time.
+time.  A pair merges through one index map per pair of operand layouts, and
+a project/rename stack right above the join (:class:`JoinOutput`) is
+composed into that map, so each pair builds exactly one output row.
 
 Two layers of pre-computation keep the hot path (incremental rule firing)
 proportional to delta size rather than database size:
 
-* **Plans** (:func:`plan_join`, :func:`compile_scan_chain`) — everything
+* **Plans** (:func:`plan_join`, :func:`plan_node`) — everything
   about a join or a chain that does not depend on the data, resolved once.
   Compiled rules (:mod:`repro.core.rules`) precompute them at
   rulebase-construction time and pass them in via the ``plans`` argument
@@ -53,7 +57,9 @@ work done — not just wall-clock — by competing strategies.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache, partial
+from operator import attrgetter, itemgetter
 from typing import Any, Callable, Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.errors import EvaluationError, SchemaError
@@ -67,10 +73,10 @@ from repro.relalg.expressions import (
     Select,
     Union,
 )
-from repro.relalg.predicates import Predicate, compile_test, conjoin, equi_join_pairs
+from repro.relalg.predicates import CompiledTest, Predicate, compile_test, conjoin, equi_join_pairs
 from repro.relalg.relation import BagRelation, Relation, SetRelation
 from repro.relalg.schema import RelationSchema
-from repro.relalg.tuples import Row
+from repro.relalg.tuples import Names, Picker, Row, canonical_names, picker, reorder
 
 __all__ = [
     "evaluate",
@@ -81,6 +87,7 @@ __all__ = [
     "JoinPlan",
     "compile_scan_chain",
     "plan_join",
+    "plan_node",
 ]
 
 
@@ -127,12 +134,16 @@ class EvalCounters:
 # ---------------------------------------------------------------------------
 # Compiled plans: fused scan chains and joins
 # ---------------------------------------------------------------------------
-def _out_row(base_row: Row, outmap: Mapping[str, str]) -> Row:
-    data = base_row._data
-    try:
-        return Row({out: data[base] for out, base in outmap.items()})
-    except KeyError as exc:
-        raise SchemaError(f"row {base_row!r} has no attribute {exc.args[0]!r}") from exc
+class ChainLayout(NamedTuple):
+    """A :class:`ScanChain` resolved for one row layout: the selection over a
+    base row's values, and the output names + picker (``out`` None: the
+    output rows *are* the base rows; ``get`` None: the rows lack the base
+    attribute ``missing``, which every survivor reports)."""
+
+    test: Optional[Callable[..., bool]]
+    out: Optional[Names]
+    get: Optional[Picker]
+    missing: Optional[str]
 
 
 class ScanChain(NamedTuple):
@@ -147,7 +158,7 @@ class ScanChain(NamedTuple):
     """
 
     base: str
-    test: Optional[Callable[[Mapping[str, Any]], bool]]
+    test: Optional[CompiledTest]
     outmap: Mapping[str, str]
     #: False when no projection narrows the chain: ``outmap`` then lists the
     #: *declared* base attributes, and rows of a narrower stand-in (a hybrid
@@ -155,25 +166,42 @@ class ScanChain(NamedTuple):
     projected: bool
     #: The output attribute names when nothing is renamed, else None.
     plain: Optional[FrozenSet[str]]
+    #: One :class:`ChainLayout` per row layout met (see :meth:`outmap_over`).
+    layouts: Dict[Names, ChainLayout]
 
-    def outmap_over(self, schema: RelationSchema) -> Optional[Mapping[str, str]]:
-        """``outmap`` for rows of ``schema``; None when output rows *are* the
-        base rows (no rename, no narrowing), so none need building."""
-        have = schema.attribute_set
-        if self.plain == have:
-            return None
-        if self.projected:
-            return self.outmap
-        if self.plain is not None:
-            return None
-        return {out: base for out, base in self.outmap.items() if base in have}
+    def outmap_over(self, schema: RelationSchema) -> ChainLayout:
+        """The chain resolved for rows of ``schema``: its test by position
+        and its output as one index map, built on the first relation of that
+        layout and looked up after that."""
+        layout = self.layouts.get(schema.row_names)
+        if layout is None:
+            layout = self.layouts[schema.row_names] = self._resolve(schema)
+        return layout
 
-    def apply(self, base_row: Row, outmap: Optional[Mapping[str, str]]) -> Optional[Row]:
-        """One base row through the chain (``outmap`` from :meth:`outmap_over`
+    def _resolve(self, schema: RelationSchema) -> ChainLayout:
+        names, have = schema.row_names, schema.attribute_set
+        test = None if self.test is None else self.test.at(names)
+        if self.plain == have or (not self.projected and self.plain is not None):
+            return ChainLayout(test, None, None, None)  # no rename, no narrowing
+        outmap = self.outmap
+        if not self.projected:
+            outmap = {out: base for out, base in outmap.items() if base in have}
+        missing = next((base for base in outmap.values() if base not in have), None)
+        if missing is not None:
+            return ChainLayout(test, canonical_names(outmap), None, missing)
+        return ChainLayout(test, *reorder({o: names.index(b) for o, b in outmap.items()}), None)
+
+    def apply(self, base_row: Row, layout: ChainLayout) -> Optional[Row]:
+        """One base row through the chain (``layout`` from :meth:`outmap_over`
         its relation); None when a select rejects it."""
-        if self.test is not None and not self.test(base_row._data):
+        values = base_row._values
+        if layout.test is not None and not layout.test(values):
             return None
-        return base_row if outmap is None else _out_row(base_row, outmap)
+        if layout.out is None:
+            return base_row
+        if layout.get is None:
+            raise SchemaError(f"row {base_row!r} has no attribute {layout.missing!r}")
+        return Row.new(Row, (layout.out, layout.get(values)))
 
 
 def compile_scan_chain(
@@ -184,7 +212,7 @@ def compile_scan_chain(
     Returns None for anything else — including a stack that is not
     well-formed (a select, project or rename naming an attribute not
     visible at that point), which the operator-at-a-time path then rejects
-    with its usual errors.
+    with its usual errors.  The chain comes resolved for ``schemas``' rows.
     """
     steps: List[Expression] = []
     node = expr
@@ -229,8 +257,60 @@ def compile_scan_chain(
             plain = None
     test = None
     if selects:
-        test = (selects[0] if len(selects) == 1 else conjoin(*selects)).compiled()
-    return ScanChain(node.name, test, visible, projected, plain)
+        test = (selects[0] if len(selects) == 1 else conjoin(*selects)).compiled_test()
+    chain = ScanChain(node.name, test, visible, projected, plain, {})
+    chain.outmap_over(schema)
+    return chain
+
+
+class JoinOutput(NamedTuple):
+    """A non-dedup project/rename stack over a join, innermost step first.
+
+    The join applies it to each merged pair: the steps compose with the
+    merge into one index map per pair of operand layouts, so a pair builds
+    one output row (``rename∘project∘(C ⋈ D)`` builds no join-wide row).
+    """
+
+    join: Join
+    steps: Tuple[Expression, ...]
+    #: (first names, second names) → (output names, picker) or (None, None).
+    maps: Dict[Tuple[Names, Names], Tuple[Optional[Names], Optional[Picker]]]
+
+
+def plan_node(expr: Expression, schemas: Mapping[str, RelationSchema]) -> Any:
+    """The plan of a non-join node: a :class:`ScanChain`, a
+    :class:`JoinOutput`, or None (evaluated operator at a time)."""
+    chain = compile_scan_chain(expr, schemas)
+    if chain is not None:
+        return chain
+    steps: List[Expression] = []
+    node = expr
+    while isinstance(node, Rename) or (isinstance(node, Project) and not node.dedup):
+        steps.append(node)
+        node = node.child
+    if steps and isinstance(node, Join):
+        return JoinOutput(node, tuple(reversed(steps)), {})
+    return None
+
+
+_names_of = attrgetter("_names")
+
+
+def _no_key(values: Tuple[Any, ...]) -> Tuple[()]:
+    return ()
+
+
+@lru_cache(maxsize=None)
+def _key_picker(names: Names, keys: Names) -> Callable[[Tuple[Any, ...]], Any]:
+    """A hash-join key over values laid out as ``names`` (the bare value for
+    one key attribute); a missing key attribute raises ``KeyError``, as a
+    lookup by name does."""
+    missing = next((k for k in keys if k not in names), None)
+    if missing is not None:
+        raise KeyError(missing)
+    if len(keys) == 1:
+        return itemgetter(names.index(keys[0]))
+    return picker([names.index(k) for k in keys])
 
 
 @dataclass(frozen=True)
@@ -246,6 +326,10 @@ class ProbeSpec:
     chain: ScanChain
     index_keys: Tuple[str, ...]
     constraints: Tuple[Tuple[str, str], ...]
+    #: The probe key picker per drive-row layout (see :meth:`key_picker`).
+    pickers: Dict[Names, Callable[..., Optional[Tuple[Any, ...]]]] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     @classmethod
     def over(cls, chain: ScanChain, constraints: Tuple[Tuple[str, str], ...]) -> "ProbeSpec":
@@ -258,21 +342,41 @@ class ProbeSpec:
         rel = catalog.get(self.base)
         return rel if rel is not None and rel.has_index(self.index_keys) else None
 
-    def key_for(self, drive_row: Mapping[str, Any]) -> Optional[Tuple[Any, ...]]:
-        """The index key ``drive_row`` probes with; None when two of its
-        attributes demand different values of one base attribute."""
+    def key_picker(self, names: Names) -> Callable[[Tuple[Any, ...]], Optional[Tuple[Any, ...]]]:
+        """Drive values laid out as ``names`` → the index key they probe
+        with; None when two drive attributes demand different values of one
+        base attribute."""
+        get = self.pickers.get(names)
+        if get is None:
+            first: Dict[str, str] = {}  # base attribute → first drive attribute
+            for drive_attr, base_attr in self.constraints:
+                first.setdefault(base_attr, drive_attr)
+            if len(first) < len(self.constraints) or any(d not in names for d in first.values()):
+                get = partial(self._agreeing_key, names)  # rare: the general rule
+            else:
+                get = picker([names.index(first[k]) for k in self.index_keys])
+            self.pickers[names] = get
+        return get
+
+    def _agreeing_key(self, names: Names, values: Tuple[Any, ...]) -> Optional[Tuple[Any, ...]]:
+        drive = dict(zip(names, values))
         by_base: Dict[str, Any] = {}
         for drive_attr, base_attr in self.constraints:
-            v = drive_row[drive_attr]
+            v = drive[drive_attr]
             if by_base.setdefault(base_attr, v) != v:
                 return None
         return tuple(by_base[k] for k in self.index_keys)
+
+    def key_for(self, drive_row: Row) -> Optional[Tuple[Any, ...]]:
+        """The index key ``drive_row`` probes with (see :meth:`key_picker`)."""
+        return self.key_picker(drive_row._names)(drive_row._values)
 
 
 def _probe_spec(
     side_expr: Expression,
     side_keys: List[str],
     drive_keys: List[str],
+    drive_names: Names,
     schemas: Mapping[str, RelationSchema],
 ) -> Optional[ProbeSpec]:
     chain = compile_scan_chain(side_expr, schemas)
@@ -280,7 +384,9 @@ def _probe_spec(
         return None
     # side_keys are output attributes of the side, so outmap holds each.
     pairs = zip(drive_keys, side_keys)
-    return ProbeSpec.over(chain, tuple((drive, chain.outmap[out]) for drive, out in pairs))
+    spec = ProbeSpec.over(chain, tuple((drive, chain.outmap[out]) for drive, out in pairs))
+    spec.key_picker(drive_names)
+    return spec
 
 
 @dataclass(frozen=True)
@@ -295,15 +401,21 @@ class JoinPlan:
     #: What is left of a theta condition after the equi pairs (all of it
     #: for a pure theta join), compiled over the (left row, right row)
     #: pair so it is tested before the pair is merged.
-    residual: Optional[Callable[[Mapping[str, Any], Mapping[str, Any]], bool]]
+    residual: Optional[CompiledTest]
     left_probe: Optional[ProbeSpec]  # probe the LEFT side, drive from right
     right_probe: Optional[ProbeSpec]  # probe the RIGHT side, drive from left
+    #: The merge index map per pair of operand layouts (see :func:`_join_map`).
+    maps: Dict[Tuple[Names, Names], Tuple[Optional[Names], Optional[Picker]]] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
 
 def plan_join(expr: Join, schemas: Mapping[str, RelationSchema]) -> JoinPlan:
-    """Resolve schemas, equi pairs, residual and probe specs for one join."""
+    """Resolve schemas, equi pairs, residual and probe specs for one join —
+    the residual and the probe keys resolved for the operands' row layouts."""
     left_attrs = expr.left.infer_schema(schemas, "join_l").attribute_set
     right_attrs = expr.right.infer_schema(schemas, "join_r").attribute_set
+    left_names, right_names = canonical_names(left_attrs), canonical_names(right_attrs)
     residual = None
     if expr.condition is None:
         left_keys = right_keys = sorted(left_attrs & right_attrs)
@@ -313,14 +425,52 @@ def plan_join(expr: Join, schemas: Mapping[str, RelationSchema]) -> JoinPlan:
         right_keys = [p[1] for p in pairs]
         if rest is not None:
             residual = compile_test(rest, right_attrs)
+            residual.at(left_names, right_names)
     return JoinPlan(
         natural=expr.condition is None,
         left_keys=tuple(left_keys),
         right_keys=tuple(right_keys),
         residual=residual,
-        left_probe=_probe_spec(expr.left, left_keys, right_keys, schemas),
-        right_probe=_probe_spec(expr.right, right_keys, left_keys, schemas),
+        left_probe=_probe_spec(expr.left, left_keys, right_keys, right_names, schemas),
+        right_probe=_probe_spec(expr.right, right_keys, left_keys, left_names, schemas),
     )
+
+
+def _join_map(
+    plan: JoinPlan, output: Optional[JoinOutput], first: Names, second: Names
+) -> Tuple[Optional[Names], Optional[Picker]]:
+    """Output names and picker over ``first values + second values`` (the
+    second row wins a shared attribute, as in ``Row.merge_natural``) with
+    ``output``'s steps composed in; (None, None) when a step projects an
+    attribute the rows lack (a narrower stand-in): the pair then merges
+    through the Row methods, which report it."""
+    maps = plan.maps if output is None else output.maps
+    hit = maps.get((first, second))
+    if hit is None:
+        hit = maps[first, second] = (None, None)
+        # Schema inference has ruled out a theta overlap, and a natural
+        # pair shares exactly the key attributes it was hashed on.
+        position = {n: i for i, n in enumerate(first + second)}
+        for step in output.steps if output is not None else ():
+            if isinstance(step, Rename):
+                renamed = step.mapping_dict
+                position = {renamed.get(a, a): i for a, i in position.items()}
+            elif all(a in position for a in step.attrs):
+                position = {a: position[a] for a in step.attrs}
+            else:
+                return hit
+        hit = maps[first, second] = reorder(position)
+    return hit
+
+
+def _merged(first: Row, second: Row, natural: bool, output: Optional[JoinOutput]) -> Row:
+    merged = first.merge_natural(second) if natural else first.merge(second)
+    for step in output.steps if output is not None else ():
+        if isinstance(step, Rename):
+            merged = merged.rename(step.mapping_dict)
+        else:
+            merged = merged.project(step.attrs)
+    return merged
 
 
 class Evaluator:
@@ -336,7 +486,7 @@ class Evaluator:
         self.catalog = catalog
         self.schemas = schemas or {name: rel.schema for name, rel in catalog.items()}
         self.counters = counters if counters is not None else EvalCounters()
-        # A JoinPlan per Join node, a ScanChain (or None: not a chain) per
+        # A JoinPlan per Join node, a ScanChain / JoinOutput (or None) per
         # other node, keyed by id of the node.  A CompiledSPJ passes in what
         # it precompiled (ids stable because the compiled rule retains the
         # expressions); anything else is planned on first visit and cached
@@ -363,7 +513,9 @@ class Evaluator:
     # ------------------------------------------------------------------
     # Internal: everything computes a {row: positive count} dict.  Every
     # branch returns a dict it owns (never a catalog structure), so
-    # operators like select may filter their child in place.
+    # operators like select may filter their child in place.  Rows are
+    # built positionally through index maps resolved per row layout (the
+    # ``_names`` identity is checked per row, a map resolved per change).
     # ------------------------------------------------------------------
     def _planned(self, expr: Expression, build: Callable[..., Any]) -> Any:
         key = id(expr)
@@ -374,14 +526,16 @@ class Evaluator:
 
     def _eval(self, expr: Expression) -> Dict[Row, int]:
         if isinstance(expr, Join):
-            return self._eval_join(expr)
+            return self._eval_join(expr, None)
         if isinstance(expr, Union):
             return self._eval_union(expr)
         if isinstance(expr, Difference):
             return self._eval_difference(expr)
-        chain = self._planned(expr, compile_scan_chain)
-        if chain is not None:
-            return self._eval_chain(chain)
+        plan = self._planned(expr, plan_node)
+        if type(plan) is ScanChain:
+            return self._eval_chain(plan)
+        if plan is not None:
+            return self._eval_join(plan.join, plan)
         if isinstance(expr, Select):
             return self._eval_select(expr)
         if isinstance(expr, Project):
@@ -397,24 +551,34 @@ class Evaluator:
         except KeyError as exc:
             raise EvaluationError(f"relation {chain.base!r} not in catalog") from exc
         self.counters.rows_scanned += rel.cardinality()
-        test = chain.test
-        outmap = chain.outmap_over(rel.schema)
-        if outmap is None:
+        layout = chain.outmap_over(rel.schema)
+        test, out, get = layout.test, layout.out, layout.get
+        if out is None:
             if test is None:
-                return dict(rel.items())
-            return {r: n for r, n in rel.items() if test(r._data)}
+                return rel.counts_copy()
+            return {r: n for r, n in rel.items() if test(r._values)}
+        new = Row.new
         counts: Dict[Row, int] = defaultdict(int)
         for r, n in rel.items():
-            if test is None or test(r._data):
-                counts[_out_row(r, outmap)] += n
+            values = r._values
+            if test is None or test(values):
+                # get None: the survivor lacks an attribute; apply reports it
+                counts[new(Row, (out, get(values))) if get else chain.apply(r, layout)] += n
         return dict(counts)
 
     def _eval_select(self, expr: Select) -> Dict[Row, int]:
         child = self._eval(expr.child)
         # Not a chain, so the child dict is owned by this evaluation: filter
         # it in place instead of copying every surviving entry.
-        test = expr.predicate.compiled()
-        doomed = [r for r in child if not test(r._data)]
+        at = expr.predicate.compiled_test().at
+        names = None
+        doomed = []
+        for r in child:
+            if r._names is not names:
+                names = r._names
+                test = at(names)
+            if not test(r._values):
+                doomed.append(r)
         for r in doomed:
             del child[r]
         return child
@@ -435,7 +599,7 @@ class Evaluator:
     # ------------------------------------------------------------------
     # Joins
     # ------------------------------------------------------------------
-    def _eval_join(self, expr: Join) -> Dict[Row, int]:
+    def _eval_join(self, expr: Join, output: Optional[JoinOutput]) -> Dict[Row, int]:
         self.counters.joins_executed += 1
         plan: JoinPlan = self._planned(expr, plan_join)
 
@@ -449,30 +613,32 @@ class Evaluator:
         if probe is not None:
             side, spec, rel = probe
             drive = self._eval(expr.right if side == "left" else expr.left)
-            return self._indexed_join(drive, spec, rel, plan, side == "left")
+            layout = spec.chain.outmap_over(rel.schema)
+            probed = rel.schema.row_names if layout.out is None else layout.out
+            buckets = rel.index_buckets(spec.index_keys)
+            return self._probe(drive, spec.key_picker, buckets, probed, spec.chain, layout,
+                               plan, side == "left", output)
 
+        # A hash join builds its index on the right operand; a pure theta
+        # join is one on the empty key (a filtered cross product).
         left = self._eval(expr.left)
         right = self._eval(expr.right)
-        residual = plan.residual
-        counts: Dict[Row, int] = defaultdict(int)
+        names = set(map(_names_of, right))
+        probed = names.pop() if len(names) == 1 else None  # None: mixed layouts
         if not plan.left_keys:
-            # Pure theta join: filtered cross product; only survivors merge.
-            for lr, ln in left.items():
-                for rr, rn in right.items():
-                    if residual is None or residual(lr._data, rr._data):
-                        counts[lr.merge(rr)] += ln * rn
-            return dict(counts)
-        index: Dict[Tuple[Any, ...], List[Tuple[Row, int]]] = defaultdict(list)
+            return self._probe(left, lambda names: _no_key, {(): right}, probed, None, None,
+                               plan, False, output)
+        index: Dict[Any, Dict[Row, int]] = {}
+        names = None
         for rr, rn in right.items():
-            index[rr.values_for(plan.right_keys)].append((rr, rn))
-            self.counters.rows_hashed += 1
-        merge = Row.merge_natural if plan.natural else Row.merge
-        for lr, ln in left.items():
-            self.counters.hash_probes += 1
-            for rr, rn in index.get(lr.values_for(plan.left_keys), ()):
-                if residual is None or residual(lr._data, rr._data):
-                    counts[merge(lr, rr)] += ln * rn
-        return dict(counts)
+            if rr._names is not names:
+                names = rr._names
+                key = _key_picker(names, plan.right_keys)
+            index.setdefault(key(rr._values), {})[rr] = rn
+        self.counters.rows_hashed += len(right)
+        self.counters.hash_probes += len(left)
+        return self._probe(left, lambda names: _key_picker(names, plan.left_keys), index,
+                           probed, None, None, plan, False, output)
 
     def _pick_probe(
         self, expr: Join, plan: JoinPlan
@@ -487,32 +653,64 @@ class Evaluator:
         size, side, spec, rel = max(candidates, key=lambda t: (t[0], t[1]))
         return side, spec, rel
 
-    def _indexed_join(
+    def _probe(
         self,
         drive: Dict[Row, int],
-        spec: ProbeSpec,
-        rel: Relation,
+        key_for: Callable[[Names], Callable[..., Any]],
+        buckets: Mapping[Any, Mapping[Row, int]],
+        probed_names: Optional[Names],
+        chain: Optional[ScanChain],
+        layout: Optional[ChainLayout],
         plan: JoinPlan,
         probing_left: bool,
+        output: Optional[JoinOutput],
     ) -> Dict[Row, int]:
+        """The join loop: per drive row, its key's bucket; per bucket row
+        (through ``chain``, for a persistent index on a chain's base), the
+        residual, then the pair merged drive row first — one output row
+        built through the pair's index map."""
         counts: Dict[Row, int] = defaultdict(int)
-        chain = spec.chain
-        outmap = chain.outmap_over(rel.schema)
-        residual = plan.residual
+        chain_test = chain_get = None
+        if layout is not None:
+            chain_test, chain_get = layout.test, layout.get
+            if layout.out is not None and chain_get is None:
+                probed_names = None  # chain.apply reports the missing attribute
+        residual, natural, new, counters = plan.residual, plan.natural, Row.new, self.counters
+        names = None
         for dr, dn in drive.items():
-            values = spec.key_for(dr._data)
-            if values is None:
+            dv = dr._values
+            if dr._names is not names:
+                names = dr._names
+                key = key_for(names)
+                out = get = test = None
+                if probed_names is not None:
+                    out, get = _join_map(plan, output, names, probed_names)
+                    if residual is not None and get is not None:
+                        test = residual.at(*((probed_names, names) if probing_left else (names, probed_names)))
+            values = key(dv)
+            if chain is not None:  # a persistent index: None is a contradiction
+                if values is None:
+                    continue
+                counters.index_probes += 1
+            bucket = buckets.get(values)
+            if not bucket:
                 continue
-            self.counters.index_probes += 1
-            for br, bn in rel.index_lookup(spec.index_keys, values):
-                out = chain.apply(br, outmap)
-                if out is None:
+            for br, bn in bucket.items():
+                if get is None:  # the Row methods, pair by pair
+                    other = br if chain is None else chain.apply(br, layout)
+                    if other is None or residual is not None and not (
+                        residual(other, dr) if probing_left else residual(dr, other)
+                    ):
+                        continue
+                    counts[_merged(dr, other, natural, output)] += dn * bn
                     continue
-                if residual is not None and not (
-                    residual(out._data, dr._data) if probing_left else residual(dr._data, out._data)
-                ):
+                bv = br._values
+                if chain_test is not None and not chain_test(bv):
                     continue
-                counts[dr.merge_natural(out) if plan.natural else dr.merge(out)] += dn * bn
+                ov = bv if chain_get is None else chain_get(bv)
+                if test is not None and not (test(ov, dv) if probing_left else test(dv, ov)):
+                    continue
+                counts[new(Row, (out, get(dv + ov)))] += dn * bn
         return dict(counts)
 
     def _eval_union(self, expr: Union) -> Dict[Row, int]:

@@ -16,9 +16,12 @@ attributes in the attribute sets it pushes down), can be evaluated against a
 conjuncts (used for hash-join planning and for filtering deltas).
 
 ``evaluate`` walks the tree and is the reference semantics; every evaluation
-site runs the **compiled** form (:meth:`Predicate.compiled`,
+site runs the **compiled** form (:meth:`Predicate.compiled_test`,
 :func:`compile_test`): one generated Python function per predicate *shape*,
 constants lifted into arguments, with the walker's truth values and errors.
+The evaluator's form reads a row's values tuple by position
+(:meth:`CompiledTest.at`), resolved once per row layout; calling a
+:class:`CompiledTest` (or :meth:`Predicate.compiled`) tests row *mappings*.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ __all__ = [
     "equi_join_pairs",
     "implies",
     "compile_test",
+    "CompiledTest",
 ]
 
 
@@ -170,14 +174,18 @@ class Predicate:
         """A copy with attribute references renamed."""
         raise NotImplementedError
 
-    def compiled(self) -> Callable[[Mapping[str, Any]], bool]:
-        """This predicate as a plain function of one row mapping: built on
-        first use and kept on the instance (see :func:`compile_test`)."""
+    def compiled_test(self) -> "CompiledTest":
+        """This predicate compiled (see :func:`compile_test`): built on first
+        use and kept on the instance."""
         test = self.__dict__.get("_test")
         if test is None:
             test = compile_test(self)
             object.__setattr__(self, "_test", test)  # frozen dataclass: not a field
         return test
+
+    def compiled(self) -> Callable[[Mapping[str, Any]], bool]:
+        """This predicate as a plain function of one row mapping."""
+        return self.compiled_test().function
 
     # boolean sugar
     def __and__(self, other: "Predicate") -> "Predicate":
@@ -326,52 +334,103 @@ def make({consts}):
 #: Operators spelled differently in generated Python source.
 _PY_OPS = {"^": "**", "=": "=="}
 
+#: Attribute name → position, for the first and the second row of a layout.
+Layout = Tuple[Mapping[str, int], Mapping[str, int]]
 
-def _emit(node: Any, consts: List[Any], right: FrozenSet[str]) -> str:
+
+def _missing(name: str) -> Any:
+    """What a positional test reads for an attribute its rows lack."""
+    raise EvaluationError(f"row has no attribute {name!r}")
+
+
+def _emit(node: Any, consts: List[Any], right: FrozenSet[str], layout: Optional[Layout]) -> str:
     """Python source for one term or predicate node; its constants are
-    appended to ``consts`` and named ``c0, c1, …`` in text order."""
+    appended to ``consts`` and named ``c0, c1, …`` in text order.  Without a
+    ``layout`` an attribute is read by name, with one by position."""
     kind = type(node)  # the grammar is closed: no subclasses to honour
     if kind is Attr:
-        return f"{'s' if node.name in right else 'r'}[{node.name!r}]"
+        side = "s" if node.name in right else "r"
+        if layout is None:
+            return f"{side}[{node.name!r}]"
+        position = layout[side == "s"].get(node.name)
+        return f"m({node.name!r})" if position is None else f"{side}[{position}]"
     if kind is Const:
         consts.append(node.value)
         return f"c{len(consts) - 1}"
     if kind is TruePredicate:
         return "True"
     if kind is Not:
-        return f"(not ({_emit(node.child, consts, right)}))"
-    left = _emit(node.left, consts, right)
+        return f"(not ({_emit(node.child, consts, right, layout)}))"
+    left = _emit(node.left, consts, right, layout)
     if kind is And:
         # Unparenthesised, so a long conjunction stays flat (every other
         # node parenthesises itself; ``not`` parenthesises its operand).
-        return f"{left} and {_emit(node.right, consts, right)}"
+        return f"{left} and {_emit(node.right, consts, right, layout)}"
     op = "or" if kind is Or else _PY_OPS.get(node.op, node.op)
-    return f"({left} {op} {_emit(node.right, consts, right)})"
+    return f"({left} {op} {_emit(node.right, consts, right, layout)})"
 
 
 @lru_cache(maxsize=1024)
 def _shape(body: str, n_consts: int) -> Callable[..., Callable[..., bool]]:
     """The function factory for one predicate shape (constants are arguments)."""
-    namespace: Dict[str, Any] = {"EvaluationError": EvaluationError}
+    namespace: Dict[str, Any] = {"EvaluationError": EvaluationError, "m": _missing}
     consts = ", ".join(f"c{i}" for i in range(n_consts))
     exec(_TEST_SOURCE.format(consts=consts, body=body), namespace)
     return namespace["make"]
 
 
-def compile_test(pred: Predicate, right: FrozenSet[str] = frozenset()) -> Callable[..., bool]:
-    """Compile ``pred`` to ``test(r)`` — or ``test(r, s)`` over a row *pair*.
+def _build(pred: Predicate, right: FrozenSet[str], layout: Optional[Layout]) -> Callable[..., bool]:
+    consts: List[Any] = []
+    return _shape(_emit(pred, consts, right, layout), len(consts))(*consts)
 
-    Attributes named in ``right`` are read from the second mapping, all
-    others from the first, so a join condition is tested on the two operand
-    rows before they are merged.  ``test`` agrees with ``pred.evaluate`` on
-    every row: same truth value, :class:`~repro.errors.EvaluationError` for a
+
+class CompiledTest:
+    """A predicate compiled for evaluation; see :func:`compile_test`."""
+
+    __slots__ = ("predicate", "right", "_layouts", "_function")
+
+    def __init__(self, predicate: Predicate, right: FrozenSet[str]):
+        self.predicate = predicate
+        self.right = right
+        self._layouts: Dict[Tuple[Tuple[str, ...], Tuple[str, ...]], Callable[..., bool]] = {}
+        self._function: Optional[Callable[..., bool]] = None
+
+    def at(self, names: Tuple[str, ...], right_names: Tuple[str, ...] = ()) -> Callable[..., bool]:
+        """``test(values)`` over a values tuple laid out like ``names`` — or
+        ``test(values, right_values)`` over a pair — built once per layout."""
+        test = self._layouts.get((names, right_names))
+        if test is None:
+            layout = (
+                {n: i for i, n in enumerate(names)},
+                {n: i for i, n in enumerate(right_names)},
+            )
+            test = self._layouts[names, right_names] = _build(self.predicate, self.right, layout)
+        return test
+
+    @property
+    def function(self) -> Callable[..., bool]:
+        """``test(r)`` / ``test(r, s)`` over row mappings, read by name."""
+        if self._function is None:
+            self._function = _build(self.predicate, self.right, None)
+        return self._function
+
+    def __call__(self, r: Mapping[str, Any], s: Optional[Mapping[str, Any]] = None) -> bool:
+        return self.function(r, s)
+
+
+def compile_test(pred: Predicate, right: FrozenSet[str] = frozenset()) -> CompiledTest:
+    """Compile ``pred`` to a test of one row — or of a row *pair*.
+
+    Attributes named in ``right`` are read from the second row, all others
+    from the first, so a join condition is tested on the two operand rows
+    before they are merged.  A test agrees with ``pred.evaluate`` on every
+    row: same truth value, :class:`~repro.errors.EvaluationError` for a
     missing attribute, arithmetic and type errors untouched.  Source text is
-    generated per call but Python-compiled once per *shape* — predicates
+    generated per layout but Python-compiled once per *shape* — predicates
     differing only in their constants share one code object — so compiling a
     fresh query predicate costs less than interpreting a couple of dozen rows.
     """
-    consts: List[Any] = []
-    return _shape(_emit(pred, consts, right), len(consts))(*consts)
+    return CompiledTest(pred, right)
 
 
 # ---------------------------------------------------------------------------

@@ -20,38 +20,86 @@ propagation probe a sibling relation per delta row instead of re-hashing
 the whole relation inside every rule firing (the compiled propagation
 engine; see :mod:`repro.core.rules`).  ``copy()`` deliberately drops
 indexes: a copy is a fresh relation and re-declares what it needs.
+
+Rows are tuples (:mod:`repro.relalg.tuples`), so the bulk paths stay at C
+level: a copy reuses every stored hash (one ``set`` / ``dict`` copy, no
+per-row insert), a bulk load checks attribute sets by identity of the
+interned names, and an index key is one index map over a row's values.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
+from itertools import chain, repeat
+from operator import attrgetter
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import DeltaError, SchemaError
 from repro.relalg.schema import RelationSchema
-from repro.relalg.tuples import Row
+from repro.relalg.tuples import Picker, Row, picker
 
 __all__ = [
     "Relation",
     "SetRelation",
     "BagRelation",
+    "rows_from_values",
 ]
+
+
+#: Containers whose elements are distinct already (a bulk load's fast path).
+_DISTINCT = (set, frozenset, dict, type({}.keys()))
+_names_of = attrgetter("_names")
+_values_of = attrgetter("_values")
+
+
+def _all_named(rows: Iterable[Row], names: Tuple[str, ...]) -> bool:
+    """True when every row carries exactly ``names`` (the interned tuple)."""
+    return set(map(_names_of, rows)) <= {names}
+
+
+def rows_from_values(schema: RelationSchema, value_rows: Iterable[Sequence[Any]]) -> List[Row]:
+    """One row per value tuple ordered like the schema attributes (a tuple
+    of the wrong length raises :class:`SchemaError`)."""
+    value_rows = list(value_rows)
+    schema.check_value_rows(value_rows)
+    names = schema.row_names
+    declared = schema.attribute_names
+    # Same arity, so a non-identity order has >= 2 positions: the picker
+    # returns a tuple for list inputs too.
+    get = tuple if declared == names else picker([declared.index(n) for n in names])
+    return list(map(Row.new, repeat(Row), zip(repeat(names), map(get, value_rows))))
+
+
+class _TypeNames(dict):
+    """type → ``type.__name__``, filled on first sight (C-level hits)."""
+
+    def __missing__(self, kind: type) -> str:
+        self[kind] = kind.__name__
+        return kind.__name__
+
+
+_type_names = _TypeNames()
 
 
 class Relation:
     """Abstract base for relation containers.
 
     Subclasses must provide ``items``, ``count``, ``insert``, ``delete``,
-    ``copy``, and the ``is_bag`` flag.  Everything else (cardinality,
-    support, pretty printing, equality) is defined here in terms of those.
+    ``copy``, ``counts_copy`` (a fresh ``{row: multiplicity}`` dict, stored
+    hashes reused), ``_distinct`` (the container of distinct rows itself)
+    and the ``is_bag`` flag.  Everything else (cardinality, support, pretty
+    printing, equality) is defined here in terms of those.
     """
 
     is_bag: bool = False
 
     def __init__(self, schema: RelationSchema):
         self.schema = schema
-        # key tuple -> {key values -> {row: multiplicity}}
+        # key tuple -> {key values -> {row: multiplicity}}, and the key
+        # tuple's picker over a row's values
         self._indexes: Dict[Tuple[str, ...], Dict[Tuple[Any, ...], Dict[Row, int]]] = {}
+        self._index_pickers: Dict[Tuple[str, ...], Picker] = {}
 
     # -- abstract container protocol --------------------------------------
     def items(self) -> Iterable[Tuple[Row, int]]:
@@ -76,15 +124,12 @@ class Relation:
 
     # -- shared behaviour --------------------------------------------------
     def _check_row(self, row: Row) -> None:
-        if row.keys() != self.schema.attribute_set:
-            raise SchemaError(
-                f"row attributes {sorted(row.keys())} do not match schema "
-                f"{self.schema.name!r} attributes {sorted(self.schema.attribute_names)}"
-            )
+        if row._names is not self.schema.row_names:
+            raise self.schema.row_mismatch(row)
 
     def support(self) -> frozenset:
         """The set of distinct rows."""
-        return frozenset(r for r, _ in self.items())
+        return frozenset(self._distinct())
 
     def rows(self) -> Iterator[Row]:
         """Yield each row once per unit of multiplicity."""
@@ -118,12 +163,8 @@ class Relation:
         Counts each distinct row's cell values once plus a machine word per
         multiplicity slot.
         """
-        import sys
-
-        cells = sum(
-            sys.getsizeof(v) for r, _ in self.items() for v in r.values()
-        )
-        return cells + 8 * self.distinct_size()
+        values = chain.from_iterable(map(_values_of, self._distinct()))
+        return sum(map(sys.getsizeof, values)) + 8 * self.distinct_size()
 
     # -- persistent hash indexes ------------------------------------------
     def ensure_index(self, keys: Sequence[str], counters: Optional[Any] = None) -> None:
@@ -140,12 +181,15 @@ class Relation:
         if keys in self._indexes:
             return
         self.schema.check_attributes(keys)
+        get = picker([self.schema.row_names.index(k) for k in keys])
         index: Dict[Tuple[Any, ...], Dict[Row, int]] = {}
+        bucket_for = index.setdefault
         hashed = 0
         for r, n in self.items():
-            index.setdefault(r.values_for(keys), {})[r] = n
+            bucket_for(get(r._values), {})[r] = n
             hashed += 1
         self._indexes[keys] = index
+        self._index_pickers[keys] = get
         if counters is not None:
             counters.index_rebuilds += 1
             counters.rows_hashed += hashed
@@ -172,20 +216,26 @@ class Relation:
             return []
         return list(bucket.items())
 
+    def index_buckets(self, keys: Tuple[str, ...]) -> Dict[Tuple[Any, ...], Dict[Row, int]]:
+        """The live index on ``keys``, key values → ``{row: multiplicity}``
+        (read-only for callers; :meth:`index_lookup` copies one bucket)."""
+        return self._indexes[keys]
+
     def drop_indexes(self) -> None:
         """Discard all indexes (they rebuild on the next ensure_index)."""
         self._indexes = {}
+        self._index_pickers = {}
 
     def _index_add(self, row: Row, multiplicity: int) -> None:
         """Reflect an insert of ``row`` in every live index."""
         for keys, index in self._indexes.items():
-            bucket = index.setdefault(row.values_for(keys), {})
+            bucket = index.setdefault(self._index_pickers[keys](row._values), {})
             bucket[row] = bucket.get(row, 0) + multiplicity
 
     def _index_remove(self, row: Row, multiplicity: int) -> None:
         """Reflect a delete of ``row`` in every live index."""
         for keys, index in self._indexes.items():
-            values = row.values_for(keys)
+            values = self._index_pickers[keys](row._values)
             bucket = index.get(values)
             if bucket is None:
                 continue
@@ -216,6 +266,9 @@ class Relation:
         # check, so it must not materialize dict(self.items()) each time.
         if self.distinct_size() != other.distinct_size():
             return False
+        if type(self) is type(other):  # C-level (dict ==, not Counter's)
+            mine, theirs = self._distinct(), other._distinct()
+            return dict.__eq__(mine, theirs) if self.is_bag else mine == theirs
         return all(other.count(r) == n for r, n in self.items())
 
     def __hash__(self) -> int:  # relations are mutable; identity hash only
@@ -226,15 +279,23 @@ class Relation:
         return f"<{kind}Relation {self.schema.name} |{self.cardinality()}|>"
 
     def to_sorted_list(self) -> List[Tuple[Tuple[Any, ...], int]]:
-        """Deterministic ``(value-tuple, count)`` listing, for tests/reporting."""
-        names = self.schema.attribute_names
-        listing = [(r.values_for(names), n) for r, n in self.items()]
-        return sorted(listing, key=lambda pair: tuple(map(_sort_key, pair[0])))
+        """Deterministic ``(value-tuple, count)`` listing, for tests/reporting.
 
-
-def _sort_key(value: Any) -> Tuple[str, str]:
-    """Total order over heterogeneous values (type name, then repr)."""
-    return (type(value).__name__, repr(value))
+        A total order over heterogeneous values: each value by its type name,
+        then its ``repr``, column by column (stable).  The keys are built a
+        column at a time at C level and zipped into one flat key per row,
+        which orders exactly as the tuple of ``(type name, repr)`` pairs.
+        """
+        get = self.schema.in_declared_order
+        listing = [(get(r._values), n) for r, n in self.items()]
+        if not listing:
+            return listing
+        keys = []
+        for column in zip(*(values for values, _ in listing)):
+            keys.append(map(_type_names.__getitem__, map(type, column)))
+            keys.append(map(repr, column))
+        row_keys = list(zip(*keys))
+        return [listing[i] for i in sorted(range(len(listing)), key=row_keys.__getitem__)]
 
 
 class SetRelation(Relation):
@@ -247,14 +308,25 @@ class SetRelation(Relation):
     is_bag = False
 
     def __init__(self, schema: RelationSchema, rows: Iterable[Row] = ()):
+        """A set holding ``rows``, loaded in bulk: checked as :meth:`insert`
+        would (wrong attributes, a duplicate), with the same first error."""
         super().__init__(schema)
-        self._rows: set = set()
-        for r in rows:
-            self.insert(r)
+        if not isinstance(rows, _DISTINCT):
+            rows = list(rows)
+        self._rows: set = set(rows)
+        if len(self._rows) != len(rows) or not _all_named(self._rows, schema.row_names):
+            self._rows = set()
+            for r in rows:
+                self.insert(r)
 
     def items(self) -> Iterator[Tuple[Row, int]]:
-        for r in self._rows:
-            yield r, 1
+        return zip(self._rows, repeat(1))
+
+    def counts_copy(self) -> Dict[Row, int]:
+        return dict.fromkeys(self._rows, 1)
+
+    def _distinct(self) -> Iterable[Row]:
+        return self._rows
 
     def count(self, row: Row) -> int:
         return 1 if row in self._rows else 0
@@ -288,15 +360,20 @@ class SetRelation(Relation):
         return len(self._rows)
 
     def copy(self) -> "SetRelation":
-        return SetRelation(self.schema, self._rows)
+        clone = SetRelation(self.schema)
+        clone._rows = self._rows.copy()
+        return clone
 
     @classmethod
     def from_values(
         cls, schema: RelationSchema, value_rows: Iterable[Sequence[Any]]
     ) -> "SetRelation":
-        """Build from bare value tuples ordered like the schema attributes."""
-        names = schema.attribute_names
-        return cls(schema, (Row(dict(zip(names, vals))) for vals in value_rows))
+        """Build from bare value tuples ordered like the schema attributes.
+
+        A tuple of the wrong length raises :class:`SchemaError`; a repeated
+        one raises :class:`DeltaError`, as a duplicate insert does.
+        """
+        return cls(schema, rows_from_values(schema, value_rows))
 
 
 class BagRelation(Relation):
@@ -317,11 +394,11 @@ class BagRelation(Relation):
         fresh relation has no index to maintain per row).
         """
         super().__init__(schema)
-        if counts:
-            names = schema.attribute_set
-            for r, n in counts.items():
-                if r.keys() != names:
-                    self._check_row(r)
+        if counts and (
+            min(counts.values()) <= 0 or not _all_named(counts, schema.row_names)
+        ):
+            for r, n in counts.items():  # the first offending entry, as insert() finds it
+                self._check_row(r)
                 if n <= 0:
                     raise DeltaError(f"insert multiplicity must be positive, got {n}")
         self._counts: Counter = Counter(counts)
@@ -330,6 +407,12 @@ class BagRelation(Relation):
         # The dict's own view: every stored count is positive (the bulk
         # constructor and ``insert`` reject n <= 0, ``delete`` removes at 0).
         return self._counts.items()
+
+    def counts_copy(self) -> Dict[Row, int]:
+        return dict(self._counts)
+
+    def _distinct(self) -> Iterable[Row]:
+        return self._counts
 
     def cardinality(self) -> int:
         return sum(self._counts.values())
@@ -376,20 +459,13 @@ class BagRelation(Relation):
 
     def distinct(self, schema: Optional[RelationSchema] = None) -> SetRelation:
         """Duplicate elimination: the set of distinct rows (bag -> set)."""
-        return SetRelation(schema or self.schema, (r for r, _ in self.items()))
-
-    @classmethod
-    def from_rows(cls, schema: RelationSchema, rows: Iterable[Row]) -> "BagRelation":
-        """Build from an iterable of rows (duplicates accumulate)."""
-        rel = cls(schema)
-        for r in rows:
-            rel.insert(r)
-        return rel
+        return SetRelation(schema or self.schema, self._counts.keys())
 
     @classmethod
     def from_values(
         cls, schema: RelationSchema, value_rows: Iterable[Sequence[Any]]
     ) -> "BagRelation":
-        """Build from bare value tuples ordered like the schema attributes."""
-        names = schema.attribute_names
-        return cls.from_rows(schema, (Row(dict(zip(names, vals))) for vals in value_rows))
+        """Build from bare value tuples ordered like the schema attributes
+        (duplicates accumulate; a tuple of the wrong length raises
+        :class:`SchemaError`)."""
+        return cls(schema, Counter(rows_from_values(schema, value_rows)))

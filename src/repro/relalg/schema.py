@@ -17,11 +17,21 @@ reasoning on top of it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Any, Callable, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import SchemaError
+from repro.relalg.tuples import canonical_names, picker
 
 __all__ = ["Attribute", "RelationSchema", "make_schema"]
+
+
+@lru_cache(maxsize=None)
+def _row_layout(names: Tuple[str, ...]) -> Tuple[Tuple[str, ...], Callable[..., Tuple[Any, ...]]]:
+    """Canonical row names for declared ``names``, and the picker from row
+    order back to declared order (schemas are built per inferred plan)."""
+    row_names = canonical_names(names)
+    return row_names, picker([row_names.index(n) for n in names])
 
 
 @dataclass(frozen=True)
@@ -64,6 +74,13 @@ class RelationSchema:
     #: from ``attributes`` once: every validated row insert reads them.
     attribute_names: Tuple[str, ...] = field(init=False, repr=False, compare=False)
     attribute_set: FrozenSet[str] = field(init=False, repr=False, compare=False)
+    #: The names in canonical (sorted, interned) order: the ``_names`` every
+    #: row of this schema carries (see :mod:`repro.relalg.tuples`).
+    row_names: Tuple[str, ...] = field(init=False, repr=False, compare=False)
+    #: A row's values (``row_names`` order) → the same in declaration order.
+    in_declared_order: Callable[[Sequence[Any]], Tuple[Any, ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         names = tuple(a.name for a in self.attributes)
@@ -77,6 +94,9 @@ class RelationSchema:
                 raise SchemaError(f"key attribute {k!r} not in schema {self.name!r}")
         object.__setattr__(self, "attribute_names", names)
         object.__setattr__(self, "attribute_set", name_set)
+        row_names, declared = _row_layout(names)
+        object.__setattr__(self, "row_names", row_names)
+        object.__setattr__(self, "in_declared_order", declared)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -104,6 +124,24 @@ class RelationSchema:
             raise SchemaError(
                 f"schema {self.name!r} is missing attributes {missing}; has {list(self.attribute_names)}"
             )
+
+    def row_mismatch(self, row: Mapping[str, object]) -> SchemaError:
+        """The error for a row whose attributes are not this schema's."""
+        return SchemaError(
+            f"row attributes {sorted(row.keys())} do not match schema "
+            f"{self.name!r} attributes {sorted(self.attribute_names)}"
+        )
+
+    def check_value_rows(self, value_rows: Sequence[Sequence[object]]) -> None:
+        """Raise :class:`SchemaError` unless every value tuple has one value
+        per attribute (a loader's guard: ``zip`` would drop the extras)."""
+        if set(map(len, value_rows)) <= {self.arity}:
+            return
+        bad = next(vals for vals in value_rows if len(vals) != self.arity)
+        raise SchemaError(
+            f"relation {self.name!r} has {self.arity} attributes, "
+            f"got a row of {len(bad)} values: {tuple(bad)!r}"
+        )
 
     # ------------------------------------------------------------------
     # Combinators used by the expression layer

@@ -33,6 +33,7 @@ from repro.relalg import (
     SetRelation,
 )
 from repro.relalg.expressions import Difference
+from repro.relalg.tuples import Picker
 from repro.sources.base import SourceDatabase
 from repro.sources.sql_compile import compile_chain_select, compile_expression
 
@@ -47,9 +48,10 @@ _AFFINITY = {"int": "INTEGER", "float": "REAL", "str": "TEXT", "any": ""}
 
 
 class _RowSQL(NamedTuple):
-    """The whole-row statements of one table, parameters in ``names`` order."""
+    """The whole-row statements of one table; ``params`` reads a row's values
+    in the table's column order."""
 
-    names: Tuple[str, ...]
+    params: Picker
     probe: str
     insert: str
     delete: str
@@ -111,7 +113,7 @@ class SQLiteSource(SourceDatabase):
             match = " AND ".join(f"{_quote(n)} IS ?" for n in names)
             placeholders = ", ".join("?" for _ in names)
             self._row_sql[schema.name] = _RowSQL(
-                names,
+                schema.in_declared_order,
                 probe=f"SELECT 1 FROM {table} WHERE {match} LIMIT 1",
                 insert=f"INSERT INTO {table} ({all_cols}) VALUES ({placeholders})",
                 delete=f"DELETE FROM {table} WHERE {match}",
@@ -119,9 +121,11 @@ class SQLiteSource(SourceDatabase):
         self._conn.commit()
 
     def _bulk_insert(self, rel_name: str, value_rows: Sequence[Tuple[Any, ...]]) -> None:
+        rows = [tuple(v) for v in value_rows]
+        self.schemas[rel_name].check_value_rows(rows)
         cur = self._conn.cursor()
         cur.execute("BEGIN")
-        cur.executemany(self._row_sql[rel_name].insert, [tuple(v) for v in value_rows])
+        cur.executemany(self._row_sql[rel_name].insert, rows)
         cur.execute("COMMIT")
 
     # ------------------------------------------------------------------
@@ -133,15 +137,15 @@ class SQLiteSource(SourceDatabase):
         for rel_name, schema in self.schemas.items():
             cols = ", ".join(_quote(a.name) for a in schema.attributes)
             cur.execute(f"SELECT {cols} FROM {_quote(rel_name)}")
-            names = schema.attribute_names
-            snap[rel_name] = SetRelation(
-                schema, (Row(dict(zip(names, values))) for values in cur.fetchall())
-            )
+            snap[rel_name] = SetRelation.from_values(schema, cur.fetchall())
         return snap
 
     def _contains(self, relation: str, row: Row) -> bool:
+        schema = self.schemas[relation]
+        if row._names is not schema.row_names:
+            raise schema.row_mismatch(row)
         sql = self._row_sql[relation]
-        cur = self._conn.execute(sql.probe, row.values_for(sql.names))
+        cur = self._conn.execute(sql.probe, sql.params(row._values))
         return cur.fetchone() is not None
 
     def _apply(self, delta: SetDelta) -> None:
@@ -151,7 +155,7 @@ class SQLiteSource(SourceDatabase):
             for rel_name in delta.relations():
                 sql = self._row_sql[rel_name]
                 for r in delta.deletions(rel_name):
-                    cur.execute(sql.delete, r.values_for(sql.names))
+                    cur.execute(sql.delete, sql.params(r._values))
                     if cur.rowcount != 1:
                         # Storage and the validated delta disagree: refuse
                         # rather than log and announce a delete that did
@@ -161,7 +165,7 @@ class SQLiteSource(SourceDatabase):
                             f"expected 1: {dict(r)}"
                         )
                 for r in delta.insertions(rel_name):
-                    cur.execute(sql.insert, r.values_for(sql.names))
+                    cur.execute(sql.insert, sql.params(r._values))
             cur.execute("COMMIT")
         except sqlite3.DatabaseError as exc:
             cur.execute("ROLLBACK")
@@ -198,10 +202,9 @@ class SQLiteSource(SourceDatabase):
         cur = self._conn.cursor()
         cur.execute(sql, params)
         rows = cur.fetchall()
-        names = schema.attribute_names
         if isinstance(expr, Difference) or (isinstance(expr, Project) and expr.dedup):
-            return SetRelation(schema, (Row(dict(zip(names, v))) for v in rows))
-        return BagRelation.from_rows(schema, (Row(dict(zip(names, v))) for v in rows))
+            return SetRelation.from_values(schema, rows)
+        return BagRelation.from_values(schema, rows)
 
     def poll_and_query(
         self, queries: Mapping[str, Expression]

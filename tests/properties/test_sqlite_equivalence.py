@@ -49,6 +49,18 @@ NULL_TEMPLATES = [
     "dproject[n2](select[n1 != n2](N))",
 ]
 
+#: The shapes whose rows the evaluator builds through index maps resolved
+#: at plan time (rename, projection over a natural-join merge, a theta
+#: join's merge, set difference over renamed projections).
+INDEX_MAP_TEMPLATES = [
+    "rename[a1 = a2, a2 = a1](A)",
+    "select[a1 > {k}](rename[a1 = a2, a2 = a1](A))",
+    "project[a1, b2](A njoin rename[b1 = a2](B))",
+    "project[a2, b1](A join[a2 * 3 + a1 > b1 - b2 + {k}] B)",
+    "dproject[x](rename[a2 = x](A)) minus dproject[x](rename[b2 = x](B))",
+    "project[a2](rename[a1 = a2, a2 = a1](A)) minus project[a2](rename[b1 = a2, b2 = a1](B))",
+]
+
 values = st.integers(min_value=0, max_value=6)
 a_rows = st.lists(st.tuples(st.integers(0, 50), values), max_size=10, unique_by=lambda t: t[0])
 b_rows = st.lists(st.tuples(st.integers(0, 50), values), max_size=10, unique_by=lambda t: t[0])
@@ -73,6 +85,15 @@ def test_sqlite_and_memory_agree(a_data, b_data, template, k):
     query = parse_expression(template.format(k=k))
     in_sqlite, in_memory = answers(query, [A, B], {"A": a_data, "B": b_data})
     assert in_sqlite == in_memory, template
+
+
+@given(a_rows, b_rows, st.sampled_from(INDEX_MAP_TEMPLATES), st.integers(0, 10))
+@settings(max_examples=120, deadline=None)
+def test_sqlite_and_memory_agree_on_index_map_shapes(a_data, b_data, template, k):
+    query = parse_expression(template.format(k=k))
+    in_sqlite, in_memory = answers(query, [A, B], {"A": a_data, "B": b_data})
+    assert in_sqlite == in_memory, template
+    assert in_sqlite.to_sorted_list() == in_memory.to_sorted_list(), template
 
 
 @given(a_null_rows, n_rows, st.sampled_from(NULL_TEMPLATES), values)

@@ -11,6 +11,8 @@ below in counts that repeat exactly.
 
 from collections import Counter
 
+import pytest
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -209,14 +211,21 @@ def test_an_attribute_the_rows_lack_fails_as_it_always_did():
 # Shape pins
 # ---------------------------------------------------------------------------
 def _count_row_constructions(monkeypatch, run):
+    """Rows built while ``run()`` runs, through either constructor: the
+    positional ``Row.new`` and the mapping one, ``Row(...)``."""
     built = []
-    real_init = Row.__init__
+    real_new, real_from_mapping = Row.new, Row.__new__
 
-    def spy(self, data):
+    def spy(cls, parts):
         built.append(1)
-        real_init(self, data)
+        return real_new(cls, parts)
 
-    monkeypatch.setattr(Row, "__init__", spy)
+    def spy_mapping(cls, data):
+        built.append(1)
+        return real_from_mapping(cls, data)
+
+    monkeypatch.setattr(Row, "new", spy)
+    monkeypatch.setattr(Row, "__new__", staticmethod(spy_mapping))
     try:
         return run(), len(built)
     finally:
@@ -238,6 +247,20 @@ def test_a_range_query_builds_one_row_per_survivor_and_none_for_identity(monkeyp
     answer, built = _count_row_constructions(monkeypatch, lambda: mediator.query(identity))
     assert built == 0
     assert answer.support() == frozenset(survivors)
+
+
+def test_copies_and_source_snapshots_build_no_rows(monkeypatch):
+    """A copy shares the stored rows (and their hashes): copying a set, a
+    bag, or a whole memory source constructs nothing."""
+    _, sources = figure4_mediator("all_m")
+    source = sources["dbC"]
+    stored = source.relation("C")
+    bag = BagRelation(stored.schema, {r: 2 for r, _ in stored.items()})
+    for run in (stored.copy, bag.copy, source.state):
+        copied, built = _count_row_constructions(monkeypatch, run)
+        assert built == 0
+    assert copied["C"] == stored and copied["C"] is not stored
+    assert bag.copy() == bag
 
 
 def test_steady_state_compiles_only_the_query_predicates(monkeypatch):
@@ -274,3 +297,37 @@ def test_steady_state_compiles_only_the_query_predicates(monkeypatch):
         lo = 10 * (i % 5)
         mediator.query(f"select[b1 >= {lo} and b1 < {lo + 20}]({'EG'[i % 2]})")
     assert calls == [False] * 50
+
+
+@pytest.mark.parametrize("scenario", [("fig4", "all_m"), ("fig4", "paper"), ("fig1", "ex23")])
+def test_transactions_build_no_positional_test(monkeypatch, scenario):
+    """Every predicate a rule evaluates was resolved to its row layout when
+    the rulebase was built: under ``run_transaction`` no test is generated
+    (``_build`` is where source text is emitted and, per new shape, compiled)."""
+    make = figure4_mediator if scenario[0] == "fig4" else figure1_mediator
+    mediator, sources = make(scenario[1])
+    built, in_transaction = [], []
+    real_build, real_transaction = predicates_module._build, mediator.iup.run_transaction
+
+    def spy(*args):
+        built.append(bool(in_transaction))
+        return real_build(*args)
+
+    def transaction(*args, **kwargs):
+        in_transaction.append(1)
+        try:
+            return real_transaction(*args, **kwargs)
+        finally:
+            in_transaction.pop()
+
+    monkeypatch.setattr(predicates_module, "_build", spy)
+    monkeypatch.setattr(mediator.iup, "run_transaction", transaction)
+    for name in sorted(sources):
+        source = sources[name]
+        relation = sorted(source.schemas)[0]
+        victim = min(source.relation(relation).support(), key=repr)
+        source.delete(relation, **dict(victim))
+        mediator.refresh()
+        source.insert(relation, **dict(victim))
+        mediator.refresh()
+    assert True not in built

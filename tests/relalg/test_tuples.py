@@ -19,8 +19,11 @@ def test_row_equality_order_insensitive():
     assert hash(Row({"a": 1, "b": 2})) == hash(Row({"b": 2, "a": 1}))
 
 
-def test_row_equality_with_plain_mapping():
-    assert row(a=1) == {"a": 1}
+def test_row_does_not_equal_a_plain_mapping():
+    # A row is a tuple (names, values): == is the tuple's own C comparison,
+    # so a row equals only another row.  Compare dict(row) to a dict.
+    assert row(a=1) != {"a": 1}
+    assert dict(row(a=1)) == {"a": 1}
 
 
 def test_row_immutable():

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.deltas import SetDelta, net_accumulate
-from repro.errors import SourceError
+from repro.errors import SchemaError, SourceError
 from repro.relalg import make_schema, row
 from repro.sources import MemorySource, SQLiteSource
 
@@ -182,3 +182,19 @@ def test_commit_copies_the_delta_once(backend, monkeypatch):
     source = make_source(backend)
     source.insert("P", k=5, v=5)
     assert len(copies) == 1
+
+
+# ----------------------------------------------------------------------
+# Initial data: one value per attribute, on both backends
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("bad_row", [(3, 30, 99), (3,)])
+def test_initial_row_of_the_wrong_arity_is_refused(backend, bad_row):
+    """An over-long row used to lose its extra values silently in memory
+    (and raise a raw driver error in SQLite); a short one must be refused
+    the same way."""
+    with pytest.raises(SchemaError) as excinfo:
+        make_source(backend, {"P": [(1, 10), bad_row]})
+    assert str(excinfo.value) == (
+        f"relation 'P' has 2 attributes, got a row of {len(bad_row)} values: {bad_row!r}"
+    )
