@@ -223,12 +223,9 @@ class IncrementalUpdateProcessor:
         relations outside the VDP are ignored (the source announced more
         than this mediator integrates).
         """
-        out: Dict[str, BagDelta] = {}
-        for leaf in self.vdp.leaves():
-            restricted = combined.restrict_to([leaf])
-            if not restricted.is_empty():
-                out[leaf] = set_to_bag(restricted)
-        return out
+        bags = ((leaf, BagDelta.from_counts(leaf, dict(combined.atoms_for(leaf))))
+                for leaf in self.vdp.leaves())
+        return {leaf: bag for leaf, bag in bags if bag}
 
     def _leaf_subs(
         self, entries: List[QueuedUpdate]
@@ -246,11 +243,9 @@ class IncrementalUpdateProcessor:
             for relation in entry.delta.relations():
                 if relation not in leaves:
                     continue
-                restricted = entry.delta.restrict_to([relation])
-                if not restricted.is_empty():
-                    out.setdefault(relation, []).append(
-                        (entry.origin, set_to_bag(restricted))
-                    )
+                sub = BagDelta.from_counts(relation, dict(entry.delta.atoms_for(relation)))
+                if sub:
+                    out.setdefault(relation, []).append((entry.origin, sub))
         return out
 
     def _in_flight_by_source(self, entries: List[QueuedUpdate]) -> Dict[str, List[SetDelta]]:
@@ -268,10 +263,7 @@ class IncrementalUpdateProcessor:
         and every rule firing probes instead of re-hashing.
         """
         for name, temp in temps.items():
-            attrs = set(temp.schema.attribute_names)
-            for keys in sorted(self.store.index_requirements_for(name)):
-                if set(keys) <= attrs:
-                    temp.ensure_index(keys, self.store.counters)
+            temp.ensure_indexes(self.store.index_requirements_for(name), self.store.counters)
 
     # ------------------------------------------------------------------
     # Phase (a): the IUP Preparation Algorithm

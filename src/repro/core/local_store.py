@@ -108,12 +108,8 @@ class LocalStore:
     def _build_declared_indexes(self) -> None:
         for name, keysets in self._index_requirements.items():
             repo = self._repos.get(name)
-            if repo is None:
-                continue
-            stored_attrs = set(repo.schema.attribute_names)
-            for keys in sorted(keysets):
-                if set(keys) <= stored_attrs:
-                    repo.ensure_index(keys, self.counters)
+            if repo is not None:
+                repo.ensure_indexes(keysets, self.counters)
 
     # ------------------------------------------------------------------
     # Storage schemas
@@ -184,10 +180,7 @@ class LocalStore:
             raise MediatorError(f"node {name!r} stores nothing; cannot reinitialize")
         self._repos[name] = self._stored_projection(name, full_value, ann)
         self._deltas.pop(name, None)
-        stored_attrs = set(self._repos[name].schema.attribute_names)
-        for keys in sorted(self._index_requirements.get(name, ())):
-            if set(keys) <= stored_attrs:
-                self._repos[name].ensure_index(keys, self.counters)
+        self._repos[name].ensure_indexes(self._index_requirements.get(name, ()), self.counters)
 
     def _stored_projection(self, name: str, full_value: Relation, ann: Annotation) -> Relation:
         node = self.vdp.node(name)
@@ -215,29 +208,18 @@ class LocalStore:
         return fresh
 
     def accumulate(self, name: str, delta: AnyDelta) -> None:
-        """Smash an incoming contribution into the node's ΔR repository.
+        """Smash an incoming contribution into the node's ΔR repository, in
+        place.
 
         Smashing is the kernel's net-effect compaction: atoms the incoming
         contribution cancels against the accumulated ΔR vanish here and are
         never applied or propagated.  The cancellation count is surfaced as
         ``store.deltas_smashed``.
         """
-        node = self.vdp.node(name)
         current = self.delta(name)
-        if node.kind is NodeKind.SET:
-            if isinstance(delta, BagDelta):
-                delta = bag_to_set(delta)
-            smashed = current.smash(delta)
-            gross = current.atom_count() + delta.atom_count()
-            net = smashed.atom_count()
-        else:
-            if isinstance(delta, SetDelta):
-                delta = set_to_bag(delta)
-            smashed = current.smash(delta)
-            gross = current.entry_count() + delta.entry_count()
-            net = smashed.entry_count()
-        self.stats.deltas_smashed += gross - net
-        self._deltas[name] = smashed
+        if type(delta) is not type(current):
+            delta = bag_to_set(delta) if isinstance(current, SetDelta) else set_to_bag(delta)
+        self.stats.deltas_smashed += current.absorb(delta)
 
     def has_pending_delta(self, name: str) -> bool:
         """True when the node has a non-empty accumulated delta."""

@@ -241,7 +241,9 @@ class CompiledSPJ:
         return self._schemas
 
     def index_requirements(self) -> Dict[str, Set[Tuple[str, ...]]]:
-        """Relations (and key tuples) this part's joins can probe.
+        """Relations (and index keys) this part's joins can probe: key
+        tuples for hash probes, :class:`~repro.relalg.OrderedKey` terms for
+        ordered ones.
 
         Synthetic delta aliases are excluded: only siblings read from
         repositories or temporaries benefit from persistent indexes.
@@ -250,7 +252,7 @@ class CompiledSPJ:
         for plan in (self._plans or {}).values():
             if not isinstance(plan, JoinPlan):
                 continue
-            for spec in (plan.left_probe, plan.right_probe):
+            for spec in (plan.left_probe, plan.right_probe, plan.left_range, plan.right_range):
                 if spec is None or spec.base.startswith(DELTA_ALIAS_PREFIX):
                     continue
                 out.setdefault(spec.base, set()).add(spec.index_keys)
@@ -373,9 +375,9 @@ class BagNodeRule:
         counters: Optional[EvalCounters] = None,
     ) -> BagDelta:
         """Compute the parent's bag delta for this child's delta."""
-        result = BagDelta()
-        for compiled in self._compiled:
-            result = result.smash(compiled.delta(child_delta, catalog, counters))
+        result, *others = (part.delta(child_delta, catalog, counters) for part in self._compiled)
+        for other in others:
+            result.absorb(other)
         return result
 
     @property
@@ -490,7 +492,7 @@ class SetNodeRule:
         operand and the diff2 rule when it feeds the right operand; a child
         feeding both sides fires both parts sequentially.
         """
-        result = SetDelta()
+        atoms: Dict[Row, int] = {}  # the later atom wins, as in a smash
         evaluator: Optional[Evaluator] = None
         for (side, operand, other), compiled, (op_plan, other_plan) in zip(
             self._sides, self._compiled, self._probe_plans
@@ -522,25 +524,15 @@ class SetNodeRule:
                 def in_other(r: Row, _s=other_support) -> bool:
                     return r in _s
 
-            if side == "left":
-                # diff1 (corrected): rows entering L join T unless in R;
-                # rows leaving L leave T unless shadowed by R already.
-                for r in entering:
-                    if not in_other(r):
-                        result = result.smash(_atom(self.parent, r, +1))
-                for r in leaving:
-                    if not in_other(r):
-                        result = result.smash(_atom(self.parent, r, -1))
-            else:
-                # diff2: rows entering R evict L-rows from T; rows leaving R
-                # re-admit L-rows into T.
-                for r in entering:
-                    if in_other(r):
-                        result = result.smash(_atom(self.parent, r, -1))
-                for r in leaving:
-                    if in_other(r):
-                        result = result.smash(_atom(self.parent, r, +1))
-        return result
+            # diff1 (corrected): rows entering L join T unless in R; rows
+            # leaving L leave T unless shadowed by R already.  diff2: rows
+            # entering R evict L-rows from T; rows leaving R re-admit them.
+            left = side == "left"
+            for rows, sign in ((entering, 1), (leaving, -1)):
+                for r in rows:
+                    if in_other(r) != left:
+                        atoms[r] = sign if left else -sign
+        return SetDelta.from_atoms((self.parent, r, sign) for r, sign in atoms.items())
 
     # ------------------------------------------------------------------
     # Probe fast path
@@ -592,15 +584,6 @@ class SetNodeRule:
             for plan in (op_plan, other_plan):
                 out.setdefault(plan.base, set()).add(plan.index_keys)
         return out
-
-
-def _atom(relation: str, r: Row, sign: int) -> SetDelta:
-    d = SetDelta()
-    if sign > 0:
-        d.insert(relation, r)
-    else:
-        d.delete(relation, r)
-    return d
 
 
 def build_rule(

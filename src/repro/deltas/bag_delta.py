@@ -117,7 +117,7 @@ class BagDelta:
 
     def entry_count(self) -> int:
         """Number of distinct (relation, row) entries."""
-        return sum(1 for _ in self.entries())
+        return sum(map(len, self._counts.values()))  # zero counts are never stored
 
     def magnitude(self) -> int:
         """Total absolute multiplicity across all entries."""
@@ -138,9 +138,29 @@ class BagDelta:
     def smash(self, other: "BagDelta") -> "BagDelta":
         """Bag smash: pointwise addition of signed multiplicities."""
         out = self.copy()
-        for rel, r, n in other.entries():
-            out.add(rel, r, n)
+        out.absorb(other)
         return out
+
+    def absorb(self, other: "BagDelta") -> int:
+        """``self ! other`` in place (:meth:`smash` without the copy); returns
+        the entries it folded away — the gross minus the net entry count:
+        one per row both hold, two when their counts cancel."""
+        folded = 0
+        for rel, counts in other._counts.items():
+            if not counts:
+                continue
+            mine = self._counts.setdefault(rel, {})
+            for r, n in counts.items():
+                have = mine.get(r)
+                if have is None:
+                    mine[r] = n
+                elif have + n:
+                    mine[r] = have + n
+                    folded += 1
+                else:
+                    del mine[r]
+                    folded += 2
+        return folded
 
     def inverse(self) -> "BagDelta":
         """Pointwise negation."""

@@ -150,12 +150,22 @@ class SetDelta:
     # ------------------------------------------------------------------
     def smash(self, other: "SetDelta") -> "SetDelta":
         """``self ! other``: later atoms win on conflict (paper Section 6.2)."""
-        out = SetDelta()
-        for rel, r, sign in self.atoms():
-            out._atoms.setdefault(rel, {})[r] = sign
-        for rel, r, sign in other.atoms():
-            out._atoms.setdefault(rel, {})[r] = sign
+        out = self.copy()
+        out.absorb(other)
         return out
+
+    def absorb(self, other: "SetDelta") -> int:
+        """``self ! other`` in place (:meth:`smash` without the copy); returns
+        the atoms it folded away — one per row both hold."""
+        folded = 0
+        for rel, atoms in other._atoms.items():
+            if not atoms:
+                continue
+            mine = self._atoms.setdefault(rel, {})
+            before = len(mine)
+            mine.update(atoms)
+            folded += before + len(atoms) - len(mine)
+        return folded
 
     def net_fold(self, later: "SetDelta") -> None:
         """Fold the next in-order delta into this one, in place.

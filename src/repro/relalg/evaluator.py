@@ -48,6 +48,12 @@ proportional to delta size rather than database size:
   instead of materializing and re-hashing the indexed relation.  With the
   delta on the driving side, a rule firing costs O(|delta|) index probes
   where it used to cost a full re-hash of the sibling.
+* **Ordered probes** — a pure theta join starting with a separable
+  ``f(L) op g(R)`` (:func:`~repro.relalg.predicates.separable`) runs the
+  same way over an ordered index on one side's term: per drive row one
+  bound, one bisect, the qualifying buckets — O(|delta| log n + output), not
+  O(|delta| · n).  What the index cannot order is pair-tested with the whole
+  condition, so answers and errors are the filtered cross product's.
 
 An optional :class:`EvalCounters` records rows scanned/hashed/produced,
 index probes and index (re)builds; benchmarks and tests use it to assert
@@ -56,6 +62,7 @@ work done — not just wall-clock — by competing strategies.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
@@ -73,8 +80,10 @@ from repro.relalg.expressions import (
     Select,
     Union,
 )
-from repro.relalg.predicates import CompiledTest, Predicate, compile_test, conjoin, equi_join_pairs
-from repro.relalg.relation import BagRelation, Relation, SetRelation
+from repro.relalg.predicates import (
+    FLIP, CompiledTest, Predicate, Term, compile_test, conjoin, equi_join_pairs, separable,
+)
+from repro.relalg.relation import BagRelation, OrderedKey, Relation, SetRelation, finite_number
 from repro.relalg.schema import RelationSchema
 from repro.relalg.tuples import Names, Picker, Row, canonical_names, picker, reorder
 
@@ -84,6 +93,7 @@ __all__ = [
     "Evaluator",
     "ScanChain",
     "ProbeSpec",
+    "RangeSpec",
     "JoinPlan",
     "compile_scan_chain",
     "plan_join",
@@ -389,6 +399,43 @@ def _probe_spec(
     return spec
 
 
+class RangeSpec(NamedTuple):
+    """A separable theta join answered through an ordered index on the
+    probed chain's term (``index_keys``, on base names): per drive row the
+    bound ``drive`` computes, the keys ``k op bound`` (one bisect), and
+    ``rest`` — the other conjuncts, a pair test — on those pairs."""
+
+    base: str
+    chain: ScanChain
+    index_keys: OrderedKey
+    op: str
+    drive: CompiledTest
+    rest: Optional[CompiledTest]
+
+    def target(self, catalog: Mapping[str, Relation]) -> Optional[Relation]:
+        """The base relation, iff it carries the index and the chain resolves over it."""
+        rel = catalog.get(self.base)
+        indexed = rel is not None and rel.has_index(self.index_keys)
+        return rel if indexed and self.chain.outmap_over(rel.schema).missing is None else None
+
+    def keys(self, order: List[Any], bound: Any) -> List[Any]:
+        """The sorted keys ``k`` with ``k op bound``."""
+        at = (bisect_left if self.op in ("<", ">=") else bisect_right)(order, bound)
+        return order[:at] if self.op[0] == "<" else order[at:]
+
+
+def _range_spec(side: Expression, term: Term, op: str, drive: Term, drive_names: Names,
+                rest: Optional[CompiledTest], schemas: Mapping[str, RelationSchema]) -> Any:
+    chain = compile_scan_chain(side, schemas)
+    if chain is None:
+        return None
+    term = term.rename(chain.outmap)
+    key = OrderedKey(str(term), term)
+    key.term.compiled_test().at(schemas[chain.base].row_names)  # both resolved here, at plan time
+    drive.compiled_test().at(drive_names)
+    return RangeSpec(chain.base, chain, key, op, drive.compiled_test(), rest)
+
+
 @dataclass(frozen=True)
 class JoinPlan:
     """Everything about one Join node that does not depend on the data."""
@@ -404,6 +451,9 @@ class JoinPlan:
     residual: Optional[CompiledTest]
     left_probe: Optional[ProbeSpec]  # probe the LEFT side, drive from right
     right_probe: Optional[ProbeSpec]  # probe the RIGHT side, drive from left
+    #: A pure theta join with a separable condition: its ordered probes.
+    left_range: Optional[RangeSpec] = None
+    right_range: Optional[RangeSpec] = None
     #: The merge index map per pair of operand layouts (see :func:`_join_map`).
     maps: Dict[Tuple[Names, Names], Tuple[Optional[Names], Optional[Picker]]] = field(
         default_factory=dict, compare=False, repr=False
@@ -416,7 +466,7 @@ def plan_join(expr: Join, schemas: Mapping[str, RelationSchema]) -> JoinPlan:
     left_attrs = expr.left.infer_schema(schemas, "join_l").attribute_set
     right_attrs = expr.right.infer_schema(schemas, "join_r").attribute_set
     left_names, right_names = canonical_names(left_attrs), canonical_names(right_attrs)
-    residual = None
+    residual = left_range = right_range = None
     if expr.condition is None:
         left_keys = right_keys = sorted(left_attrs & right_attrs)
     else:
@@ -426,6 +476,14 @@ def plan_join(expr: Join, schemas: Mapping[str, RelationSchema]) -> JoinPlan:
         if rest is not None:
             residual = compile_test(rest, right_attrs)
             residual.at(left_names, right_names)
+        split = None if pairs or rest is None else separable(rest, left_attrs, right_attrs)
+        if split is not None:
+            f, op, g, others = split
+            more = None if others is None else compile_test(others, right_attrs)
+            if more is not None:
+                more.at(left_names, right_names)
+            left_range = _range_spec(expr.left, f, op, g, right_names, more, schemas)
+            right_range = _range_spec(expr.right, g, FLIP[op], f, left_names, more, schemas)
     return JoinPlan(
         natural=expr.condition is None,
         left_keys=tuple(left_keys),
@@ -433,6 +491,8 @@ def plan_join(expr: Join, schemas: Mapping[str, RelationSchema]) -> JoinPlan:
         residual=residual,
         left_probe=_probe_spec(expr.left, left_keys, right_keys, right_names, schemas),
         right_probe=_probe_spec(expr.right, right_keys, left_keys, left_names, schemas),
+        left_range=left_range,
+        right_range=right_range,
     )
 
 
@@ -609,10 +669,13 @@ class Evaluator:
         # Indexed execution: probe a persistently indexed side per drive
         # row.  When both sides are indexed, probe the bigger one (driving
         # from the smaller costs fewer probes).
-        probe = self._pick_probe(expr, plan)
+        probe = self._pick_probe(plan.left_probe, plan.right_probe) or self._pick_probe(
+            plan.left_range, plan.right_range)
         if probe is not None:
             side, spec, rel = probe
             drive = self._eval(expr.right if side == "left" else expr.left)
+            if type(spec) is RangeSpec:
+                return self._range_probe(drive, spec, rel, plan, side == "left", output)
             layout = spec.chain.outmap_over(rel.schema)
             probed = rel.schema.row_names if layout.out is None else layout.out
             buckets = rel.index_buckets(spec.index_keys)
@@ -640,11 +703,9 @@ class Evaluator:
         return self._probe(left, lambda names: _key_picker(names, plan.left_keys), index,
                            probed, None, None, plan, False, output)
 
-    def _pick_probe(
-        self, expr: Join, plan: JoinPlan
-    ) -> Optional[Tuple[str, ProbeSpec, Relation]]:
-        candidates: List[Tuple[int, str, ProbeSpec, Relation]] = []
-        for side, spec in (("left", plan.left_probe), ("right", plan.right_probe)):
+    def _pick_probe(self, left: Any, right: Any) -> Optional[Tuple[str, Any, Relation]]:
+        candidates: List[Tuple[int, str, Any, Relation]] = []
+        for side, spec in (("left", left), ("right", right)):
             rel = spec.target(self.catalog) if spec is not None else None
             if rel is not None:
                 candidates.append((rel.distinct_size(), side, spec, rel))
@@ -711,6 +772,52 @@ class Evaluator:
                 if test is not None and not (test(ov, dv) if probing_left else test(dv, ov)):
                     continue
                 counts[new(Row, (out, get(dv + ov)))] += dn * bn
+        return dict(counts)
+
+    def _range_probe(self, drive: Dict[Row, int], spec: RangeSpec, rel: Relation, plan: JoinPlan,
+                     probing_left: bool, output: Optional[JoinOutput]) -> Dict[Row, int]:
+        """The ordered join loop: per drive row, the buckets of the keys its
+        bound bisects need only ``spec.rest``; the unordered bucket — every
+        bucket, for a bound that is not a finite number — the whole residual."""
+        layout = spec.chain.outmap_over(rel.schema)
+        chain_test, chain_get = layout.test, layout.get
+        probed = rel.schema.row_names if layout.out is None else layout.out
+        buckets, order = rel.index_buckets(spec.index_keys), rel.index_order(spec.index_keys)
+        unordered = buckets.get(None)
+        counts: Dict[Row, int] = defaultdict(int)
+        new, names = Row.new, None
+        for dr, dn in drive.items():
+            dv = dr._values
+            if dr._names is not names:
+                names = dr._names
+                bound_of = spec.drive.at(names)
+                out, get = _join_map(plan, output, names, probed)
+                pair = (probed, names) if probing_left else (names, probed)
+                full = plan.residual.at(*pair)
+                rest = None if spec.rest is None else spec.rest.at(*pair)
+            self.counters.index_probes += 1
+            try:
+                bound = bound_of(dv)
+            except Exception:  # the whole residual raises it again, pair by pair
+                bound = None
+            if finite_number(bound):
+                found = [(buckets[k], rest) for k in spec.keys(order, bound)]
+                if unordered:
+                    found.append((unordered, full))
+            else:
+                found = [(bucket, full) for bucket in buckets.values()]
+            for bucket, test in found:
+                for br, bn in bucket.items():
+                    bv = br._values
+                    if chain_test is not None and not chain_test(bv):
+                        continue
+                    ov = bv if chain_get is None else chain_get(bv)
+                    if test is not None and not (test(ov, dv) if probing_left else test(dv, ov)):
+                        continue
+                    # get None: a step projects what the rows lack (reported)
+                    merged = new(Row, (out, get(dv + ov))) if get else _merged(
+                        dr, new(Row, (probed, ov)), False, output)
+                    counts[merged] += dn * bn
         return dict(counts)
 
     def _eval_union(self, expr: Union) -> Dict[Row, int]:

@@ -60,13 +60,27 @@ __all__ = [
     "implies",
     "compile_test",
     "CompiledTest",
+    "separable",
 ]
 
 
 # ---------------------------------------------------------------------------
 # Terms
 # ---------------------------------------------------------------------------
-class Term:
+class _Compiles:
+    """What terms and predicates share: one compiled form per instance."""
+
+    def compiled_test(self) -> "CompiledTest":
+        """This node compiled (see :func:`compile_test`): built on first use
+        and kept on the instance."""
+        test = self.__dict__.get("_test")
+        if test is None:
+            test = compile_test(self)  # type: ignore[arg-type]
+            object.__setattr__(self, "_test", test)  # frozen dataclass: not a field
+        return test
+
+
+class Term(_Compiles):
     """Abstract term: evaluates to a value given a row."""
 
     def evaluate(self, row: Mapping[str, Any]) -> Any:
@@ -160,7 +174,7 @@ class Arith(Term):
 # ---------------------------------------------------------------------------
 # Predicates
 # ---------------------------------------------------------------------------
-class Predicate:
+class Predicate(_Compiles):
     """Abstract boolean predicate over a row."""
 
     def evaluate(self, row: Mapping[str, Any]) -> bool:
@@ -173,15 +187,6 @@ class Predicate:
     def rename(self, mapping: Mapping[str, str]) -> "Predicate":
         """A copy with attribute references renamed."""
         raise NotImplementedError
-
-    def compiled_test(self) -> "CompiledTest":
-        """This predicate compiled (see :func:`compile_test`): built on first
-        use and kept on the instance."""
-        test = self.__dict__.get("_test")
-        if test is None:
-            test = compile_test(self)
-            object.__setattr__(self, "_test", test)  # frozen dataclass: not a field
-        return test
 
     def compiled(self) -> Callable[[Mapping[str, Any]], bool]:
         """This predicate as a plain function of one row mapping."""
@@ -418,7 +423,7 @@ class CompiledTest:
         return self.function(r, s)
 
 
-def compile_test(pred: Predicate, right: FrozenSet[str] = frozenset()) -> CompiledTest:
+def compile_test(pred: Any, right: FrozenSet[str] = frozenset()) -> CompiledTest:
     """Compile ``pred`` to a test of one row — or of a row *pair*.
 
     Attributes named in ``right`` are read from the second row, all others
@@ -429,6 +434,7 @@ def compile_test(pred: Predicate, right: FrozenSet[str] = frozenset()) -> Compil
     generated per layout but Python-compiled once per *shape* — predicates
     differing only in their constants share one code object — so compiling a
     fresh query predicate costs less than interpreting a couple of dozen rows.
+    A :class:`Term` compiles the same way, to a function returning its value.
     """
     return CompiledTest(pred, right)
 
@@ -641,3 +647,26 @@ def equi_join_pairs(
     if residual_pred is TRUE:
         residual_pred = None
     return pairs, residual_pred
+
+
+FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+def separable(
+    pred: Predicate, left_attrs: FrozenSet[str], right_attrs: FrozenSet[str]
+) -> Optional[Tuple[Term, str, Term, Optional[Predicate]]]:
+    """``(f, op, g, rest)`` when ``pred``'s first conjunct is ``f(L) op
+    g(R)`` in some orientation — ``op`` an ordering comparison, ``f`` / ``g``
+    reading only left / right operand attributes — with ``rest`` the other
+    conjuncts (None: none); None for any other shape."""
+    first, *others = conjuncts(pred) or [TRUE]
+    if not isinstance(first, Comparison) or first.op not in FLIP:
+        return None
+    f, op, g = first.left, first.op, first.right
+    if f.attributes() <= right_attrs and g.attributes() <= left_attrs:
+        f, op, g = g, FLIP[op], f
+    if not (f.attributes() and g.attributes()):
+        return None
+    if f.attributes() <= left_attrs and g.attributes() <= right_attrs:
+        return f, op, g, conjoin(*others) if others else None
+    return None

@@ -21,6 +21,12 @@ the whole relation inside every rule firing (the compiled propagation
 engine; see :mod:`repro.core.rules`).  ``copy()`` deliberately drops
 indexes: a copy is a fresh relation and re-declares what it needs.
 
+An **ordered index**, keyed by an :class:`OrderedKey` (a term such as
+``a1 ^ 2 + a2``), is the same bucket dict keyed by each row's term value
+plus the sorted list of its distinct keys, maintained in the same loop.
+Only finite ``int`` / ``float`` values are ordered; a row whose term yields
+anything else or raises is bucketed under ``None``.
+
 Rows are tuples (:mod:`repro.relalg.tuples`), so the bulk paths stay at C
 level: a copy reuses every stored hash (one ``set`` / ``dict`` copy, no
 per-row insert), a bulk load checks attribute sets by identity of the
@@ -30,12 +36,17 @@ interned names, and an index key is one index map over a row's values.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left, insort
 from collections import Counter
+from functools import partial
 from itertools import chain, repeat
+from math import isfinite
 from operator import attrgetter
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple, Union)
 
 from repro.errors import DeltaError, SchemaError
+from repro.relalg.predicates import Term
 from repro.relalg.schema import RelationSchema
 from repro.relalg.tuples import Picker, Row, picker
 
@@ -43,8 +54,36 @@ __all__ = [
     "Relation",
     "SetRelation",
     "BagRelation",
+    "OrderedKey",
+    "finite_number",
     "rows_from_values",
 ]
+
+
+class OrderedKey(NamedTuple):
+    """An ordered index's key: a term over the relation's attributes, with
+    its text, so ``a1 ^ 2`` and ``a1 ^ 2.0`` (equal terms) never share one."""
+
+    text: str
+    term: Term
+
+
+IndexKey = Union[Tuple[str, ...], OrderedKey]  # a hash index's or an ordered index's
+
+
+def finite_number(value: Any) -> bool:
+    """True for a finite ``int`` or ``float``: what an ordered index sorts."""
+    kind = type(value)
+    return kind is int or (kind is float and isfinite(value))
+
+
+def _ordered_key(term: Callable[..., Any], values: Tuple[Any, ...]) -> Any:
+    """A row's ordered-index key: its finite term value, else None."""
+    try:
+        key = term(values)
+    except Exception:  # the pair test raises it again, pair by pair
+        return None
+    return key if finite_number(key) else None
 
 
 #: Containers whose elements are distinct already (a bulk load's fast path).
@@ -96,10 +135,11 @@ class Relation:
 
     def __init__(self, schema: RelationSchema):
         self.schema = schema
-        # key tuple -> {key values -> {row: multiplicity}}, and the key
-        # tuple's picker over a row's values
-        self._indexes: Dict[Tuple[str, ...], Dict[Tuple[Any, ...], Dict[Row, int]]] = {}
-        self._index_pickers: Dict[Tuple[str, ...], Picker] = {}
+        # index key -> {key value -> {row: multiplicity}}, the key's picker
+        # over a row's values, and an ordered index's sorted distinct keys
+        self._indexes: Dict[IndexKey, Dict[Any, Dict[Row, int]]] = {}
+        self._index_pickers: Dict[IndexKey, Picker] = {}
+        self._index_order: Dict[IndexKey, List[Any]] = {}
 
     # -- abstract container protocol --------------------------------------
     def items(self) -> Iterable[Tuple[Row, int]]:
@@ -167,8 +207,9 @@ class Relation:
         return sum(map(sys.getsizeof, values)) + 8 * self.distinct_size()
 
     # -- persistent hash indexes ------------------------------------------
-    def ensure_index(self, keys: Sequence[str], counters: Optional[Any] = None) -> None:
-        """Build (once) a hash index on the given attribute-name key tuple.
+    def ensure_index(self, keys: Union[Sequence[str], OrderedKey], counters: Any = None) -> None:
+        """Build (once) a hash index on the given attribute-name key tuple,
+        or an ordered index on an :class:`OrderedKey`'s term.
 
         The key tuple is taken verbatim — callers canonicalize (the
         evaluator uses sorted, de-duplicated tuples).  Building scans the
@@ -177,12 +218,14 @@ class Relation:
         ``counters`` (an :class:`~repro.relalg.evaluator.EvalCounters`)
         records the build as ``index_rebuilds`` + ``rows_hashed``.
         """
-        keys = tuple(keys)
+        ordered = isinstance(keys, OrderedKey)
+        keys = keys if ordered else tuple(keys)
         if keys in self._indexes:
             return
-        self.schema.check_attributes(keys)
-        get = picker([self.schema.row_names.index(k) for k in keys])
-        index: Dict[Tuple[Any, ...], Dict[Row, int]] = {}
+        self.schema.check_attributes(sorted(keys.term.attributes()) if ordered else keys)
+        get = (partial(_ordered_key, keys.term.compiled_test().at(self.schema.row_names)) if ordered
+               else picker([self.schema.row_names.index(k) for k in keys]))
+        index: Dict[Any, Dict[Row, int]] = {}
         bucket_for = index.setdefault
         hashed = 0
         for r, n in self.items():
@@ -190,17 +233,23 @@ class Relation:
             hashed += 1
         self._indexes[keys] = index
         self._index_pickers[keys] = get
+        if ordered:
+            self._index_order[keys] = sorted(k for k in index if k is not None)
         if counters is not None:
             counters.index_rebuilds += 1
             counters.rows_hashed += hashed
 
-    def has_index(self, keys: Sequence[str]) -> bool:
-        """True when an index on exactly this key tuple exists."""
-        return tuple(keys) in self._indexes
+    def ensure_indexes(self, keysets: Iterable[IndexKey], counters: Any = None) -> None:
+        """:meth:`ensure_index` for each key the attributes cover (a hybrid
+        repository or a VAP temporary may be narrower than its node)."""
+        have = self.schema.attribute_set
+        for keys in sorted(keysets):
+            if (keys.term.attributes() if isinstance(keys, OrderedKey) else set(keys)) <= have:
+                self.ensure_index(keys, counters)
 
-    def index_keysets(self) -> Tuple[Tuple[str, ...], ...]:
-        """The key tuples currently indexed (introspection/tests)."""
-        return tuple(self._indexes)
+    def has_index(self, keys: Union[Sequence[str], OrderedKey]) -> bool:
+        """True when an index on exactly this key exists."""
+        return tuple(keys) in self._indexes
 
     def index_lookup(
         self, keys: Sequence[str], values: Tuple[Any, ...]
@@ -216,20 +265,24 @@ class Relation:
             return []
         return list(bucket.items())
 
-    def index_buckets(self, keys: Tuple[str, ...]) -> Dict[Tuple[Any, ...], Dict[Row, int]]:
+    def index_buckets(self, keys: IndexKey) -> Dict[Any, Dict[Row, int]]:
         """The live index on ``keys``, key values → ``{row: multiplicity}``
         (read-only for callers; :meth:`index_lookup` copies one bucket)."""
         return self._indexes[keys]
 
-    def drop_indexes(self) -> None:
-        """Discard all indexes (they rebuild on the next ensure_index)."""
-        self._indexes = {}
-        self._index_pickers = {}
+    def index_order(self, keys: OrderedKey) -> List[Any]:
+        """The live sorted finite keys of an ordered index (read-only)."""
+        return self._index_order[keys]
 
     def _index_add(self, row: Row, multiplicity: int) -> None:
         """Reflect an insert of ``row`` in every live index."""
         for keys, index in self._indexes.items():
-            bucket = index.setdefault(self._index_pickers[keys](row._values), {})
+            values = self._index_pickers[keys](row._values)
+            bucket = index.get(values)
+            if bucket is None:
+                bucket = index[values] = {}
+                if values is not None and keys in self._index_order:
+                    insort(self._index_order[keys], values)
             bucket[row] = bucket.get(row, 0) + multiplicity
 
     def _index_remove(self, row: Row, multiplicity: int) -> None:
@@ -246,6 +299,9 @@ class Relation:
                 bucket.pop(row, None)
                 if not bucket:
                     del index[values]
+                    order = self._index_order.get(keys)
+                    if order is not None and values is not None:
+                        del order[bisect_left(order, values)]
 
     def __len__(self) -> int:
         return self.cardinality()

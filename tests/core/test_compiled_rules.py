@@ -191,3 +191,62 @@ def test_repository_indexes_survive_apply_delta():
     assert after.get(row(s1=1, s2=999)) == 1
     for r, n in before.items():
         assert after.get(r) == n
+
+
+def _e_rule_counters(a_rows, b_rows):
+    """Fire one transaction of A and B changes through a default Figure 4
+    mediator; return the counters of E's two edge rules and the stats."""
+    from repro.relalg import EvalCounters
+
+    sources = figure4_sources(a_rows=a_rows, b_rows=b_rows, cd_rows=40, seed=11)
+    mediator, _ = figure4_mediator("all_m", sources=sources)
+    fired = {}
+    for child in ("A_p", "B_p"):
+        rule = mediator.rulebase.edge_rule("E", child)
+
+        def counting_fire(child_delta, catalog, counters=None, _fire=rule.fire, _child=child):
+            own = EvalCounters()
+            out = _fire(child_delta, catalog, own)
+            fired[_child] = own
+            if counters is not None:
+                counters.merge(own)
+            return out
+
+        rule.fire = counting_fire
+    mediator.reset_stats()
+    for k in range(4):
+        # Small a1 / b2 values, so the theta join matches on both sides.
+        sources["dbA"].insert("A", a1=10_000 + k, a2=k - 2)
+        sources["dbB"].insert("B", b1=10_000 + k, b2=200 + k)
+    sources["dbA"].delete("A", **dict(min(sources["dbA"].relation("A").rows(), key=lambda r: r["a1"])))
+    mediator.refresh()
+    assert_materialized_correct(mediator)
+    return fired, mediator.stats()
+
+
+def test_theta_rules_bisect_an_ordered_index_flat_in_database_size():
+    """E = π(A_p ⋈[a1^2 + a2 < b2^2] B_p): each edge rule drives from its
+    delta and bisects the sibling's ordered index — it scans neither
+    repository, its work is the same at |A|, |B| = 30, 20 and 600, 400, and
+    the maintained indexes are never rebuilt."""
+    small, small_stats = _e_rule_counters(30, 20)
+    large, large_stats = _e_rule_counters(600, 400)
+    for child, delta_rows in (("A_p", 5), ("B_p", 4)):
+        assert small[child].rows_scanned == large[child].rows_scanned == delta_rows
+        assert small[child].index_probes == large[child].index_probes == delta_rows
+        assert small[child].rows_hashed == large[child].rows_hashed == 0
+    for stats in (small_stats, large_stats):
+        assert stats.index_rebuilds == 0
+        assert stats.rows_hashed == 0
+
+
+def test_theta_join_declares_ordered_indexes_on_both_operands():
+    from repro.core.rulebase import RuleBase
+    from repro.workloads import figure4_vdp
+
+    reqs = RuleBase(figure4_vdp()).index_requirements()
+    assert {key.text for key in reqs["A_p"]} == {"((a1 ^ 2) + a2)"}
+    assert {key.text for key in reqs["B_p"]} == {"(b2 ^ 2)"}
+    mediator, _ = figure4_mediator("all_m")
+    for name, (key,) in (("A_p", reqs["A_p"]), ("B_p", reqs["B_p"])):
+        assert mediator.store.repo(name).has_index(key)

@@ -1,6 +1,8 @@
 """Unit tests for the mediator's local store."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import LocalStore, annotate
 from repro.deltas import BagDelta, SetDelta
@@ -148,3 +150,71 @@ def test_storage_metrics_per_node():
     assert store.total_stored_bytes() == sum(
         m["estimated_bytes"] for m in metrics
     )
+
+
+# Contributions: (is a set delta?, [(row key, signed count)]).  A set
+# delta's rows are distinct with signs ±1; a bag delta's counts are ±1/±2.
+_contributions = st.lists(
+    st.tuples(
+        st.booleans(),
+        st.lists(
+            st.tuples(st.integers(0, 4), st.sampled_from([-2, -1, 1, 2])),
+            max_size=6,
+            unique_by=lambda entry: entry[0],
+        ),
+    ),
+    max_size=8,
+)
+
+
+def _contribution(name, is_set, entries, set_node):
+    if is_set or set_node:  # a set node only ever receives ±1 (bag_to_set's domain)
+        return SetDelta.from_atoms((name, row(a1=k, b1=k % 2), 1 if n > 0 else -1) for k, n in entries)
+    return BagDelta.from_counts(name, {row(a1=k, b1=k % 2): n for k, n in entries})
+
+
+def _copy_smash(current, delta):
+    """The definition, written out: a fresh delta holding ``current``'s
+    entries, then ``delta``'s — added to them (bag) or written over them,
+    the later atom winning (set)."""
+    out = type(current)()
+    if isinstance(current, SetDelta):
+        for rel, r, sign in list(current.atoms()) + list(delta.atoms()):
+            out._atoms.setdefault(rel, {})[r] = sign
+    else:
+        for rel, r, n in list(current.entries()) + list(delta.entries()):
+            out.add(rel, r, n)
+    return out
+
+
+@given(_contributions, st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_in_place_accumulation_is_the_copy_smash(contributions, set_node):
+    """``accumulate`` adds each contribution into ΔR in place; the result —
+    entries, their order, and ``deltas_smashed`` — is exactly the copy-smash
+    definition: ``ΔR := ΔR ! δ`` with the gross minus the net entry count
+    (atom count on a set node) added to the counter."""
+    from repro.deltas import bag_to_set, set_to_bag
+    from repro.workloads import figure4_vdp
+
+    name = "G" if set_node else "F"  # F: a bag node over (a1, b1); G: a set node
+    store = LocalStore(annotate(figure4_vdp(), {}))
+    expected = SetDelta() if set_node else BagDelta()
+    smashed = 0
+    for is_set, entries in contributions:
+        delta = _contribution(name, is_set, entries, set_node)
+        store.accumulate(name, delta)
+        if set_node:
+            delta = bag_to_set(delta) if isinstance(delta, BagDelta) else delta
+            after = _copy_smash(expected, delta)
+            smashed += expected.atom_count() + delta.atom_count() - after.atom_count()
+        else:
+            delta = set_to_bag(delta) if isinstance(delta, SetDelta) else delta
+            after = _copy_smash(expected, delta)
+            smashed += expected.entry_count() + delta.entry_count() - after.entry_count()
+        expected = after
+        got = store.delta(name)
+        assert got == expected
+        walk = (lambda d: list(d.atoms())) if set_node else (lambda d: list(d.entries()))
+        assert walk(got) == walk(expected)
+        assert store.stats.deltas_smashed == smashed

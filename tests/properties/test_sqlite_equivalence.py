@@ -5,7 +5,8 @@ Random data and randomized query shapes are executed both through
 :class:`MemorySource` (the Python evaluator); the answers must be
 bag-identical.  This pins the algebra→SQL compiler across selects,
 projections (bag and distinct), equi- and theta-joins, unions, differences,
-renames, and arithmetic conditions — and across ``None``: equality and
+renames, and arithmetic conditions — separable theta joins also through
+the ordered index a compiled rule probes — and across ``None``: equality and
 inequality are two-valued on both backends (``IS`` / ``IS NOT``), so which
 backend holds a source never decides which rows a poll returns.  The two
 places the backends still part ways are pinned at the bottom as strict
@@ -16,7 +17,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.relalg import Attribute, RelationSchema, parse_expression
+from repro.relalg import (
+    Attribute,
+    EvalCounters,
+    Evaluator,
+    Join,
+    RelationSchema,
+    SetRelation,
+    parse_expression,
+    plan_join,
+)
 from repro.sources import MemorySource, SQLiteSource
 
 A = RelationSchema("A", (Attribute("a1", "int"), Attribute("a2", "int")), key=("a1",))
@@ -61,6 +71,18 @@ INDEX_MAP_TEMPLATES = [
     "project[a2](rename[a1 = a2, a2 = a1](A)) minus project[a2](rename[b1 = a2, b2 = a1](B))",
 ]
 
+#: Pure theta joins whose first conjunct compares a term of A with one of B:
+#: evaluated in memory through an ordered index on A's term, bisected per B
+#: row (the path Figure 4's E rules run).
+SEPARABLE_THETA_TEMPLATES = [
+    "project[a1, b1](A join[a1 ^ 2 + a2 < b2 ^ 2] B)",
+    "project[a1, b1](A join[b2 * 3 >= a2] B)",
+    "project[a2, b1](A join[a2 > b2 and a1 != b1] B)",
+    "project[a1, b2](A join[a2 + {k} <= b1] B)",
+    "project[a1, b1](select[a1 > {k}](A) join[a2 < b2] B)",
+    "project[x, b1](rename[a2 = x](A) join[x <= b2 - 1] B)",
+]
+
 values = st.integers(min_value=0, max_value=6)
 a_rows = st.lists(st.tuples(st.integers(0, 50), values), max_size=10, unique_by=lambda t: t[0])
 b_rows = st.lists(st.tuples(st.integers(0, 50), values), max_size=10, unique_by=lambda t: t[0])
@@ -102,6 +124,28 @@ def test_sqlite_and_memory_agree_on_none(a_data, n_data, template, k):
     query = parse_expression(template.format(k=k))
     in_sqlite, in_memory = answers(query, [A, N], {"A": a_data, "N": n_data})
     assert in_sqlite == in_memory, template
+
+
+def _joins(expr):
+    if isinstance(expr, Join):
+        yield expr
+    for child in expr.children():
+        yield from _joins(child)
+
+
+@given(a_rows, b_rows, st.sampled_from(SEPARABLE_THETA_TEMPLATES), st.integers(0, 10))
+@settings(max_examples=120, deadline=None)
+def test_sqlite_agrees_with_the_ordered_theta_join(a_data, b_data, template, k):
+    query = parse_expression(template.format(k=k))
+    in_sqlite, _ = answers(query, [A, B], {"A": a_data, "B": b_data})
+    catalog = {"A": SetRelation.from_values(A, a_data), "B": SetRelation.from_values(B, b_data)}
+    for join in _joins(query):
+        spec = plan_join(join, {"A": A, "B": B}).left_range
+        catalog[spec.base].ensure_index(spec.index_keys)
+    counters = EvalCounters()
+    in_memory = Evaluator(catalog, counters=counters).evaluate(query)
+    assert in_sqlite == in_memory, template
+    assert counters.index_probes == len(b_data)  # one bisect per B row: the ordered path ran
 
 
 def test_inequality_keeps_the_none_row_on_both_backends():

@@ -5,7 +5,9 @@ sequence of inserts, deletes, and applied deltas, a relation's persistent
 index answers lookups exactly as a from-scratch hash of its current rows
 would — for bag and set semantics alike, including multiplicity edges
 (a bucket entry must vanish the moment its multiplicity reaches zero, and
-an emptied bucket must not shadow later reinsertions).
+an emptied bucket must not shadow later reinsertions).  An ordered index
+(a term's value per row plus its sorted distinct keys) is held to the same
+standard, its sorted key list included.
 """
 
 from collections import defaultdict
@@ -15,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.deltas import BagDelta, SetDelta
-from repro.relalg import BagRelation, SetRelation, make_schema, row
+from repro.relalg import BagRelation, OrderedKey, SetRelation, make_schema, parse_predicate, row
 
 SCHEMA = make_schema("R", ["a", "b", "c"])
 KEYS = ("a", "b")
@@ -167,3 +169,70 @@ def test_ensure_index_rejects_unknown_attributes():
     rel = BagRelation(SCHEMA)
     with pytest.raises(Exception):
         rel.ensure_index(("a", "nope"))
+
+
+# ---------------------------------------------------------------------------
+# Ordered indexes: a term's value per row, plus the sorted distinct keys
+# ---------------------------------------------------------------------------
+TERM = parse_predicate("a * b - c < 0").left
+TERM_KEY = OrderedKey(str(TERM), TERM)
+# Finite numbers (int / float ties included) and values the index cannot
+# order: None and strings make the term raise, NaN and inf are not finite.
+ordered_values = st.sampled_from([0, 1, 2, 1.0, 0.5, -1, None, "s", float("nan"), float("inf")])
+ordered_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["insert", "delete", "adjust"]),
+        ordered_values,
+        ordered_values,
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=-2, max_value=3),
+    ),
+    max_size=40,
+)
+
+
+def assert_ordered_index_fresh(rel):
+    """Bucket for bucket and key for key, the maintained ordered index equals
+    one built from scratch over the relation's current rows."""
+    scratch = rel.copy()
+    assert not scratch.has_index(TERM_KEY)  # copy() drops it
+    scratch.ensure_index(TERM_KEY)
+    assert rel.index_buckets(TERM_KEY) == scratch.index_buckets(TERM_KEY)
+    order = rel.index_order(TERM_KEY)
+    assert order == scratch.index_order(TERM_KEY)
+    assert order == sorted(order) and None not in order
+    assert len(order) == len(set(order)) == len(rel.index_buckets(TERM_KEY)) - (
+        None in rel.index_buckets(TERM_KEY)
+    )
+
+
+@given(ordered_ops, st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_ordered_index_maintained_under_random_ops(steps, bag):
+    rel = BagRelation(SCHEMA) if bag else SetRelation(SCHEMA)
+    rel.ensure_index(TERM_KEY)
+    rel.ensure_index(KEYS)  # maintained side by side in the same loop
+    for kind, a, b, c, n in steps:
+        r = row(a=a, b=b, c=c)
+        if not bag:
+            n = 1 if not rel.contains(r) else -1
+        if kind == "insert" and n > 0:
+            rel.insert(r, n)
+        elif kind == "delete" and rel.count(r):
+            rel.delete(r, min(abs(n) or 1, rel.count(r)))
+        elif kind == "adjust" and bag and n >= -rel.count(r):
+            rel.adjust(r, n)
+        assert_ordered_index_fresh(rel)
+        assert_index_fresh(rel, KEYS)
+
+
+def test_ordered_index_is_dropped_by_copy_and_counted_once():
+    from repro.relalg import EvalCounters
+
+    counters = EvalCounters()
+    rel = BagRelation.from_values(SCHEMA, [(1, 2, 0), (3, 1, 1), (None, 1, 0)])
+    rel.ensure_index(TERM_KEY, counters)
+    rel.ensure_index(TERM_KEY, counters)
+    assert (counters.index_rebuilds, counters.rows_hashed) == (1, 3)
+    assert rel.index_order(TERM_KEY) == [2]
+    assert not rel.copy().has_index(TERM_KEY)
