@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.rules import spj_delta
 from repro.correctness import recompute
-from repro.deltas import BagDelta
+from repro.deltas import Delta
 from repro.relalg import BagRelation, row
 from repro.workloads import figure1_mediator
 
@@ -26,7 +26,7 @@ from repro.bench import shape_line
 
 def naive_delta(definition, deltas, catalog, schemas):
     """The incorrect rule firing: every rule reads PRE-update siblings."""
-    total = BagDelta()
+    total = Delta()
     for child, delta in deltas.items():
         contribution = spj_delta(
             definition, "T", child, delta, catalog, schemas[child]
@@ -62,7 +62,6 @@ def one_batch(seed, joint):
     mediator.collect_announcements()
     combined, _ = mediator.queue.flush()
     from repro.core.rules import spj_delta as _spj
-    from repro.deltas import set_to_bag
 
     deltas = {}
     for lp, leaf in (("R_p", "R"), ("S_p", "S")):
@@ -72,13 +71,13 @@ def one_batch(seed, joint):
                 vdp.node(lp).definition,
                 lp,
                 leaf,
-                set_to_bag(leaf_delta),
+                leaf_delta,
                 {},
                 vdp.node(leaf).schema,
             )
             # re-key the delta to the leaf-parent name
-            rekeyed = BagDelta()
-            for _, r, n in deltas[lp].entries():
+            rekeyed = Delta()
+            for _, r, n in deltas[lp].atoms():
                 rekeyed.add(lp, r, n)
             deltas[lp] = rekeyed
 
@@ -86,7 +85,7 @@ def one_batch(seed, joint):
         vdp.node("T").definition, deltas, pre, {n: vdp.node(n).schema for n in pre}
     )
     naive_t = t_before.copy()
-    for r, n in naive.entries_for("T"):
+    for r, n in naive.atoms_for("T"):
         if n > 0:
             naive_t.insert(r, n)
         elif naive_t.count(r) >= -n:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional
 
-from repro.deltas import BagDelta, SetDelta, net_accumulate
+from repro.deltas import Delta
 from repro.errors import MediatorError
 from repro.relalg import BagRelation, Expression, Relation, RelationSchema
 from repro.core.rules import spj_delta
@@ -37,7 +37,7 @@ def compensate(
     query_expr: Expression,
     leaf_name: str,
     leaf_schema: RelationSchema,
-    uncompensated: Iterable[SetDelta],
+    uncompensated: Iterable[Delta],
 ) -> BagRelation:
     """Rewind a polled answer past not-yet-applied source updates.
 
@@ -50,28 +50,22 @@ def compensate(
     for r, n in answer.items():
         result.insert(r, n)
 
-    deltas = list(uncompensated)
-    if not deltas:
-        return result
-    # Fold with cancellation (not smash): consecutive in-order messages may
-    # carry +X then -X, whose net effect on the polled state is nothing.
-    combined = SetDelta()
-    for delta in deltas:
-        combined = net_accumulate(combined, delta)
+    # Fold in arrival order: consecutive messages may carry +X then -X,
+    # whose counts cancel — their net effect on the polled state is nothing.
+    combined = Delta()
+    for delta in uncompensated:
+        combined.absorb(delta)
     inverse = combined.inverse().restrict_to([leaf_name])
     if inverse.is_empty():
         return result
 
     # Push the inverse through the same chain the poll used: because apply
     # commutes with select/project, apply(E(S), E(Δ⁻¹)) == E(apply(S, Δ⁻¹)).
-    inverse_bag = BagDelta()
-    for rel, row, sign in inverse.atoms():
-        inverse_bag.add(rel, row, sign)
     filtered = spj_delta(
         query_expr,
         temp_name,
         leaf_name,
-        inverse_bag,
+        inverse,
         {},
         leaf_schema,
     )

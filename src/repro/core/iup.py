@@ -32,7 +32,7 @@ from repro.core.rulebase import RuleBase
 from repro.core.update_queue import QueuedUpdate, UpdateQueue
 from repro.core.vap import VirtualAttributeProcessor
 from repro.core.vdp import AnnotatedVDP, NodeKind
-from repro.deltas import AnyDelta, BagDelta, SetDelta, select_project, set_to_bag
+from repro.deltas import Delta, select_project
 from repro.errors import MediatorError, SourceUnavailableError
 from repro.obs.metrics import reset_dataclass_counters
 from repro.obs.provenance import TxnOrigin, origin_labels
@@ -111,7 +111,7 @@ class IncrementalUpdateProcessor:
         #: transaction began.  Handed to the durability commit hook so WAL
         #: shipping can replicate stored state physically (replicas replay
         #: these instead of re-running propagation, which may poll).
-        self._txn_applies: List[Tuple[str, AnyDelta]] = []
+        self._txn_applies: List[Tuple[str, Delta]] = []
 
     # ------------------------------------------------------------------
     # The general IUP algorithm
@@ -138,7 +138,7 @@ class IncrementalUpdateProcessor:
                     tracer.event(
                         "leaf_delta",
                         leaf=leaf,
-                        entries=leaf_deltas[leaf].entry_count(),
+                        entries=leaf_deltas[leaf].atom_count(),
                         origins=origin_labels(prov.live_origins(leaf)),
                     )
 
@@ -216,40 +216,39 @@ class IncrementalUpdateProcessor:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _leaf_deltas(self, combined: SetDelta) -> Dict[str, BagDelta]:
-        """Split the flushed delta into per-leaf bag deltas.
+    def _leaf_deltas(self, combined: Delta) -> Dict[str, Delta]:
+        """Split the flushed delta into per-leaf deltas.
 
         Leaf node names coincide with source relation names; atoms naming
         relations outside the VDP are ignored (the source announced more
         than this mediator integrates).
         """
-        bags = ((leaf, BagDelta.from_counts(leaf, dict(combined.atoms_for(leaf))))
-                for leaf in self.vdp.leaves())
-        return {leaf: bag for leaf, bag in bags if bag}
+        leaves = ((leaf, combined.restrict_to((leaf,))) for leaf in self.vdp.leaves())
+        return {leaf: delta for leaf, delta in leaves if delta}
 
     def _leaf_subs(
         self, entries: List[QueuedUpdate]
-    ) -> Dict[str, List[Tuple[TxnOrigin, BagDelta]]]:
+    ) -> Dict[str, List[Tuple[TxnOrigin, Delta]]]:
         """Per-leaf, per-origin sub-deltas of the flushed entries.
 
-        These are the *pre-fold* deltas: their bag-sum equals the
+        These are the *pre-fold* deltas: their sum equals the
         net-accumulated per-leaf delta (cancellation is addition of signed
         counts), which is what makes leaf-level provenance attribution
         exact.
         """
         leaves = set(self.vdp.leaves())
-        out: Dict[str, List[Tuple[TxnOrigin, BagDelta]]] = {}
+        out: Dict[str, List[Tuple[TxnOrigin, Delta]]] = {}
         for entry in entries:
             for relation in entry.delta.relations():
                 if relation not in leaves:
                     continue
-                sub = BagDelta.from_counts(relation, dict(entry.delta.atoms_for(relation)))
-                if sub:
-                    out.setdefault(relation, []).append((entry.origin, sub))
+                out.setdefault(relation, []).append(
+                    (entry.origin, entry.delta.restrict_to((relation,)))
+                )
         return out
 
-    def _in_flight_by_source(self, entries: List[QueuedUpdate]) -> Dict[str, List[SetDelta]]:
-        grouped: Dict[str, List[SetDelta]] = {}
+    def _in_flight_by_source(self, entries: List[QueuedUpdate]) -> Dict[str, List[Delta]]:
+        grouped: Dict[str, List[Delta]] = {}
         for entry in entries:
             grouped.setdefault(entry.source, []).append(entry.delta)
         return grouped
@@ -270,7 +269,7 @@ class IncrementalUpdateProcessor:
     # ------------------------------------------------------------------
     def _prepare(
         self,
-        leaf_deltas: Mapping[str, BagDelta],
+        leaf_deltas: Mapping[str, Delta],
         extra_affected: Iterable[str] = (),
     ) -> Dict[str, TempRequest]:
         """Dry-run the kernel to collect temporary-relation requests.
@@ -320,7 +319,7 @@ class IncrementalUpdateProcessor:
     # ------------------------------------------------------------------
     def _kernel(
         self,
-        leaf_deltas: Mapping[str, BagDelta],
+        leaf_deltas: Mapping[str, Delta],
         temps: Dict[str, Relation],
     ) -> Tuple[List[str], int]:
         processed: List[str] = []
@@ -337,8 +336,7 @@ class IncrementalUpdateProcessor:
             if not self.store.has_pending_delta(name):
                 continue
             delta = self.store.delta(name)
-            node = self.vdp.node(name)
-            if node.kind is NodeKind.SET:
+            if self.vdp.node(name).kind is NodeKind.SET:
                 before = delta.atom_count()
                 delta = self._normalize_set_delta(name, delta, temps)
                 if delta.atom_count() != before:
@@ -354,12 +352,7 @@ class IncrementalUpdateProcessor:
                 fired += self._fire_rules_out_of(name, delta, temps)
                 self._apply_to_node(name, delta, temps)
                 if tracer.enabled:
-                    size = (
-                        delta.atom_count()
-                        if isinstance(delta, SetDelta)
-                        else delta.entry_count()
-                    )
-                    tracer.event("node_apply", node=name, delta_size=size)
+                    tracer.event("node_apply", node=name, delta_size=delta.atom_count())
             self.store.clear_delta(name)
             processed.append(name)
             self.stats.nodes_processed += 1
@@ -372,8 +365,8 @@ class IncrementalUpdateProcessor:
         return processed, fired
 
     def _normalize_set_delta(
-        self, name: str, delta: SetDelta, temps: Mapping[str, Relation]
-    ) -> SetDelta:
+        self, name: str, delta: Delta, temps: Mapping[str, Relation]
+    ) -> Delta:
         """Drop redundant atoms from a set node's accumulated delta.
 
         Normalizes against the node's repository when it stores full rows,
@@ -381,47 +374,36 @@ class IncrementalUpdateProcessor:
         the exact net change in either case.
         """
         if self.store.has_repo(name) and self.annotated.is_fully_materialized(name):
-            return self.store.normalize_set_delta(name, delta)
-        temp = temps.get(name)
-        if temp is None:
-            return delta
-        out = SetDelta()
-        for r, sign in delta.atoms_for(name):
-            present = temp.contains(r)
-            if sign > 0 and not present:
-                out.insert(name, r)
-            elif sign < 0 and present:
-                out.delete(name, r)
+            state = self.store.repo(name)
+        else:
+            state = temps.get(name)
+            if state is None:
+                return delta
+        out = delta.normalized(name, state)
         self.store.stats.deltas_smashed += delta.atom_count() - out.atom_count()
         return out
 
     def _fire_rules_out_of(
-        self, name: str, delta: AnyDelta, temps: Mapping[str, Relation]
+        self, name: str, delta: Delta, temps: Mapping[str, Relation]
     ) -> int:
-        bag_delta = set_to_bag(delta) if isinstance(delta, SetDelta) else delta
         fired = 0
         tracer = self.tracer
         for rule in self.rulebase.rules_out_of(name):
             catalog = {}
             for sibling in rule.sibling_names():
                 catalog[sibling] = self._resolve(sibling, temps)
-            contribution = rule.fire(bag_delta, catalog, self.store.counters)
+            contribution = rule.fire(delta, catalog, self.store.counters)
             if not contribution.is_empty():
                 self.store.accumulate(rule.parent, contribution)
             fired += 1
             self.stats.rules_fired += 1
             if tracer.enabled:
-                out_size = (
-                    contribution.atom_count()
-                    if isinstance(contribution, SetDelta)
-                    else contribution.entry_count()
-                )
                 tracer.event(
                     "rule_fire",
                     child=name,
                     parent=rule.parent,
-                    delta_size=bag_delta.entry_count(),
-                    contribution_size=out_size,
+                    delta_size=delta.atom_count(),
+                    contribution_size=contribution.atom_count(),
                 )
         return fired
 
@@ -507,19 +489,15 @@ class IncrementalUpdateProcessor:
         )
 
     def _apply_to_node(
-        self, name: str, delta: AnyDelta, temps: Dict[str, Relation]
+        self, name: str, delta: Delta, temps: Dict[str, Relation]
     ) -> None:
         """Apply a processed node's delta to its repository and temporary."""
-        if isinstance(delta, SetDelta):
-            self.stats.delta_atoms_applied += delta.atom_count()
-        else:
-            self.stats.delta_atoms_applied += delta.entry_count()
+        self.stats.delta_atoms_applied += delta.atom_count()
         self._txn_applies.append((name, delta))
         self.store.apply_delta(name, delta)
         temp = temps.get(name)
         if temp is not None:
-            bag_delta = set_to_bag(delta) if isinstance(delta, SetDelta) else delta
             projected = select_project(
-                bag_delta, name, TRUE, tuple(temp.schema.attribute_names)
+                delta, name, TRUE, tuple(temp.schema.attribute_names)
             )
             projected.apply_to(temp, name)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Mapping, Optional
 
-from repro.deltas import SetDelta
 from repro.relalg import Evaluator, Expression, Relation
 from repro.sources.base import SourceDatabase
 

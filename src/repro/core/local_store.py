@@ -33,7 +33,7 @@ from typing import Dict, List, Mapping, Set, Tuple
 
 from repro.core.annotations import Annotation
 from repro.core.vdp import AnnotatedVDP, NodeKind
-from repro.deltas import AnyDelta, BagDelta, SetDelta, bag_to_set, select_project, set_to_bag
+from repro.deltas import Delta, select_project
 from repro.errors import MediatorError
 from repro.relalg import (
     TRUE,
@@ -50,9 +50,9 @@ __all__ = ["LocalStore", "StoreStats"]
 class StoreStats:
     """Net-effect compaction counters for the store's ΔR repositories.
 
-    ``deltas_smashed`` counts atoms/entries cancelled by smashing incoming
+    ``deltas_smashed`` counts atoms folded away by smashing incoming
     contributions into accumulated per-node deltas plus atoms dropped as
-    redundant during set-delta normalization — the kernel-level
+    redundant when a set node's delta is normalized — the kernel-level
     generalization of the update queue's ``deltas_compacted``.
     """
 
@@ -73,7 +73,7 @@ class LocalStore:
         self.counters = EvalCounters()
         self.stats = StoreStats()
         self._repos: Dict[str, Relation] = {}
-        self._deltas: Dict[str, AnyDelta] = {}
+        self._deltas: Dict[str, Delta] = {}
         self._index_requirements: Dict[str, Set[Tuple[str, ...]]] = {}
         self._initialized = False
 
@@ -197,17 +197,11 @@ class LocalStore:
     # ------------------------------------------------------------------
     # Delta repositories (ΔR)
     # ------------------------------------------------------------------
-    def delta(self, name: str) -> AnyDelta:
+    def delta(self, name: str) -> Delta:
         """The accumulated full-width delta for a node (empty if none)."""
-        node = self.vdp.node(name)
-        existing = self._deltas.get(name)
-        if existing is not None:
-            return existing
-        fresh: AnyDelta = SetDelta() if node.kind is NodeKind.SET else BagDelta()
-        self._deltas[name] = fresh
-        return fresh
+        return self._deltas.setdefault(name, Delta())
 
-    def accumulate(self, name: str, delta: AnyDelta) -> None:
+    def accumulate(self, name: str, delta: Delta) -> None:
         """Smash an incoming contribution into the node's ΔR repository, in
         place.
 
@@ -216,10 +210,7 @@ class LocalStore:
         never applied or propagated.  The cancellation count is surfaced as
         ``store.deltas_smashed``.
         """
-        current = self.delta(name)
-        if type(delta) is not type(current):
-            delta = bag_to_set(delta) if isinstance(current, SetDelta) else set_to_bag(delta)
-        self.stats.deltas_smashed += current.absorb(delta)
+        self.stats.deltas_smashed += self.delta(name).absorb(delta)
 
     def has_pending_delta(self, name: str) -> bool:
         """True when the node has a non-empty accumulated delta."""
@@ -239,39 +230,12 @@ class LocalStore:
     # ------------------------------------------------------------------
     # Applying deltas to repositories
     # ------------------------------------------------------------------
-    def normalize_set_delta(self, name: str, delta: SetDelta) -> SetDelta:
-        """Drop atoms redundant for the node's current repository.
-
-        Rule firings against a set node can accumulate atoms that cancel
-        against the current state (e.g. a row entering the left operand and
-        simultaneously entering the right one); normalizing here makes the
-        applied — and upward-propagated — delta the exact net change.
-        """
-        repo = self.repo(name)
-        out = SetDelta()
-        for r, sign in delta.atoms_for(name):
-            present = repo.contains(r)
-            if sign > 0 and not present:
-                out.insert(name, r)
-            elif sign < 0 and present:
-                out.delete(name, r)
-        self.stats.deltas_smashed += delta.atom_count() - out.atom_count()
-        return out
-
-    def apply_delta(self, name: str, delta: AnyDelta) -> None:
+    def apply_delta(self, name: str, delta: Delta) -> None:
         """Apply a full-width delta to the node's stored projection."""
         if name not in self._repos:
             return  # fully virtual: nothing stored
-        node = self.vdp.node(name)
         ann = self.annotated.annotation(name)
         repo = self._repos[name]
-        if node.kind is NodeKind.SET:
-            if isinstance(delta, BagDelta):
-                delta = bag_to_set(delta)
-            delta.apply_to(repo, name)
-            return
-        if isinstance(delta, SetDelta):
-            delta = set_to_bag(delta)
         if ann.fully_materialized:
             delta.apply_to(repo, name)
         else:

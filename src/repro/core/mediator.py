@@ -35,7 +35,7 @@ from repro.core.update_queue import UpdateQueue
 from repro.core.vap import VirtualAttributeProcessor
 from repro.core.vap_cache import VAPTempCache
 from repro.core.vdp import VDP, AnnotatedVDP
-from repro.deltas import SetDelta
+from repro.deltas import Delta
 from repro.errors import AnnotationError, MediatorError, SourceUnavailableError
 from repro.faults.staleness import StalenessTag, TaggedAnswer
 from repro.obs.metrics import MetricsRegistry, dataclass_counter_items
@@ -646,7 +646,7 @@ class SquirrelMediator:
     def enqueue_update(
         self,
         source_name: str,
-        delta: SetDelta,
+        delta: Delta,
         send_time: Optional[float] = None,
         arrival_time: Optional[float] = None,
         seq: Optional[int] = None,

@@ -45,7 +45,7 @@ from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple
 
 from repro.core.mediator import SquirrelMediator
 from repro.core.vdp import AnnotatedVDP, NodeKind
-from repro.deltas import SetDelta, net_accumulate
+from repro.deltas import Delta
 from repro.errors import MediatorError, OrphanStateError, SnapshotStaleError
 from repro.relalg import BagRelation, Evaluator, Relation, RelationSchema, SetRelation
 from repro.relalg.relation import rows_from_values
@@ -316,12 +316,11 @@ def restore_mediator(
         # committed in between is delivered twice or lost.
         _, now_cursor = source.take_announcement_versioned()
         missed = [delta for seq, delta in source.log() if cursor < seq <= now_cursor]
-        # Fold with cancellation (not smash): insert-then-delete across
-        # missed transactions must net to nothing, exactly like a source's
-        # own announcement accumulator.
-        net = SetDelta()
+        # Insert-then-delete across missed transactions nets to nothing,
+        # exactly as in a source's own announcement accumulator.
+        net = Delta()
         for delta in missed:
-            net = net_accumulate(net, delta)
+            net.absorb(delta)
         if not net.is_empty():
             mediator.enqueue_update(source_name, net, cursor=now_cursor)
         else:
@@ -389,10 +388,10 @@ def reinitialize_sources(
             mediator.queue.note_reflected_cursor(source_name, cursor)
         else:
             snapshot = source.state()
-            in_flight = SetDelta()
+            in_flight = Delta()
             for delta in mediator.queue.pending_for_source(source_name):
-                in_flight = net_accumulate(in_flight, delta)
-            in_flight = net_accumulate(in_flight, source.pending_announcement())
+                in_flight.absorb(delta)
+            in_flight.absorb(source.pending_announcement())
             if not in_flight.is_empty():
                 rewind = in_flight.inverse()
                 snapshot = {

@@ -23,7 +23,7 @@ a typo — a row leaving ``R_1`` leaves ``T`` only if it is *not* in ``R_2``,
 i.e. set-minus.  The reproduction implements the corrected rule and the
 test suite pins the counterexample.)
 
-Bag deltas carry signed multiplicities; the linear operators (select,
+Deltas carry signed counts; the linear operators (select,
 project, join, union) distribute over them, so a rule evaluates the
 definition once with the delta's positive part and once with its negative
 part and combines the results with signs.  A child appearing *k* times in a
@@ -49,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
-from repro.deltas import BagDelta, SetDelta
+from repro.deltas import Delta
 from repro.errors import VDPError
 from repro.relalg import (
     BagRelation,
@@ -128,12 +128,12 @@ def _replace_occurrences(
 
 
 def _delta_parts(
-    delta: BagDelta, relation: str, schema: RelationSchema
+    delta: Delta, relation: str, schema: RelationSchema
 ) -> Tuple[BagRelation, BagRelation]:
-    """Split a bag delta into positive and negative part bags."""
+    """Split a delta into positive and negative part bags."""
     pos: Dict[Row, int] = {}
     neg: Dict[Row, int] = {}
-    for r, n in delta.entries_for(relation):
+    for r, n in delta.atoms_for(relation):
         if n > 0:
             pos[r] = n
         else:
@@ -261,10 +261,10 @@ class CompiledSPJ:
     # ------------------------------------------------------------------
     def delta(
         self,
-        child_delta: BagDelta,
+        child_delta: Delta,
         catalog: Mapping[str, Relation],
         counters: Optional[EvalCounters] = None,
-    ) -> BagDelta:
+    ) -> Delta:
         """The incremental update to ``parent`` induced by ``child_delta``.
 
         ``catalog`` must resolve every *other* relation referenced by the
@@ -284,7 +284,7 @@ class CompiledSPJ:
         if self._plans is None:
             self._compile_plans()
 
-        result = BagDelta()
+        result = Delta()
         evaluator = Evaluator(extended, schemas=schemas, counters=counters, plans=self._plans)
         for rewritten, sign in self.terms:
             contribution = evaluator.evaluate(rewritten, self.parent)
@@ -297,11 +297,11 @@ def spj_delta(
     definition: Expression,
     parent: str,
     child: str,
-    child_delta: BagDelta,
+    child_delta: Delta,
     catalog: Mapping[str, Relation],
     child_schema: RelationSchema,
     counters: Optional[EvalCounters] = None,
-) -> BagDelta:
+) -> Delta:
     """One-shot form of :meth:`CompiledSPJ.delta` (compiles, fires, discards).
 
     Kept for callers outside the rulebase (compensation, tests); the hot
@@ -324,7 +324,7 @@ def _operand_for_child(definition: Difference, child: str) -> List[Tuple[str, Ex
 
 
 def _support_transitions(
-    count_before: Callable[[Row], int], delta_bag: BagDelta
+    count_before: Callable[[Row], int], delta_bag: Delta
 ) -> Tuple[List[Row], List[Row]]:
     """0↔positive multiplicity transitions of an operand's support.
 
@@ -334,7 +334,7 @@ def _support_transitions(
     """
     entering: List[Row] = []
     leaving: List[Row] = []
-    for r, n in delta_bag.entries_for("operand"):
+    for r, n in delta_bag.atoms_for("operand"):
         before = count_before(r)
         after = before + n
         if after < 0:
@@ -370,11 +370,11 @@ class BagNodeRule:
 
     def fire(
         self,
-        child_delta: BagDelta,
+        child_delta: Delta,
         catalog: Mapping[str, Relation],
         counters: Optional[EvalCounters] = None,
-    ) -> BagDelta:
-        """Compute the parent's bag delta for this child's delta."""
+    ) -> Delta:
+        """Compute the parent's delta for this child's delta."""
         result, *others = (part.delta(child_delta, catalog, counters) for part in self._compiled)
         for other in others:
             result.absorb(other)
@@ -482,11 +482,11 @@ class SetNodeRule:
 
     def fire(
         self,
-        child_delta: BagDelta,
+        child_delta: Delta,
         catalog: Mapping[str, Relation],
         counters: Optional[EvalCounters] = None,
-    ) -> SetDelta:
-        """Compute the parent's set delta for this child's delta.
+    ) -> Delta:
+        """Compute the parent's ±1 delta for this child's delta.
 
         Applies the (corrected) diff1 rule when the child feeds the left
         operand and the diff2 rule when it feeds the right operand; a child
@@ -532,7 +532,7 @@ class SetNodeRule:
                 for r in rows:
                     if in_other(r) != left:
                         atoms[r] = sign if left else -sign
-        return SetDelta.from_atoms((self.parent, r, sign) for r, sign in atoms.items())
+        return Delta.from_counts(self.parent, atoms)
 
     # ------------------------------------------------------------------
     # Probe fast path

@@ -14,12 +14,13 @@ whose inverse smash brings a freshly polled answer back to the state the
 materialized data reflects.
 
 The paper's Section 4 message assumption — in-order, exactly-once — is
-load-bearing: folding one source's deltas in the wrong order (or twice)
-corrupts the net (``+X`` then ``-X`` nets to nothing; reversed, it nets to
-an insert).  Under faulty links the reliability layer
-(:mod:`repro.faults.reliable`) restores that contract upstream, and the
-queue defends in depth: an announcement carrying a per-source sequence
-number is deduplicated idempotently and, if it arrives ahead of a
+load-bearing: folding one source's delta twice corrupts the net (``+X``
+delivered twice nets to ``+2``), and splitting ``+X`` then ``-X`` across
+two flushes in the wrong order deletes a row that is not there yet.
+Under faulty links the reliability layer (:mod:`repro.faults.reliable`)
+restores that contract upstream, and the queue defends in depth: an
+announcement carrying a per-source sequence number is deduplicated
+idempotently and, if it arrives ahead of a
 lower-numbered sibling, is held in sequence order so the flush fold stays
 faithful to the source's commit timeline.
 
@@ -35,7 +36,7 @@ import threading
 from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.deltas import SetDelta, net_accumulate
+from repro.deltas import Delta
 from repro.obs.provenance import TxnOrigin
 
 __all__ = ["QueueStats", "QueuedUpdate", "UpdateQueue"]
@@ -64,7 +65,7 @@ class QueuedUpdate:
     """One announcement sitting in the queue."""
 
     source: str
-    delta: SetDelta
+    delta: Delta
     send_time: Optional[float] = None  # simulated send time, when available
     arrival_time: Optional[float] = None
     seq: Optional[int] = None  # per-source sequence number, when sequenced
@@ -106,7 +107,7 @@ class UpdateQueue:
     def enqueue(
         self,
         source: str,
-        delta: SetDelta,
+        delta: Delta,
         send_time: Optional[float] = None,
         arrival_time: Optional[float] = None,
         seq: Optional[int] = None,
@@ -163,15 +164,14 @@ class UpdateQueue:
         """True when nothing is queued."""
         return not self._entries
 
-    def flush(self) -> Tuple[Optional[SetDelta], List[QueuedUpdate]]:
+    def flush(self) -> Tuple[Optional[Delta], List[QueuedUpdate]]:
         """Empty the queue; return the combined net delta and the entries.
 
         This is the IUP's ``empty_queue`` moment.  Entries are folded in
-        arrival order with *cancellation* semantics (``net_accumulate``),
-        not smash: two in-order messages from one source may carry ``+X``
-        then ``-X`` (insert then delete between flushes), whose true net
-        effect is nothing — smash would instead keep a spurious ``-X`` that
-        corrupts leaf-parent bag multiplicities.  Entries from different
+        arrival order by additive smash (:meth:`Delta.absorb`): two
+        in-order messages from one source may carry ``+X`` then ``-X``
+        (insert then delete between flushes), whose counts cancel to
+        nothing — the true net effect.  Entries from different
         sources mention disjoint relations, so folding each source's
         messages into one per-source batch first, then combining batches,
         is both safe and order-faithful — and hands the IUP one net delta
@@ -184,23 +184,15 @@ class UpdateQueue:
             self.total_flushed += len(entries)
         if not entries:
             return None, entries
-        per_source: Dict[str, SetDelta] = {}
-        source_order: List[str] = []
+        per_source: Dict[str, Delta] = {}
         for entry in entries:
-            existing = per_source.get(entry.source)
-            if existing is None:
-                per_source[entry.source] = entry.delta
-                source_order.append(entry.source)
-            else:
-                per_source[entry.source] = net_accumulate(existing, entry.delta)
-        self.batches_flushed += len(source_order)
+            net = per_source.setdefault(entry.source, Delta())
+            self.stats.deltas_compacted += net.absorb(entry.delta)
+        self.batches_flushed += len(per_source)
         self.messages_folded += len(entries)
-        gross = sum(entry.delta.atom_count() for entry in entries)
-        net = sum(delta.atom_count() for delta in per_source.values())
-        self.stats.deltas_compacted += gross - net
-        combined = SetDelta()
-        for source in source_order:
-            combined = net_accumulate(combined, per_source[source])
+        combined = Delta()
+        for net in per_source.values():
+            combined.absorb(net)
         return combined, entries
 
     def requeue_front(self, entries: Sequence[QueuedUpdate]) -> None:
@@ -278,7 +270,7 @@ class UpdateQueue:
             self._last_flushed_send.pop(source, None)
             return dropped
 
-    def pending_for_source(self, source: str) -> List[SetDelta]:
+    def pending_for_source(self, source: str) -> List[Delta]:
         """Queued (unflushed) deltas of one source, in arrival order."""
         with self._lock:
             return [e.delta for e in self._entries if e.source == source]

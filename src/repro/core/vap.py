@@ -41,7 +41,7 @@ from repro.core.local_store import LocalStore
 from repro.core.update_queue import UpdateQueue
 from repro.core.vap_cache import VAPTempCache
 from repro.core.vdp import AnnotatedVDP, NodeKind
-from repro.deltas import AnyDelta, SetDelta
+from repro.deltas import Delta
 from repro.errors import MediatorError, SourceUnavailableError
 from repro.obs.metrics import reset_dataclass_counters
 from repro.obs.provenance import origin_labels
@@ -140,7 +140,7 @@ class VirtualAttributeProcessor:
     def materialize(
         self,
         requests: Iterable[TempRequest],
-        in_flight: Optional[Mapping[str, List[SetDelta]]] = None,
+        in_flight: Optional[Mapping[str, List[Delta]]] = None,
     ) -> Dict[str, Relation]:
         """Plan and construct temporaries for the given requests.
 
@@ -179,7 +179,7 @@ class VirtualAttributeProcessor:
             self._cacheable_memo[relation] = memo
         return memo
 
-    def invalidate_cache(self, leaf_deltas: Mapping[str, AnyDelta]) -> int:
+    def invalidate_cache(self, leaf_deltas: Mapping[str, Delta]) -> int:
         """Drop cache entries whose lineage the applied deltas touch (called
         by the IUP right after the kernel advances the materialized state).
         Returns the number of entries dropped.
@@ -417,7 +417,7 @@ class VirtualAttributeProcessor:
     def construct(
         self,
         planned: Sequence[PlannedTemp],
-        in_flight: Mapping[str, List[SetDelta]],
+        in_flight: Mapping[str, List[Delta]],
         initial: Optional[Mapping[str, Relation]] = None,
     ) -> Dict[str, Relation]:
         """The second VAP phase: build all temporaries bottom-up.
@@ -465,7 +465,7 @@ class VirtualAttributeProcessor:
         self,
         polls: Sequence[PlannedTemp],
         temps: Dict[str, Relation],
-        in_flight: Mapping[str, List[SetDelta]],
+        in_flight: Mapping[str, List[Delta]],
     ) -> None:
         # Package all polls of one source into a single transaction.
         by_source: Dict[str, List[PlannedTemp]] = {}
@@ -604,7 +604,7 @@ class VirtualAttributeProcessor:
         plan: PlannedTemp,
         answer: Relation,
         source: str,
-        in_flight: Mapping[str, List[SetDelta]],
+        in_flight: Mapping[str, List[Delta]],
     ) -> Relation:
         kind = self.contributor_kinds.get(source)
         if kind is None or not kind.announces or not self.eca_enabled:

@@ -37,7 +37,7 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro.core.derived_from import TempRequest
 from repro.core.vdp import VDP
-from repro.deltas import AnyDelta
+from repro.deltas import Delta
 from repro.deltas.filtering import LeafParentFilter
 from repro.errors import DeltaError
 from repro.relalg import (
@@ -199,7 +199,7 @@ class VAPTempCache:
     # ------------------------------------------------------------------
     # Precise invalidation
     # ------------------------------------------------------------------
-    def invalidate(self, leaf_deltas: Mapping[str, AnyDelta]) -> int:
+    def invalidate(self, leaf_deltas: Mapping[str, Delta]) -> int:
         """Drop entries whose lineage is touched by applied leaf deltas.
 
         ``leaf_deltas`` maps leaf-node names to the deltas an update
@@ -211,7 +211,7 @@ class VAPTempCache:
         return len(self.invalidate_detailed(leaf_deltas))
 
     def invalidate_detailed(
-        self, leaf_deltas: Mapping[str, AnyDelta]
+        self, leaf_deltas: Mapping[str, Delta]
     ) -> List[InvalidatedEntry]:
         """Like :meth:`invalidate`, but reports each dropped entry together
         with the set of leaves whose filtered deltas triggered the drop."""
@@ -238,7 +238,7 @@ class VAPTempCache:
         return dropped
 
     def _entry_triggers(
-        self, entry: CacheEntry, leaf_deltas: Mapping[str, AnyDelta]
+        self, entry: CacheEntry, leaf_deltas: Mapping[str, Delta]
     ) -> List[str]:
         """The lineage leaves whose applied deltas survive the leaf-parent
         filters into this entry's subtree (empty == entry survives)."""

@@ -1,37 +1,23 @@
 """Heraclitus-style deltas: first-class database differences (Section 6.2).
 
-Set deltas (:class:`SetDelta`) model the paper's insertion/deletion-atom
-deltas with ``apply``, ``smash`` and ``inverse``; bag deltas
-(:class:`BagDelta`) are the signed-multiplicity generalization used by the
-mediator's bag nodes.  :mod:`~repro.deltas.operations` holds the generic
-operators and the select/project commutation; :mod:`~repro.deltas.filtering`
-adapts source deltas to leaf-parent nodes.
+One type, :class:`Delta`, holds ``{relation: {row: signed count}}`` for
+sources, set nodes and bag nodes alike; smash is addition.  A count of ±1
+is the paper's insertion/deletion atom, and set semantics apply only where
+§5.2 puts them: a set relation takes ±1 counts, and
+:meth:`Delta.normalized` drops the atoms redundant against a set node's
+state.  ``SetDelta`` is the same class under the name sources use.
+:mod:`~repro.deltas.operations` holds the select/project commutation;
+:mod:`~repro.deltas.filtering` adapts source deltas to leaf-parent nodes.
 """
 
-from repro.deltas.bag_delta import BagDelta
-from repro.deltas.delta import SetDelta
+from repro.deltas.delta import Delta, SetDelta
 from repro.deltas.filtering import LeafParentFilter
-from repro.deltas.operations import (
-    AnyDelta,
-    net_accumulate,
-    apply_delta,
-    bag_to_set,
-    rename_delta,
-    select_project,
-    set_to_bag,
-    smash_all,
-)
+from repro.deltas.operations import rename_delta, select_project
 
 __all__ = [
+    "Delta",
     "SetDelta",
-    "BagDelta",
-    "AnyDelta",
     "LeafParentFilter",
-    "net_accumulate",
-    "apply_delta",
-    "smash_all",
-    "set_to_bag",
-    "bag_to_set",
     "select_project",
     "rename_delta",
 ]

@@ -1,263 +1,247 @@
-"""Set-semantics deltas (the Heraclitus paradigm, Section 6.2).
+"""Heraclitus deltas as signed counts (Section 6.2).
 
-A *delta* is a set of insertion atoms ``+R(t)`` and deletion atoms ``-R(t)``
-subject to the consistency condition that no tuple occurs with both signs for
-the same relation.  A delta may refer to several relations at once ("A delta
-can simultaneously contain atoms that refer to more than [one] relation").
+A *delta* maps each row of each relation it mentions to a non-zero signed
+count: ``+1`` / ``-1`` are the paper's insertion and deletion atoms
+``+R(t)`` / ``-R(t)``, and larger counts are the generalization of deltas
+"to bags [DHR95]" that projection and union nodes need.  One type serves
+both; set semantics live only where the paper puts them:
 
-The two key operators are
+* a :class:`~repro.relalg.SetRelation` takes counts of ±1 only, and its
+  apply stays tolerant of redundant atoms, as Heraclitus apply is;
+* :meth:`Delta.normalized` drops the atoms that are redundant against a
+  given relation — a set node's accumulated delta goes through it.
 
-* ``apply(db, Δ)`` — ``(db − Δ⁻) ∪ Δ⁺`` per relation, tolerant of redundant
-  atoms, matching Heraclitus semantics; and
-* ``smash`` (``!``) — state-independent composition:
-  ``apply(db, Δ1 ! Δ2) = apply(apply(db, Δ1), Δ2)``.  Computed, as in the
-  paper, by taking the union of the two atom sets and deleting every atom of
-  ``Δ1`` that conflicts with an atom of ``Δ2``.
-
-``inverse`` flips all signs; for the non-redundant deltas that arise inside
-Squirrel mediators it satisfies ``apply(apply(db, Δ), Δ⁻¹) = db`` and
-``(Δ1 ! Δ2)⁻¹ = Δ2⁻¹ ! Δ1⁻¹`` — both property-tested in the suite.
+Smash (``!``) is pointwise addition, so ``apply(db, Δ1 ! Δ2) =
+apply(apply(db, Δ1), Δ2)``.  For in-order deltas of one relation timeline
+(no row gains the same sign twice) it is exactly the source-side fold:
+an insert that a later delete undoes nets to nothing.  ``inverse`` negates
+every count, so ``apply(apply(db, Δ), Δ⁻¹) = db`` and ``(Δ1 ! Δ2)⁻¹ =
+Δ2⁻¹ ! Δ1⁻¹`` — both property-tested in the suite.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Tuple
 
 from repro.errors import DeltaError
-from repro.relalg.relation import SetRelation
+from repro.relalg.relation import Relation
 from repro.relalg.tuples import Row
 
-__all__ = ["SetDelta"]
-
-Sign = int  # +1 for insertion atoms, -1 for deletion atoms
+__all__ = ["Delta", "SetDelta"]
 
 
-class SetDelta:
-    """A multi-relation set-semantics delta.
+class Delta:
+    """A multi-relation delta: ``relation -> {row: signed count}``.
 
-    Internally a mapping ``relation name -> {row: sign}``; the consistency
-    condition (never both ``+R(t)`` and ``-R(t)``) is structural, because a
-    row maps to exactly one sign.
+    No count is zero and no relation maps to an empty dict.  Atom order is
+    insertion order, and it is observable: propagation, provenance, traces
+    and the write-ahead log all walk it.
     """
 
+    __slots__ = ("_counts",)
+
     def __init__(self) -> None:
-        self._atoms: Dict[str, Dict[Row, Sign]] = {}
+        self._counts: Dict[str, Dict[Row, int]] = {}
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_atoms(cls, atoms: Iterable[Tuple[str, Row, Sign]]) -> "SetDelta":
-        """Build from ``(relation, row, sign)`` triples."""
+    def from_counts(cls, relation: str, counts: Mapping[Row, int]) -> "Delta":
+        """Single-relation constructor from a signed-count mapping."""
         delta = cls()
-        for rel, r, sign in atoms:
-            if sign > 0:
-                delta.insert(rel, r)
-            else:
-                delta.delete(rel, r)
+        rows = {r: n for r, n in counts.items() if n}
+        if rows:
+            delta._counts[relation] = rows
         return delta
 
     @classmethod
-    def diff(cls, name: str, before: SetRelation, after: SetRelation) -> "SetDelta":
+    def diff(cls, name: str, before: Relation, after: Relation) -> "Delta":
         """The net delta turning ``before`` into ``after``.
 
         This is how sources compute the "net updates ... that reflect the
         difference between two database states" announced to the mediator
-        (Section 4).
+        (Section 4).  Rows are sorted, insertions first: set iteration
+        follows hash order, which varies across processes, and atom order
+        must not.
         """
-        delta = cls()
-        before_rows = before.support()
-        after_rows = after.support()
-        # Sort the set differences: frozenset iteration follows hash order,
-        # which varies across processes (PYTHONHASHSEED) — the delta's atom
-        # order must not, or every consumer that walks atoms in insertion
-        # order (propagation, provenance, traces) becomes run-dependent.
-        for r in sorted(after_rows - before_rows, key=repr):
-            delta.insert(name, r)
-        for r in sorted(before_rows - after_rows, key=repr):
-            delta.delete(name, r)
-        return delta
+        counts = {r: after.count(r) - before.count(r) for r in before.support() | after.support()}
+        order = sorted(counts, key=lambda r: (counts[r] < 0, repr(r)))
+        return cls.from_counts(name, {r: counts[r] for r in order})
 
-    def insert(self, relation: str, row: Row) -> None:
-        """Add an insertion atom ``+relation(row)``.
+    def add(self, relation: str, row: Row, signed_count: int) -> None:
+        """Accumulate a signed count for ``row`` (0 is a no-op)."""
+        if not signed_count:
+            return
+        counts = self._counts.setdefault(relation, {})
+        total = counts.get(row, 0) + signed_count
+        if total:
+            counts[row] = total
+        else:
+            del counts[row]
+            if not counts:
+                del self._counts[relation]
 
-        Adding ``+R(t)`` on top of ``-R(t)`` raises: within one delta the
-        consistency condition forbids conflicting atoms.
-        """
-        self._add_atom(relation, row, +1)
+    def insert(self, relation: str, row: Row, count: int = 1) -> None:
+        """Add an insertion atom ``+relation(row)`` (``count`` copies)."""
+        if count <= 0:
+            raise DeltaError(f"insert count must be positive, got {count}")
+        self.add(relation, row, count)
 
-    def delete(self, relation: str, row: Row) -> None:
-        """Add a deletion atom ``-relation(row)``."""
-        self._add_atom(relation, row, -1)
-
-    def _add_atom(self, relation: str, row: Row, sign: Sign) -> None:
-        rel_atoms = self._atoms.setdefault(relation, {})
-        existing = rel_atoms.get(row)
-        if existing is not None and existing != sign:
-            raise DeltaError(
-                f"conflicting atoms for {relation}({row!r}): cannot hold both + and -"
-            )
-        rel_atoms[row] = sign
+    def delete(self, relation: str, row: Row, count: int = 1) -> None:
+        """Add a deletion atom ``-relation(row)`` (``count`` copies)."""
+        if count <= 0:
+            raise DeltaError(f"delete count must be positive, got {count}")
+        self.add(relation, row, -count)
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def relations(self) -> Tuple[str, ...]:
-        """Names of relations this delta mentions (with at least one atom)."""
-        return tuple(rel for rel, atoms in self._atoms.items() if atoms)
+        """Names of the relations this delta mentions."""
+        return tuple(self._counts)
 
-    def sign(self, relation: str, row: Row) -> Sign:
-        """+1, -1, or 0 for the atom status of ``row`` in ``relation``."""
-        return self._atoms.get(relation, {}).get(row, 0)
+    def count(self, relation: str, row: Row) -> int:
+        """The signed count of ``row`` in ``relation`` (0 if absent)."""
+        return self._counts.get(relation, {}).get(row, 0)
 
-    def atoms(self) -> Iterator[Tuple[str, Row, Sign]]:
-        """Iterate all atoms as ``(relation, row, sign)``."""
-        for rel, rel_atoms in self._atoms.items():
-            for r, sign in rel_atoms.items():
-                yield rel, r, sign
+    def atoms(self) -> Iterator[Tuple[str, Row, int]]:
+        """Iterate ``(relation, row, signed count)``."""
+        for rel, counts in self._counts.items():
+            for r, n in counts.items():
+                yield rel, r, n
 
-    def atoms_for(self, relation: str) -> Iterator[Tuple[Row, Sign]]:
-        """Iterate the atoms of one relation."""
-        return iter(self._atoms.get(relation, {}).items())
+    def atoms_for(self, relation: str) -> Iterable[Tuple[Row, int]]:
+        """Iterate ``(row, signed count)`` for one relation."""
+        return self._counts.get(relation, {}).items()
 
     def insertions(self, relation: str) -> List[Row]:
-        """The rows inserted into ``relation``."""
-        return [r for r, s in self.atoms_for(relation) if s > 0]
+        """The rows with a positive count in ``relation``."""
+        return [r for r, n in self.atoms_for(relation) if n > 0]
 
     def deletions(self, relation: str) -> List[Row]:
-        """The rows deleted from ``relation``."""
-        return [r for r, s in self.atoms_for(relation) if s < 0]
+        """The rows with a negative count in ``relation``."""
+        return [r for r, n in self.atoms_for(relation) if n < 0]
 
     def is_empty(self) -> bool:
         """True when the delta carries no atoms."""
-        return all(not atoms for atoms in self._atoms.values())
+        return not self._counts
 
     def atom_count(self) -> int:
-        """Total number of atoms."""
-        return sum(len(atoms) for atoms in self._atoms.values())
+        """Number of distinct ``(relation, row)`` atoms."""
+        return sum(map(len, self._counts.values()))
 
-    def restrict_to(self, relations: Iterable[str]) -> "SetDelta":
+    def restrict_to(self, relations: Iterable[str]) -> "Delta":
         """The sub-delta mentioning only the given relations."""
         wanted = set(relations)
-        out = SetDelta()
-        for rel, r, sign in self.atoms():
-            if rel in wanted:
-                out._add_atom(rel, r, sign)
+        out = Delta()
+        out._counts = {rel: dict(c) for rel, c in self._counts.items() if rel in wanted}
         return out
 
     # ------------------------------------------------------------------
     # Heraclitus operators
     # ------------------------------------------------------------------
-    def smash(self, other: "SetDelta") -> "SetDelta":
-        """``self ! other``: later atoms win on conflict (paper Section 6.2)."""
+    def smash(self, other: "Delta") -> "Delta":
+        """``self ! other``: pointwise addition of signed counts."""
         out = self.copy()
         out.absorb(other)
         return out
 
-    def absorb(self, other: "SetDelta") -> int:
-        """``self ! other`` in place (:meth:`smash` without the copy); returns
-        the atoms it folded away — one per row both hold."""
+    def absorb(self, other: "Delta") -> int:
+        """``self ! other`` in place; returns the atoms it folded away —
+        one per row both hold, two when their counts cancel.
+
+        New rows are appended after the rows ``self`` keeps, and a relation
+        whose rows all cancel re-enters at the end, so folding in-order
+        deltas one by one leaves the same atom order as rebuilding the net
+        delta from scratch would.
+        """
         folded = 0
-        for rel, atoms in other._atoms.items():
-            if not atoms:
+        for rel, counts in other._counts.items():
+            mine = self._counts.get(rel)
+            if mine is None:
+                self._counts[rel] = dict(counts)
                 continue
-            mine = self._atoms.setdefault(rel, {})
-            before = len(mine)
-            mine.update(atoms)
-            folded += before + len(atoms) - len(mine)
+            fresh = {}
+            for r, n in counts.items():
+                have = mine.get(r)
+                if have is None:
+                    fresh[r] = n
+                elif have + n:
+                    mine[r] = have + n
+                    folded += 1
+                else:
+                    del mine[r]
+                    folded += 2
+            if not mine:
+                del self._counts[rel]
+                if fresh:
+                    self._counts[rel] = fresh
+            else:
+                mine.update(fresh)
         return folded
 
-    def net_fold(self, later: "SetDelta") -> None:
-        """Fold the next in-order delta into this one, in place.
-
-        The in-place form of :func:`~repro.deltas.net_accumulate` — opposite
-        atoms for the same row cancel, the rest are appended, and the
-        resulting atoms *and their order* are exactly those of
-        ``net_accumulate(self, later)`` — in O(|later|) instead of
-        O(|self| + |later|), which is what keeps a source's announcement
-        accumulator linear between announcements.  Same precondition: no
-        same-sign collision on one row.
-        """
-        survivors: List[Tuple[str, Row, Sign]] = []
-        for rel, r, sign in later.atoms():
-            rel_atoms = self._atoms.get(rel)
-            if rel_atoms is not None and rel_atoms.get(r) == -sign:
-                del rel_atoms[r]
-                if not rel_atoms:
-                    # An emptied relation re-enters at the end if later
-                    # atoms name it again, as it would in a rebuilt delta.
-                    del self._atoms[rel]
-            else:
-                survivors.append((rel, r, sign))
-        for rel, r, sign in survivors:
-            self._add_atom(rel, r, sign)
-
-    def inverse(self) -> "SetDelta":
-        """Flip all signs: ``Δ⁻¹``."""
-        out = SetDelta()
-        for rel, r, sign in self.atoms():
-            out._atoms.setdefault(rel, {})[r] = -sign
+    def inverse(self) -> "Delta":
+        """Negate every count: ``Δ⁻¹``."""
+        out = Delta()
+        out._counts = {rel: {r: -n for r, n in c.items()} for rel, c in self._counts.items()}
         return out
 
-    def apply_to(self, relation: SetRelation, relation_name: str) -> None:
+    def apply_to(self, relation: Relation, relation_name: str) -> None:
         """Apply this delta's atoms for ``relation_name`` to ``relation``.
 
-        Heraclitus apply is tolerant: inserting a present row or deleting an
-        absent one is a no-op.  (The paper notes Squirrel deltas are never
-        redundant in practice; tolerance is still the correct semantics for
-        smashed deltas.)
+        The relation decides what a count means: a bag adjusts
+        multiplicities (raising if one would go negative), a set takes
+        ±1 only and ignores redundant atoms.
         """
-        for r, sign in self.atoms_for(relation_name):
-            present = relation.contains(r)
-            if sign > 0 and not present:
-                relation.insert(r)
-            elif sign < 0 and present:
-                relation.delete(r)
+        adjust = relation.adjust
+        for r, n in self.atoms_for(relation_name):
+            adjust(r, n)
 
-    def applied(self, relation: SetRelation, relation_name: str) -> SetRelation:
+    def applied(self, relation: Relation, relation_name: str) -> Relation:
         """A copy of ``relation`` with this delta applied."""
         out = relation.copy()
         self.apply_to(out, relation_name)
         return out
 
-    def is_redundant_for(self, relation: SetRelation, relation_name: str) -> bool:
-        """True if any atom for ``relation_name`` is redundant for ``relation``.
+    def normalized(self, relation_name: str, relation: Relation) -> "Delta":
+        """The atoms for ``relation_name`` that change ``relation`` as a set.
 
-        An insertion atom is redundant when the row is already present, a
-        deletion atom when it is absent (Section 6.2).
+        An insertion is redundant when the row is already present, a
+        deletion when it is absent (Section 6.2); what survives carries
+        its sign as a count of ±1 — the exact net change of a set node.
         """
-        for r, sign in self.atoms_for(relation_name):
-            present = relation.contains(r)
-            if (sign > 0 and present) or (sign < 0 and not present):
-                return True
-        return False
+        contains = relation.contains
+        return Delta.from_counts(relation_name, {
+            r: (1 if n > 0 else -1)
+            for r, n in self.atoms_for(relation_name)
+            if (n > 0) != contains(r)
+        })
 
     # ------------------------------------------------------------------
-    # Conversions and dunder support
+    # Dunder support
     # ------------------------------------------------------------------
-    def copy(self) -> "SetDelta":
+    def copy(self) -> "Delta":
         """An independent copy."""
-        out = SetDelta()
-        for rel, rel_atoms in self._atoms.items():
-            out._atoms[rel] = dict(rel_atoms)
+        out = Delta()
+        out._counts = {rel: dict(c) for rel, c in self._counts.items()}
         return out
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SetDelta):
+        if not isinstance(other, Delta):
             return NotImplemented
-        mine = {(rel, r): s for rel, r, s in self.atoms()}
-        theirs = {(rel, r): s for rel, r, s in other.atoms()}
-        return mine == theirs
+        return self._counts == other._counts
 
     def __hash__(self) -> int:
-        return hash(frozenset((rel, r, s) for rel, r, s in self.atoms()))
+        return hash(frozenset(self.atoms()))
 
     def __bool__(self) -> bool:
-        return not self.is_empty()
+        return bool(self._counts)
 
     def __repr__(self) -> str:
-        parts = []
-        for rel, r, sign in self.atoms():
-            marker = "+" if sign > 0 else "-"
-            parts.append(f"{marker}{rel}({dict(r)})")
-        return "SetDelta{" + ", ".join(sorted(parts)) + "}"
+        parts = [f"{n:+d}·{rel}({dict(r)})" for rel, r, n in self.atoms()]
+        return "Delta{" + ", ".join(sorted(parts)) + "}"
+
+
+#: The name sources, workloads and benchmarks build transactions under.
+SetDelta = Delta

@@ -6,7 +6,7 @@ queue so that they are applicable to the leaf-parent nodes."
 
 A :class:`LeafParentFilter` captures one leaf-parent definition
 ``LP = π_C σ_h (SourceRel)`` and converts incoming multi-relation source
-deltas into bag deltas on ``LP``.  The optional source-side optimization the
+deltas into deltas on ``LP``.  The optional source-side optimization the
 paper mentions (filtering at the source before transmission) is exposed as
 :meth:`LeafParentFilter.prefilter`, used by sources configured to do so.
 """
@@ -16,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.deltas.bag_delta import BagDelta
-from repro.deltas.delta import SetDelta
-from repro.deltas.operations import AnyDelta, select_project
+from repro.deltas.delta import Delta
+from repro.deltas.operations import select_project
 from repro.errors import DeltaError
 from repro.relalg.predicates import Predicate, TRUE, conjoin
 
@@ -69,8 +68,8 @@ class LeafParentFilter:
                     f"leaf-parent definition for {target!r} is not a chain: {chain}"
                 )
 
-    def filter(self, delta: AnyDelta) -> BagDelta:
-        """The bag delta on the leaf-parent implied by a source delta."""
+    def filter(self, delta: Delta) -> Delta:
+        """The delta on the leaf-parent implied by a source delta."""
         return select_project(
             delta,
             self.source_relation,
@@ -79,7 +78,7 @@ class LeafParentFilter:
             out_relation=self.target,
         )
 
-    def prefilter(self, delta: SetDelta) -> SetDelta:
+    def prefilter(self, delta: Delta) -> Delta:
         """Source-side optimization: drop atoms that cannot affect the target.
 
         Keeps the delta in source-relation terms (so ordinary filtering still
@@ -87,15 +86,12 @@ class LeafParentFilter:
         condition.  Projection is *not* applied here: the source cannot know
         whether other mediator nodes need the full rows.
         """
-        out = SetDelta()
+        out = Delta()
         at, names = self.predicate.compiled_test().at, None
-        for rel, r, sign in delta.atoms():
+        for rel, r, n in delta.atoms():
             if rel == self.source_relation and r._names is not names:
                 names = r._names
                 test = at(names)
             if rel != self.source_relation or test(r._values):
-                if sign > 0:
-                    out.insert(rel, r)
-                else:
-                    out.delete(rel, r)
+                out.add(rel, r, n)
         return out

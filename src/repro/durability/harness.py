@@ -22,7 +22,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.mediator import SquirrelMediator
 from repro.core.vdp import AnnotatedVDP
-from repro.deltas import SetDelta
+from repro.deltas import Delta
 from repro.durability.checkpoint import CheckpointPolicy
 from repro.durability.manager import DurabilityManager
 from repro.durability.recovery import RecoveryResult, restart_after_crash
@@ -44,7 +44,7 @@ class Commit:
     """
 
     source: str
-    delta: SetDelta
+    delta: Delta
     refresh: bool = True
 
 

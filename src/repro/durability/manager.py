@@ -38,7 +38,7 @@ from typing import Callable
 
 from repro.core.persistence import encode_repo_rows, source_cursor
 from repro.core.update_queue import QueuedUpdate
-from repro.deltas import SetDelta, net_accumulate
+from repro.deltas import Delta
 from repro.durability.checkpoint import CheckpointPolicy, CheckpointStore
 from repro.durability.wal import WalRecord, WalSourceEntry, WriteAheadLog
 from repro.errors import MediatorError, SimulatedCrash
@@ -188,18 +188,16 @@ class DurabilityManager:
         replicate stored state physically.
         """
         txn = self._txn + 1
-        per_source: Dict[str, SetDelta] = {}
+        per_source: Dict[str, Delta] = {}
         cursors: Dict[str, Optional[int]] = {}
         order: List[str] = []
         for entry in entries:
             if entry.source not in per_source:
-                per_source[entry.source] = entry.delta
+                per_source[entry.source] = entry.delta.copy()
                 order.append(entry.source)
                 cursors[entry.source] = entry.cursor
             else:
-                per_source[entry.source] = net_accumulate(
-                    per_source[entry.source], entry.delta
-                )
+                per_source[entry.source].absorb(entry.delta)
                 if entry.cursor is not None:
                     previous = cursors[entry.source]
                     cursors[entry.source] = (

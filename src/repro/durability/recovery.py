@@ -43,7 +43,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from repro.core.mediator import SquirrelMediator
 from repro.core.persistence import decode_repo, reinitialize_sources
 from repro.core.vdp import AnnotatedVDP
-from repro.deltas import SetDelta, net_accumulate
+from repro.deltas import Delta
 from repro.durability.checkpoint import CheckpointPolicy, CheckpointStore
 from repro.durability.manager import WAL_FILENAME, DurabilityManager
 from repro.durability.wal import WriteAheadLog
@@ -120,7 +120,7 @@ class RecoveryManager:
             }
 
             # Step 2: the WAL tail, filtered by the (source, seq) floor.
-            wal_nets: Dict[str, SetDelta] = {}
+            wal_nets: Dict[str, Delta] = {}
             wal_records = 0
             with tracer.span("wal_replay") as wal_span:
                 tail = [
@@ -135,12 +135,7 @@ class RecoveryManager:
                     for name, entry in record.sources.items():
                         if entry.seq <= seq_floor.get(name, 0):
                             continue
-                        existing = wal_nets.get(name)
-                        wal_nets[name] = (
-                            entry.delta
-                            if existing is None
-                            else net_accumulate(existing, entry.delta)
-                        )
+                        wal_nets.setdefault(name, Delta()).absorb(entry.delta)
                         if entry.cursor is not None:
                             cursors[name] = max(cursors.get(name, 0), entry.cursor)
                 wal_span.set(records=wal_records, sources=sorted(wal_nets))
@@ -165,9 +160,9 @@ class RecoveryManager:
                     floor = present[0] if present else now_cursor + 1
                     stale[source_name] = (cursor, floor)
                     continue
-                net = wal_nets.get(source_name, SetDelta())
+                net = wal_nets.get(source_name, Delta())
                 for seq in needed:
-                    net = net_accumulate(net, logged[seq])
+                    net.absorb(logged[seq])
                     replayed += 1
                 if not net.is_empty():
                     mediator.enqueue_update(source_name, net, cursor=now_cursor)

@@ -17,7 +17,8 @@ replay idempotence key: a checkpoint remembers the highest seq per source
 it absorbed, and recovery skips any component at or below it.  ``cursor``
 is the source-log position the component's net delta brings a reader up to
 (``null`` when the announcement arrived without one); ``delta`` is the
-transaction's net :class:`~repro.deltas.SetDelta` for that source.
+transaction's net :class:`~repro.deltas.Delta` for that source; a source
+delta's counts are ±1, so ``sign`` is the count.
 
 The log is *torn-tail tolerant*: the reader stops at the first line that
 fails any validation (bad prefix, CRC mismatch, malformed JSON, missing
@@ -39,7 +40,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.deltas import SetDelta
+from repro.deltas import Delta
 from repro.errors import MediatorError
 from repro.relalg import Row
 
@@ -48,17 +49,14 @@ __all__ = ["WalSourceEntry", "WalRecord", "WriteAheadLog"]
 _MAGIC = "W1"
 
 
-def _encode_delta(delta: SetDelta) -> List:
-    return [[rel, dict(zip(r._names, r._values)), sign] for rel, r, sign in delta.atoms()]
+def _encode_delta(delta: Delta) -> List:
+    return [[rel, dict(zip(r._names, r._values)), n] for rel, r, n in delta.atoms()]
 
 
-def _decode_delta(atoms: List) -> SetDelta:
-    delta = SetDelta()
-    for rel, row_dict, sign in atoms:
-        if sign > 0:
-            delta.insert(rel, Row(row_dict))
-        else:
-            delta.delete(rel, Row(row_dict))
+def _decode_delta(atoms: List) -> Delta:
+    delta = Delta()
+    for rel, row_dict, n in atoms:
+        delta.add(rel, Row(row_dict), n)
     return delta
 
 
@@ -68,7 +66,7 @@ class WalSourceEntry:
 
     seq: int
     cursor: Optional[int]
-    delta: SetDelta
+    delta: Delta
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.deltas import SetDelta
+from repro.deltas import Delta
 from repro.errors import SourceError
 from repro.matching.rules import MatchRule
 from repro.relalg import Row
@@ -102,7 +102,7 @@ class MatchingEngine:
 
     # ------------------------------------------------------------------
     def _bootstrap(self) -> None:
-        batch = SetDelta()
+        batch = Delta()
         for rule in self.rules:
             left_rows = list(self.left_source.relation(rule.left_relation).rows())
             right_rows = list(self.right_source.relation(rule.right_relation).rows())
@@ -119,7 +119,7 @@ class MatchingEngine:
             # an update to announce.
             self.table_source.take_announcement()
 
-    def _adjust_pair(self, rule: MatchRule, pair: Row, signed: int, batch: SetDelta) -> None:
+    def _adjust_pair(self, rule: MatchRule, pair: Row, signed: int, batch: Delta) -> None:
         support = self._pair_support[rule.name]
         before = support[pair]
         after = before + signed
@@ -135,14 +135,14 @@ class MatchingEngine:
             del support[pair]
 
     # ------------------------------------------------------------------
-    def _on_left_commit(self, source: SourceDatabase, delta: SetDelta) -> None:
+    def _on_left_commit(self, source: SourceDatabase, delta: Delta) -> None:
         self._on_commit(delta, left_side=True)
 
-    def _on_right_commit(self, source: SourceDatabase, delta: SetDelta) -> None:
+    def _on_right_commit(self, source: SourceDatabase, delta: Delta) -> None:
         self._on_commit(delta, left_side=False)
 
-    def _on_commit(self, delta: SetDelta, left_side: bool) -> None:
-        batch = SetDelta()
+    def _on_commit(self, delta: Delta, left_side: bool) -> None:
+        batch = Delta()
         for rule in self.rules:
             relation = rule.left_relation if left_side else rule.right_relation
             own_index = self._left_index[rule.name] if left_side else self._right_index[rule.name]

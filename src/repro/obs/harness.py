@@ -24,7 +24,7 @@ __all__ = ["SCENARIOS", "run_scenario", "scenario_names"]
 
 
 def _run_figure1(example: str, tracer: Tracer):
-    from repro.deltas import SetDelta
+    from repro.deltas import Delta
     from repro.relalg import row
     from repro.workloads.scenarios import figure1_mediator
 
@@ -36,10 +36,10 @@ def _run_figure1(example: str, tracer: Tracer):
     mediator.query_relation("T")
     # Two source transactions (one per source) → one update transaction
     # carrying two origins, then a re-query over the refreshed view.
-    d_r = SetDelta()
+    d_r = Delta()
     d_r.insert("R", row(r1=9001, r2=5, r3=77, r4=100))
     sources["db1"].execute(d_r)
-    d_s = SetDelta()
+    d_s = Delta()
     d_s.insert("S", row(s1=5, s2=888, s3=10))
     sources["db2"].execute(d_s)
     mediator.refresh()
@@ -48,7 +48,7 @@ def _run_figure1(example: str, tracer: Tracer):
 
 
 def _run_union(tracer: Tracer):
-    from repro.deltas import SetDelta
+    from repro.deltas import Delta
     from repro.relalg import row
     from repro.workloads.scenarios import union_mediator
 
@@ -56,7 +56,7 @@ def _run_union(tracer: Tracer):
         overrides={"east_p": "[o^v, c^v, a^v]"}, tracer=tracer
     )
     mediator.query_relation("all_orders")
-    delta = SetDelta()
+    delta = Delta()
     delta.insert("orders_east", row(oid=9000, cust=3, amount=500))
     sources["east"].execute(delta)
     mediator.refresh()
@@ -65,14 +65,14 @@ def _run_union(tracer: Tracer):
 
 
 def _run_figure4(tracer: Tracer):
-    from repro.deltas import SetDelta
+    from repro.deltas import Delta
     from repro.relalg import row
     from repro.workloads.scenarios import figure4_mediator
 
     mediator, sources = figure4_mediator("paper", tracer=tracer)
     mediator.query_relation("G")
     mediator.query_relation("E")
-    delta = SetDelta()
+    delta = Delta()
     delta.insert("A", row(a1=9000, a2=1))
     sources["dbA"].execute(delta)
     mediator.refresh()

@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Tuple
 
-from repro.deltas import AnyDelta, BagDelta, SetDelta
+from repro.deltas import Delta
 
 __all__ = ["TxnOrigin", "ProvenanceTracker"]
 
@@ -80,12 +80,12 @@ class ProvenanceTracker:
     # Transaction lifecycle (driven by the IUP)
     # ------------------------------------------------------------------
     def begin_transaction(
-        self, leaf_subs: Mapping[str, List[Tuple[TxnOrigin, BagDelta]]]
+        self, leaf_subs: Mapping[str, List[Tuple[TxnOrigin, Delta]]]
     ) -> None:
         """Start attribution for one update transaction.
 
         ``leaf_subs`` maps each updated leaf to its flushed entries'
-        per-origin bag deltas, in arrival order.
+        per-origin deltas, in arrival order.
         """
         if not self.enabled:
             return
@@ -97,18 +97,14 @@ class ProvenanceTracker:
                 self.record_contribution(leaf, origin, delta)
 
     def record_contribution(
-        self, node: str, origin: TxnOrigin, delta: AnyDelta
+        self, node: str, origin: TxnOrigin, delta: Delta
     ) -> None:
         """Attribute one origin's (sub-)delta contribution to ``node``."""
         if not self.enabled:
             return
         rows = self._counts.setdefault(node, {}).setdefault(origin, {})
-        if isinstance(delta, SetDelta):
-            for _, row, sign in delta.atoms():
-                rows[row] = rows.get(row, 0) + sign
-        else:
-            for _, row, count in delta.entries():
-                rows[row] = rows.get(row, 0) + count
+        for _, row, count in delta.atoms():
+            rows[row] = rows.get(row, 0) + count
 
     def note_origins(self, node: str, origins: Iterable[TxnOrigin]) -> None:
         """Attribute origins without per-row counts (approximate edges)."""
@@ -121,20 +117,17 @@ class ProvenanceTracker:
         if self.enabled:
             self._approx.add(node)
 
-    def sub_deltas(self, node: str) -> List[Tuple[TxnOrigin, BagDelta]]:
+    def sub_deltas(self, node: str) -> List[Tuple[TxnOrigin, Delta]]:
         """The node's in-flight delta split per origin (sorted by origin).
 
         Rows whose count for an origin nets to zero are omitted from that
         origin's sub-delta (they contribute nothing downstream) but stay in
         the provenance record.
         """
-        out: List[Tuple[TxnOrigin, BagDelta]] = []
+        out: List[Tuple[TxnOrigin, Delta]] = []
         for origin in sorted(self._counts.get(node, {})):
-            delta = BagDelta()
-            for row, count in self._counts[node][origin].items():
-                if count != 0:
-                    delta.add(node, row, count)
-            if not delta.is_empty():
+            delta = Delta.from_counts(node, self._counts[node][origin])
+            if delta:
                 out.append((origin, delta))
         return out
 

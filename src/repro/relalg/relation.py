@@ -409,6 +409,14 @@ class SetRelation(Relation):
         self._rows.discard(row)
         self._index_remove(row, 1)
 
+    def adjust(self, row: Row, signed: int) -> None:
+        """Apply one delta atom: a count of ±1, tolerant of redundant atoms
+        (inserting a present row or deleting an absent one is a no-op)."""
+        if signed not in (1, -1):
+            raise DeltaError(f"set relation {self.schema.name!r} cannot take count {signed}")
+        if (signed > 0) != (row in self._rows):
+            (self.insert if signed > 0 else self.delete)(row)
+
     def distinct_size(self) -> int:
         return len(self._rows)
 

@@ -23,7 +23,7 @@ import random
 from typing import Dict, List, Optional, Sequence
 
 from repro.core import SquirrelMediator, annotate
-from repro.deltas import SetDelta
+from repro.deltas import Delta
 from repro.durability import CheckpointPolicy, DurabilityManager
 from repro.errors import SimulatedCrash
 from repro.faults.plan import CrashSchedule, FaultPlan
@@ -103,10 +103,10 @@ class ReplicationHarness:
     # ------------------------------------------------------------------
     # The workload
     # ------------------------------------------------------------------
-    def workload_delta(self, k: int) -> SetDelta:
+    def workload_delta(self, k: int) -> Delta:
         """The k-th committed delta — seeded, collision-free keys."""
         rng = random.Random((self.seed << 20) + k)
-        delta = SetDelta()
+        delta = Delta()
         if k % 3 == 2:
             delta.insert("S", row(s1=90_000 + k, s2=7000 + k, s3=rng.randrange(100)))
         else:

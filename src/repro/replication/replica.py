@@ -38,7 +38,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 from repro.core.mediator import SquirrelMediator
 from repro.core.persistence import decode_repo, reinitialize_sources
 from repro.core.vdp import AnnotatedVDP
-from repro.deltas import SetDelta, net_accumulate
+from repro.deltas import Delta
 from repro.durability.checkpoint import CheckpointStore
 from repro.durability.wal import WalRecord, WriteAheadLog
 from repro.errors import MediatorError
@@ -311,7 +311,7 @@ class ReplicaMediator:
             mediator = self.mediator
 
             # Step 1: the primary's durable WAL tail past our floors.
-            nets: Dict[str, SetDelta] = {}
+            nets: Dict[str, Delta] = {}
             cursors: Dict[str, int] = {}
             wal_records = 0
             wal_txn = self.applied_txn
@@ -326,12 +326,7 @@ class ReplicaMediator:
                         continue
                     self.seq_floor[source_name] = entry.seq
                     fresh = True
-                    existing = nets.get(source_name)
-                    nets[source_name] = (
-                        entry.delta
-                        if existing is None
-                        else net_accumulate(existing, entry.delta)
-                    )
+                    nets.setdefault(source_name, Delta()).absorb(entry.delta)
                     if entry.cursor is not None:
                         cursors[source_name] = max(
                             cursors.get(source_name, 0), entry.cursor
@@ -356,9 +351,9 @@ class ReplicaMediator:
                 if any(seq not in logged for seq in needed):
                     stale.append(source_name)
                     continue
-                net = nets.get(source_name, SetDelta())
+                net = nets.get(source_name, Delta())
                 for seq in needed:
-                    net = net_accumulate(net, logged[seq])
+                    net.absorb(logged[seq])
                     replayed += 1
                 if not net.is_empty():
                     mediator.enqueue_update(source_name, net, cursor=now_cursor)

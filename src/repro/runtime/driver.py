@@ -41,7 +41,7 @@ from repro.core import SquirrelMediator
 from repro.core.links import SourceLink
 from repro.core.vdp import AnnotatedVDP
 from repro.correctness import IntegrationTrace
-from repro.deltas import SetDelta
+from repro.deltas import Delta
 from repro.errors import SimulationError, SourceUnavailableError
 from repro.faults import BackoffPolicy, Envelope, FaultPlan, ReliableInbox, ReliableSender
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -284,12 +284,12 @@ class SimulatedEnvironment:
     # ------------------------------------------------------------------
     # Wiring helpers
     # ------------------------------------------------------------------
-    def _enqueue(self, source_name: str, delta: SetDelta, **meta) -> None:
+    def _enqueue(self, source_name: str, delta: Delta, **meta) -> None:
         # Late-bound: the links are wired before the mediator exists.
         self.mediator.enqueue_update(source_name, delta, **meta)
 
     def _make_deliver(self, source_name: str) -> Callable:
-        def deliver(message: Tuple[SetDelta, int], send_time: float) -> None:
+        def deliver(message: Tuple[Delta, int], send_time: float) -> None:
             delta, cursor = message
             self._enqueue(
                 source_name,
@@ -302,7 +302,7 @@ class SimulatedEnvironment:
         return deliver
 
     def _make_commit_hook(self, name: str, ann_delay: float, announces: bool) -> Callable:
-        def hook(source: SourceDatabase, delta: SetDelta) -> None:
+        def hook(source: SourceDatabase, delta: Delta) -> None:
             self.trace.record_source_state(name, self.sim.now, source.state())
             if not announces or self._announce_armed[name]:
                 return
@@ -371,7 +371,7 @@ class SimulatedEnvironment:
     # ------------------------------------------------------------------
     # Driving the environment
     # ------------------------------------------------------------------
-    def schedule_transaction(self, time: float, source: str, delta: SetDelta) -> None:
+    def schedule_transaction(self, time: float, source: str, delta: Delta) -> None:
         """Commit ``delta`` at ``source`` at simulated time ``time``."""
         if source not in self.sources:
             raise SimulationError(f"unknown source {source!r}")

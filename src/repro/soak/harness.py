@@ -47,7 +47,7 @@ from repro.correctness import (
     assert_view_correct,
     check_tagged_staleness,
 )
-from repro.deltas import SetDelta
+from repro.deltas import Delta
 from repro.durability import DurabilityManager, restart_after_crash
 from repro.errors import SimulatedCrash, SourceUnavailableError
 from repro.faults import ChannelFaults, CrashPoint, CrashSchedule, FaultPlan, OutageWindow
@@ -434,7 +434,7 @@ class SoakHarness:
         relation = self.fed.relation(name)
         k, a, b = self.fed.attributes(name)
         rows = self._live_rows[name]
-        delta = SetDelta()
+        delta = Delta()
         if rows and rng.random() < 0.3:
             victim = rows.pop(rng.randrange(len(rows)))
             delta.delete(relation, Row({k: victim[0], a: victim[1], b: victim[2]}))

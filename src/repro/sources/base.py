@@ -10,7 +10,7 @@ Section 4 classifies sources by what the mediator needs from them:
   active database capabilities".
 
 :class:`SourceDatabase` captures both halves.  Transactions are applied as
-:class:`~repro.deltas.SetDelta` values committed atomically;
+:class:`~repro.deltas.Delta` values committed atomically;
 ``take_announcement`` returns the *net* delta since the last announcement,
 smashed into "a single undividable message" exactly as the paper requires.
 A source can be asked to *prefilter* announcements (the source-side
@@ -22,7 +22,7 @@ from __future__ import annotations
 import threading
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.deltas import SetDelta
+from repro.deltas import Delta
 from repro.deltas.filtering import LeafParentFilter
 from repro.errors import SourceError
 from repro.relalg import Expression, Relation, RelationSchema, Row, SetRelation
@@ -61,9 +61,9 @@ class SourceDatabase:
             raise SourceError(f"duplicate relation names in source {name!r}")
         self.txn_count = 0
         self.query_count = 0
-        self._pending: SetDelta = SetDelta()
-        self._log: List[Tuple[int, SetDelta]] = []
-        self._on_commit: List[Callable[["SourceDatabase", SetDelta], None]] = []
+        self._pending: Delta = Delta()
+        self._log: List[Tuple[int, Delta]] = []
+        self._on_commit: List[Callable[["SourceDatabase", Delta], None]] = []
         self._prefilters: List[LeafParentFilter] = []
         # Commits, announcement takes, and snapshots may now be driven from
         # different threads (the VAP polls independent sources concurrently);
@@ -77,7 +77,7 @@ class SourceDatabase:
         """A consistent copy of every relation."""
         raise NotImplementedError
 
-    def _apply(self, delta: SetDelta) -> None:
+    def _apply(self, delta: Delta) -> None:
         """Atomically apply a validated transaction delta to storage."""
         raise NotImplementedError
 
@@ -103,7 +103,7 @@ class SourceDatabase:
         with self._lock:
             return self._snapshot()
 
-    def poll_transaction(self) -> Tuple[Optional[SetDelta], Dict[str, SetRelation]]:
+    def poll_transaction(self) -> Tuple[Optional[Delta], Dict[str, SetRelation]]:
         """Atomically take the pending announcement and snapshot the source.
 
         This is the read half of one poll round as a single source
@@ -118,7 +118,7 @@ class SourceDatabase:
 
     def poll_transaction_versioned(
         self,
-    ) -> Tuple[Optional[SetDelta], int, Dict[str, SetRelation]]:
+    ) -> Tuple[Optional[Delta], int, Dict[str, SetRelation]]:
         """:meth:`poll_transaction` plus the cursor the answer reflects.
 
         The cursor is this source's transaction count at take time — the
@@ -159,13 +159,14 @@ class SourceDatabase:
     # ------------------------------------------------------------------
     # Transactions
     # ------------------------------------------------------------------
-    def execute(self, delta: SetDelta) -> int:
+    def execute(self, delta: Delta) -> int:
         """Commit a transaction; returns the transaction sequence number.
 
-        The delta must mention only this source's relations, and every atom
-        must be non-redundant (insert absent rows, delete present rows) —
-        the paper's deltas are never redundant, and enforcing that here
-        catches workload bugs early.
+        The delta must mention only this source's relations, every count
+        must be ±1 (a source relation is a set), and every atom must be
+        non-redundant (insert absent rows, delete present rows) — the
+        paper's deltas are never redundant, and enforcing that here catches
+        workload bugs early.
         """
         with self._lock:
             self._validate(delta)
@@ -173,41 +174,46 @@ class SourceDatabase:
             self.txn_count += 1
             committed = delta.copy()
             self._log.append((self.txn_count, committed))
-            self._pending.net_fold(committed)
+            self._pending.absorb(committed)
             for hook in self._on_commit:
                 hook(self, committed)
             return self.txn_count
 
-    def _validate(self, delta: SetDelta) -> None:
+    def _validate(self, delta: Delta) -> None:
         for rel_name in delta.relations():
             if rel_name not in self.schemas:
                 raise SourceError(f"source {self.name!r} has no relation {rel_name!r}")
-            for r, sign in delta.atoms_for(rel_name):
+            for r, n in delta.atoms_for(rel_name):
+                if n not in (1, -1):
+                    raise SourceError(
+                        f"count {n} for {self.name}.{rel_name}: {dict(r)}; "
+                        f"a source relation takes +1 or -1 per row"
+                    )
                 present = self._contains(rel_name, r)
-                if sign > 0 and present:
+                if n > 0 and present:
                     raise SourceError(
                         f"redundant insert into {self.name}.{rel_name}: {dict(r)}"
                     )
-                if sign < 0 and not present:
+                if n < 0 and not present:
                     raise SourceError(
                         f"redundant delete from {self.name}.{rel_name}: {dict(r)}"
                     )
 
     def insert(self, relation: str, **values) -> int:
         """Single-row insert transaction."""
-        delta = SetDelta()
+        delta = Delta()
         delta.insert(relation, Row(values))
         return self.execute(delta)
 
     def delete(self, relation: str, **values) -> int:
         """Single-row delete transaction."""
-        delta = SetDelta()
+        delta = Delta()
         delta.delete(relation, Row(values))
         return self.execute(delta)
 
     def update(self, relation: str, old: Dict, new: Dict) -> int:
         """Single-row replace transaction (delete old, insert new)."""
-        delta = SetDelta()
+        delta = Delta()
         delta.delete(relation, Row(old))
         delta.insert(relation, Row(new))
         return self.execute(delta)
@@ -215,7 +221,7 @@ class SourceDatabase:
     # ------------------------------------------------------------------
     # Announcements (the "active" capability)
     # ------------------------------------------------------------------
-    def on_commit(self, hook: Callable[["SourceDatabase", SetDelta], None]) -> None:
+    def on_commit(self, hook: Callable[["SourceDatabase", Delta], None]) -> None:
         """Register a hook invoked after every commit (observers, drivers)."""
         self._on_commit.append(hook)
 
@@ -227,7 +233,7 @@ class SourceDatabase:
         """True when commits have happened since the last announcement."""
         return not self._pending.is_empty()
 
-    def take_announcement(self) -> Optional[SetDelta]:
+    def take_announcement(self) -> Optional[Delta]:
         """The net delta since the last announcement, as one message.
 
         Resets the pending accumulator.  Returns ``None`` when there is
@@ -237,12 +243,12 @@ class SourceDatabase:
             if self._pending.is_empty():
                 return None
             announcement = self._pending
-            self._pending = SetDelta()
+            self._pending = Delta()
             if self._prefilters:
                 announcement = self._prefilter(announcement)
             return announcement if not announcement.is_empty() else None
 
-    def take_announcement_versioned(self) -> Tuple[Optional[SetDelta], int]:
+    def take_announcement_versioned(self) -> Tuple[Optional[Delta], int]:
         """:meth:`take_announcement` plus the cursor the message covers.
 
         The cursor is the source's transaction count at take time: the
@@ -256,7 +262,7 @@ class SourceDatabase:
         with self._lock:
             return self.take_announcement(), self.txn_count
 
-    def pending_announcement(self) -> SetDelta:
+    def pending_announcement(self) -> Delta:
         """A copy of the unannounced accumulator (peek — nothing is reset).
 
         Selective re-initialization uses this to compensate a current
@@ -266,7 +272,7 @@ class SourceDatabase:
         with self._lock:
             return self._pending.copy()
 
-    def _prefilter(self, delta: SetDelta) -> SetDelta:
+    def _prefilter(self, delta: Delta) -> Delta:
         """Keep each atom that is relevant to at least one leaf-parent.
 
         An atom survives when its relation has no installed filter at all,
@@ -274,24 +280,21 @@ class SourceDatabase:
         relation — dropping it would starve a node that needs it.
         """
         filtered_relations = {f.source_relation for f in self._prefilters}
-        out = SetDelta()
-        for rel, r, sign in delta.atoms():
+        out = Delta()
+        for rel, r, n in delta.atoms():
             relevant = rel not in filtered_relations or any(
                 f.predicate.compiled_test().at(r._names)(r._values)
                 for f in self._prefilters
                 if f.source_relation == rel
             )
             if relevant:
-                if sign > 0:
-                    out.insert(rel, r)
-                else:
-                    out.delete(rel, r)
+                out.add(rel, r, n)
         return out
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def log(self) -> List[Tuple[int, SetDelta]]:
+    def log(self) -> List[Tuple[int, Delta]]:
         """The committed transaction log: ``(txn_seq, delta)`` pairs."""
         return list(self._log)
 

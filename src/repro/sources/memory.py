@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Mapping, Optional, Sequence
 
-from repro.deltas import SetDelta
+from repro.deltas import Delta
 from repro.errors import SourceError
 from repro.relalg import (
     EvalCounters,
@@ -55,7 +55,7 @@ class MemorySource(SourceDatabase):
     def _contains(self, relation: str, row: Row) -> bool:
         return self._relations[relation].contains(row)
 
-    def _apply(self, delta: SetDelta) -> None:
+    def _apply(self, delta: Delta) -> None:
         for rel_name in delta.relations():
             delta.apply_to(self._relations[rel_name], rel_name)
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import sqlite3
 from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from repro.deltas import SetDelta
+from repro.deltas import Delta
 from repro.errors import EvaluationError, SourceError
 from repro.relalg import (
     BagRelation,
@@ -148,7 +148,7 @@ class SQLiteSource(SourceDatabase):
         cur = self._conn.execute(sql.probe, sql.params(row._values))
         return cur.fetchone() is not None
 
-    def _apply(self, delta: SetDelta) -> None:
+    def _apply(self, delta: Delta) -> None:
         cur = self._conn.cursor()
         cur.execute("BEGIN")
         try:
@@ -208,7 +208,7 @@ class SQLiteSource(SourceDatabase):
 
     def poll_and_query(
         self, queries: Mapping[str, Expression]
-    ) -> Tuple[Optional[SetDelta], int, Dict[str, Relation]]:
+    ) -> Tuple[Optional[Delta], int, Dict[str, Relation]]:
         """One atomic poll round answered *inside* the database.
 
         The announcement take, the cursor read, and every query execute

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
-from repro.deltas import SetDelta
+from repro.deltas import Delta
 from repro.errors import SourceError
 from repro.relalg import Row
 from repro.sources.base import SourceDatabase
@@ -96,11 +96,11 @@ class UpdateStream:
         return self.rng.choice(rows) if rows else None
 
     # ------------------------------------------------------------------
-    def next_transaction(self) -> SetDelta:
+    def next_transaction(self) -> Delta:
         """The next transaction (without executing it)."""
         insert_w, delete_w, modify_w = self._weights
         roll = self.rng.random() * (insert_w + delete_w + modify_w)
-        delta = SetDelta()
+        delta = Delta()
         if roll < insert_w:
             delta.insert(self.relation, self._fresh_row())
             return delta
@@ -125,7 +125,7 @@ class UpdateStream:
         delta.insert(self.relation, replacement)
         return delta
 
-    def step(self) -> SetDelta:
+    def step(self) -> Delta:
         """Generate and execute one transaction; returns its delta."""
         delta = self.next_transaction()
         self.source.execute(delta)

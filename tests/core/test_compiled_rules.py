@@ -15,7 +15,7 @@ Three layers of claims:
 import pytest
 
 from repro.core.rules import CompiledSPJ, build_rule, spj_delta
-from repro.deltas import BagDelta, SetDelta
+from repro.deltas import Delta, SetDelta
 from repro.errors import VDPError
 from repro.relalg import BagRelation, make_schema, parse_expression, row
 from repro.correctness import assert_materialized_correct
@@ -39,7 +39,7 @@ def _catalog():
 
 
 def _delta():
-    return BagDelta.from_counts("L", {row(k=4, x=10): 1, row(k=2, x=20): -1})
+    return Delta.from_counts("L", {row(k=4, x=10): 1, row(k=2, x=20): -1})
 
 
 JOIN_DEF = parse_expression("project[k, y](L join[x = k2] Rr)")
@@ -95,7 +95,7 @@ def test_set_rule_parity_eager_vs_lazy():
         "L": BagRelation.from_values(L, [(1, 10), (2, 20)]),
         "Rr": BagRelation.from_values(Rr, [(2, "a")]),
     }
-    delta = BagDelta.from_counts("L", {row(k=3, x=5): 1, row(k=1, x=10): -1})
+    delta = Delta.from_counts("L", {row(k=3, x=5): 1, row(k=1, x=10): -1})
     schemas = {"L": L, "Rr": Rr, "W": schema}
     eager = build_rule("W", definition, "L", L, schemas)
     lazy = build_rule("W", definition, "L", L)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import LocalStore, annotate
-from repro.deltas import BagDelta, SetDelta
+from repro.deltas import Delta, SetDelta
 from repro.errors import MediatorError
 from repro.relalg import SetRelation, row
 from repro.workloads import figure1_schemas, figure1_vdp
@@ -63,7 +63,7 @@ def test_missing_leaf_value_rejected():
 def test_delta_accumulation_and_clear():
     store = make_store()
     assert not store.has_pending_delta("T")
-    d = BagDelta.from_counts("T", {row(r1=9, r3=9, s1=9, s2=9): 1})
+    d = Delta.from_counts("T", {row(r1=9, r3=9, s1=9, s2=9): 1})
     store.accumulate("T", d)
     assert store.has_pending_delta("T")
     assert store.pending_nodes() == ("T",)
@@ -81,14 +81,14 @@ def test_accumulate_converts_delta_kinds():
 
 def test_apply_delta_projects_for_hybrid_nodes():
     store = make_store({"T": "[r1^m, r3^v, s1^m, s2^v]"})
-    d = BagDelta.from_counts("T", {row(r1=5, r3=1, s1=10, s2=42): 1})
+    d = Delta.from_counts("T", {row(r1=5, r3=1, s1=10, s2=42): 1})
     store.apply_delta("T", d)
     assert store.repo("T").count(row(r1=5, s1=10)) == 1
 
 
 def test_apply_delta_on_virtual_node_is_noop():
     store = make_store({"R_p": "[r1^v, r2^v, r3^v]"})
-    d = BagDelta.from_counts("R_p", {row(r1=5, r2=1, r3=1): 1})
+    d = Delta.from_counts("R_p", {row(r1=5, r2=1, r3=1): 1})
     store.apply_delta("R_p", d)  # no repo; must not raise
 
 
@@ -101,38 +101,34 @@ def test_space_accounting():
 
 
 def test_normalize_set_delta():
-    from repro.core import annotate as _annotate
-    from repro.workloads import figure4_schemas, figure4_vdp
+    from repro.sources import MemorySource
+    from repro.workloads import figure4_mediator, figure4_schemas
 
-    annotated = _annotate(figure4_vdp(), {})
-    store = LocalStore(annotated)
     schemas = figure4_schemas()
-    store.initialize(
-        {
-            "A": SetRelation.from_values(schemas["A"], [(1, 1)]),
-            "B": SetRelation.from_values(schemas["B"], [(2, 10)]),
-            "C": SetRelation.from_values(schemas["C"], []),
-            "D": SetRelation.from_values(schemas["D"], []),
-        }
-    )
-    g = store.repo("G")
-    assert g.contains(row(a1=1, b1=2))
-    d = SetDelta()
+    initial = {"A": [(1, 1)], "B": [(2, 10)], "C": [], "D": []}
+    sources = {
+        f"db{n}": MemorySource(f"db{n}", [schemas[n]], initial={n: initial[n]})
+        for n in initial
+    }
+    mediator, _ = figure4_mediator("all_m", sources=sources)
+    assert mediator.store.repo("G").contains(row(a1=1, b1=2))
+    d = Delta()
     d.insert("G", row(a1=1, b1=2))   # redundant insert
     d.delete("G", row(a1=9, b1=9))   # redundant delete
-    normalized = store.normalize_set_delta("G", d)
+    mediator.store.stats.reset()
+    normalized = mediator.iup._normalize_set_delta("G", d, {})
     assert normalized.is_empty()
     # Both dropped atoms count as smashed net-effect compaction.
-    assert store.stats.deltas_smashed == 2
+    assert mediator.store.stats.deltas_smashed == 2
 
 
 def test_accumulate_counts_smashed_atoms():
     store = make_store()
     assert store.stats.deltas_smashed == 0
     r = row(r1=9, r3=9, s1=9, s2=9)
-    store.accumulate("T", BagDelta.from_counts("T", {r: 1}))
+    store.accumulate("T", Delta.from_counts("T", {r: 1}))
     assert store.stats.deltas_smashed == 0  # nothing to cancel yet
-    store.accumulate("T", BagDelta.from_counts("T", {r: -1}))
+    store.accumulate("T", Delta.from_counts("T", {r: -1}))
     # +1 and -1 annihilate: two gross entries, zero net.
     assert store.stats.deltas_smashed == 2
     assert not store.has_pending_delta("T")
@@ -152,38 +148,24 @@ def test_storage_metrics_per_node():
     )
 
 
-# Contributions: (is a set delta?, [(row key, signed count)]).  A set
-# delta's rows are distinct with signs ±1; a bag delta's counts are ±1/±2.
+# Contributions: [(row key, signed count)], rows distinct.  A set node only
+# ever receives counts of ±1; a bag node also ±2.
 _contributions = st.lists(
-    st.tuples(
-        st.booleans(),
-        st.lists(
-            st.tuples(st.integers(0, 4), st.sampled_from([-2, -1, 1, 2])),
-            max_size=6,
-            unique_by=lambda entry: entry[0],
-        ),
+    st.lists(
+        st.tuples(st.integers(0, 4), st.sampled_from([-2, -1, 1, 2])),
+        max_size=6,
+        unique_by=lambda entry: entry[0],
     ),
     max_size=8,
 )
 
 
-def _contribution(name, is_set, entries, set_node):
-    if is_set or set_node:  # a set node only ever receives ±1 (bag_to_set's domain)
-        return SetDelta.from_atoms((name, row(a1=k, b1=k % 2), 1 if n > 0 else -1) for k, n in entries)
-    return BagDelta.from_counts(name, {row(a1=k, b1=k % 2): n for k, n in entries})
-
-
 def _copy_smash(current, delta):
     """The definition, written out: a fresh delta holding ``current``'s
-    entries, then ``delta``'s — added to them (bag) or written over them,
-    the later atom winning (set)."""
-    out = type(current)()
-    if isinstance(current, SetDelta):
-        for rel, r, sign in list(current.atoms()) + list(delta.atoms()):
-            out._atoms.setdefault(rel, {})[r] = sign
-    else:
-        for rel, r, n in list(current.entries()) + list(delta.entries()):
-            out.add(rel, r, n)
+    atoms, then ``delta``'s, added to them."""
+    out = Delta()
+    for rel, r, n in list(current.atoms()) + list(delta.atoms()):
+        out.add(rel, r, n)
     return out
 
 
@@ -191,30 +173,24 @@ def _copy_smash(current, delta):
 @settings(max_examples=200, deadline=None)
 def test_in_place_accumulation_is_the_copy_smash(contributions, set_node):
     """``accumulate`` adds each contribution into ΔR in place; the result —
-    entries, their order, and ``deltas_smashed`` — is exactly the copy-smash
-    definition: ``ΔR := ΔR ! δ`` with the gross minus the net entry count
-    (atom count on a set node) added to the counter."""
-    from repro.deltas import bag_to_set, set_to_bag
+    atoms, their order, and ``deltas_smashed`` — is exactly the copy-smash
+    definition: ``ΔR := ΔR ! δ`` with the gross minus the net atom count
+    added to the counter."""
     from repro.workloads import figure4_vdp
 
     name = "G" if set_node else "F"  # F: a bag node over (a1, b1); G: a set node
     store = LocalStore(annotate(figure4_vdp(), {}))
-    expected = SetDelta() if set_node else BagDelta()
+    expected = Delta()
     smashed = 0
-    for is_set, entries in contributions:
-        delta = _contribution(name, is_set, entries, set_node)
+    for entries in contributions:
+        delta = Delta.from_counts(name, {
+            row(a1=k, b1=k % 2): (1 if n > 0 else -1) if set_node else n for k, n in entries
+        })
         store.accumulate(name, delta)
-        if set_node:
-            delta = bag_to_set(delta) if isinstance(delta, BagDelta) else delta
-            after = _copy_smash(expected, delta)
-            smashed += expected.atom_count() + delta.atom_count() - after.atom_count()
-        else:
-            delta = set_to_bag(delta) if isinstance(delta, SetDelta) else delta
-            after = _copy_smash(expected, delta)
-            smashed += expected.entry_count() + delta.entry_count() - after.entry_count()
+        after = _copy_smash(expected, delta)
+        smashed += expected.atom_count() + delta.atom_count() - after.atom_count()
         expected = after
         got = store.delta(name)
         assert got == expected
-        walk = (lambda d: list(d.atoms())) if set_node else (lambda d: list(d.entries()))
-        assert walk(got) == walk(expected)
+        assert list(got.atoms()) == list(expected.atoms())
         assert store.stats.deltas_smashed == smashed

@@ -8,7 +8,7 @@ from repro.core.rules import (
     build_rule,
     spj_delta,
 )
-from repro.deltas import BagDelta
+from repro.deltas import Delta
 from repro.errors import VDPError
 from repro.relalg import (
     BagRelation,
@@ -30,7 +30,7 @@ def incremental_equals_recompute(definition, catalogs_before, delta, child, chil
     after_catalog = {n: r.copy() for n, r in catalogs_before.items()}
     delta.apply_to(after_catalog[child], child)
     after = evaluate(definition, after_catalog, "T")
-    expected = BagDelta.diff("T", _as_bag(before), _as_bag(after))
+    expected = Delta.diff("T", _as_bag(before), _as_bag(after))
     got = spj_delta(definition, "T", child, delta, catalogs_before, child_schema)
     assert got == expected, f"{got} != {expected}"
 
@@ -45,7 +45,7 @@ def _as_bag(rel):
 def test_spj_rule_select_project():
     definition = parse_expression("project[x](select[x < 10](L))")
     cat = {"L": BagRelation.from_values(L, [(1, 5), (2, 20)])}
-    delta = BagDelta.from_counts("L", {row(k=3, x=7): 1, row(k=1, x=5): -1})
+    delta = Delta.from_counts("L", {row(k=3, x=7): 1, row(k=1, x=5): -1})
     incremental_equals_recompute(definition, cat, delta, "L", L)
 
 
@@ -56,7 +56,7 @@ def test_spj_rule_join_insert_and_delete():
         "L": BagRelation.from_values(L, [(1, "a"), (2, "b")]),
         "Rr": BagRelation.from_values(Rr, [(1, "p"), (2, "q")]),
     }
-    delta = BagDelta.from_counts("L", {row(k=1, x="a"): -1, row(k=2, x="z"): 1})
+    delta = Delta.from_counts("L", {row(k=1, x="a"): -1, row(k=2, x="z"): 1})
     incremental_equals_recompute(definition, cat, delta, "L", L)
 
 
@@ -64,7 +64,7 @@ def test_spj_rule_self_join_occurrences():
     """A child appearing twice (footnote 2): each occurrence contributes."""
     definition = parse_expression("L join[x = k2] rename[k = k2, x = x2](L)")
     cat = {"L": BagRelation.from_values(L, [(1, 2), (2, 3)])}
-    delta = BagDelta.from_counts("L", {row(k=3, x=1): 1})
+    delta = Delta.from_counts("L", {row(k=3, x=1): 1})
     incremental_equals_recompute(definition, cat, delta, "L", L)
 
 
@@ -79,17 +79,17 @@ def test_spj_rule_union_only_touches_matching_side():
         "X": BagRelation.from_values(x, [(1,)]),
         "Y": BagRelation.from_values(y, [(9,)]),
     }
-    delta = BagDelta.from_counts("X", {row(a=2): 1})
+    delta = Delta.from_counts("X", {row(a=2): 1})
     out = rule.fire(delta, cat)
     # Only the insertion flows; Y's contents are NOT re-emitted.
-    assert out.counts_for("T") == {row(a=2): 1}
+    assert dict(out.atoms_for("T")) == {row(a=2): 1}
     assert rule.sibling_names() == ()
 
 
 def test_spj_delta_requires_reference():
     definition = parse_expression("project[x](L)")
     with pytest.raises(VDPError):
-        spj_delta(definition, "T", "NOPE", BagDelta(), {}, L)
+        spj_delta(definition, "T", "NOPE", Delta(), {}, L)
 
 
 def _support_case(indexed):
@@ -116,7 +116,7 @@ def test_operand_support_delta_counts_transitions():
         rule, cat = _support_case(indexed)
         assert rule.probe_index_requirements() == {"L": {("x",)}, "N": {("x",)}}
         # Removing one of the two x=7 rows: support unchanged; removing x=8: leaves.
-        delta = BagDelta.from_counts(
+        delta = Delta.from_counts(
             "L", {row(k=1, x=7): -1, row(k=3, x=8): -1, row(k=4, x=9): 1}
         )
         counters = EvalCounters()
@@ -143,8 +143,8 @@ def test_set_rule_with_join_operand_keeps_full_operand_evaluation():
         "M": BagRelation.from_values(m, [(2, "q")]),
     }
     deltas = {
-        "L": BagDelta.from_counts("L", {row(k=3, x="c"): 1, row(k=1, x="a"): -1}),
-        "M": BagDelta.from_counts("M", {row(k=2, y="q"): -1, row(k=1, y="p"): 1}),
+        "L": Delta.from_counts("L", {row(k=3, x="c"): 1, row(k=1, x="a"): -1}),
+        "M": Delta.from_counts("M", {row(k=2, y="q"): -1, row(k=1, y="p"): 1}),
     }
     child_schemas = {"L": L, "M": m}
     for child, delta in deltas.items():
@@ -174,10 +174,10 @@ def test_set_rule_diff1_corrected_deletion_semantics():
     }
     # Row 1 leaves A (was in T since 1 not in B) -> -1 must appear.
     # Row 2 leaves A (was NOT in T, shadowed by B) -> nothing.
-    delta = BagDelta.from_counts("A", {row(v=1): -1, row(v=2): -1})
+    delta = Delta.from_counts("A", {row(v=1): -1, row(v=2): -1})
     out = rule.fire(delta, cat)
-    assert out.sign("T", row(v=1)) == -1
-    assert out.sign("T", row(v=2)) == 0  # the paper's ∩ version would emit -2
+    assert out.count("T", row(v=1)) == -1
+    assert out.count("T", row(v=2)) == 0  # the paper's ∩ version would emit -2
 
 
 def test_set_rule_diff2_both_directions():
@@ -190,10 +190,10 @@ def test_set_rule_diff2_both_directions():
         "B": BagRelation.from_values(b, [(2,)]),
     }
     # 1 enters B: evicts 1 from T.  2 leaves B: re-admits 2 into T.
-    delta = BagDelta.from_counts("B", {row(v=1): 1, row(v=2): -1})
+    delta = Delta.from_counts("B", {row(v=1): 1, row(v=2): -1})
     out = rule.fire(delta, cat)
-    assert out.sign("T", row(v=1)) == -1
-    assert out.sign("T", row(v=2)) == 1
+    assert out.count("T", row(v=1)) == -1
+    assert out.count("T", row(v=2)) == 1
 
 
 def test_set_rule_ignores_support_preserving_changes():
@@ -206,7 +206,7 @@ def test_set_rule_ignores_support_preserving_changes():
         "B": BagRelation(b),
     }
     # One of two supporting rows for v=7 goes away: support survives.
-    delta = BagDelta.from_counts("A", {row(k=1, v=7): -1})
+    delta = Delta.from_counts("A", {row(k=1, v=7): -1})
     out = rule.fire(delta, cat)
     assert out.is_empty()
 

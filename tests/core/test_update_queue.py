@@ -23,7 +23,7 @@ def test_enqueue_and_flush_nets_in_order():
     # Insert-then-delete across two in-order messages nets to NOTHING —
     # smash would keep a spurious deletion atom (regression for the
     # multi-message-per-flush bug found in simulation).
-    assert combined.sign("R", row(a=1)) == 0
+    assert combined.count("R", row(a=1)) == 0
     assert combined.is_empty()
     assert [e.send_time for e in entries] == [1.0, 3.0]
     assert q.is_empty()
@@ -41,7 +41,7 @@ def test_flush_nets_delete_then_reinsert_cycle():
     d3.delete("R", row(a=1))
     q.enqueue("db1", d3)
     combined, _ = q.flush()
-    assert combined.sign("R", row(a=1)) == -1  # odd number of flips: net delete
+    assert combined.count("R", row(a=1)) == -1  # odd number of flips: net delete
 
 
 def test_flush_empty_queue():
@@ -58,7 +58,7 @@ def test_pending_for_source_preserves_order_without_consuming():
     q.enqueue("db1", delta_insert("R", a=2))
     pending = q.pending_for_source("db1")
     assert len(pending) == 2
-    assert pending[0].sign("R", row(a=1)) == 1
+    assert pending[0].count("R", row(a=1)) == 1
     assert len(q) == 3  # not consumed
 
 
@@ -92,7 +92,7 @@ def test_duplicate_seq_is_smashed_idempotently():
     combined, entries = q.flush()
     # The net effect is ONE insert, not three: a duplicated announcement
     # must not inflate bag multiplicities downstream.
-    assert combined.sign("R", row(a=1)) == 1
+    assert combined.count("R", row(a=1)) == 1
     assert len(entries) == 1
 
 
@@ -143,8 +143,8 @@ def test_pending_for_source_reflects_sequence_order():
     q.enqueue("db1", delta_insert("R", a=2), seq=1)
     q.enqueue("db1", delta_insert("R", a=1), seq=0)
     pending = q.pending_for_source("db1")
-    assert pending[0].sign("R", row(a=1)) == 1
-    assert pending[1].sign("R", row(a=2)) == 1
+    assert pending[0].count("R", row(a=1)) == 1
+    assert pending[1].count("R", row(a=2)) == 1
 
 
 def test_unsequenced_enqueues_keep_arrival_order():

@@ -23,7 +23,7 @@ from repro.core import (
 )
 from repro.core.vap_cache import _narrow_safe
 from repro.correctness import assert_view_correct
-from repro.deltas import BagDelta
+from repro.deltas import Delta
 from repro.errors import AnnotationError
 from repro.relalg import (
     TRUE,
@@ -166,7 +166,7 @@ def test_invalidate_kills_touched_lineage_only():
         rp = mediator.vap.materialize([request("R_p", ["r1", "r2", "r3"])])["R_p"]
     cache.store(request("R_p", ["r1", "r2", "r3"]), rp)
 
-    delta = BagDelta()
+    delta = Delta()
     delta.insert("S", row(s1=1, s2=2, s3=3))  # passes S_p's s3 < 50 filter
     dropped = cache.invalidate({"S": delta})
     assert dropped == 1
@@ -179,7 +179,7 @@ def test_invalidate_ignores_deltas_outside_leaf_parent_selection():
     cache = VAPTempCache(mediator.vdp)
     cache.store(request("T", ["r1", "r3", "s1", "s2"]), full_t(mediator))
 
-    delta = BagDelta()
+    delta = Delta()
     delta.insert("S", row(s1=900, s2=2, s3=90))  # fails S_p's s3 < 50 filter
     assert cache.invalidate({"S": delta}) == 0
     assert len(cache.entries_for("T")) == 1

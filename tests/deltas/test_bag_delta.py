@@ -1,8 +1,8 @@
-"""Unit tests for bag-semantics deltas."""
+"""Unit tests for deltas used with bag semantics: any signed count."""
 
 import pytest
 
-from repro.deltas import BagDelta
+from repro.deltas import Delta
 from repro.errors import DeltaError
 from repro.relalg import BagRelation, make_schema, row
 
@@ -17,7 +17,7 @@ def bag(*counts):
 
 
 def test_add_accumulates_and_cancels():
-    d = BagDelta()
+    d = Delta()
     d.add("R", row(a=1), 2)
     d.add("R", row(a=1), -2)
     assert d.is_empty()
@@ -26,7 +26,7 @@ def test_add_accumulates_and_cancels():
 
 
 def test_insert_delete_validation():
-    d = BagDelta()
+    d = Delta()
     with pytest.raises(DeltaError):
         d.insert("R", row(a=1), 0)
     with pytest.raises(DeltaError):
@@ -34,7 +34,7 @@ def test_insert_delete_validation():
 
 
 def test_apply_adjusts_multiplicities():
-    d = BagDelta()
+    d = Delta()
     d.insert("R", row(a=1), 2)
     d.delete("R", row(a=2), 1)
     target = bag((2, 3))
@@ -44,15 +44,15 @@ def test_apply_adjusts_multiplicities():
 
 
 def test_apply_rejects_negative_multiplicity():
-    d = BagDelta()
+    d = Delta()
     d.delete("R", row(a=1), 5)
     with pytest.raises(DeltaError):
         d.apply_to(bag((1, 2)), "R")
 
 
 def test_smash_is_addition():
-    d1 = BagDelta.from_counts("R", {row(a=1): 2})
-    d2 = BagDelta.from_counts("R", {row(a=1): -1, row(a=2): 4})
+    d1 = Delta.from_counts("R", {row(a=1): 2})
+    d2 = Delta.from_counts("R", {row(a=1): -1, row(a=2): 4})
     s = d1.smash(d2)
     assert s.count("R", row(a=1)) == 1
     assert s.count("R", row(a=2)) == 4
@@ -60,13 +60,13 @@ def test_smash_is_addition():
 
 def test_smash_law_on_bags():
     db = bag((1, 3))
-    d1 = BagDelta.from_counts("R", {row(a=1): -2, row(a=2): 1})
-    d2 = BagDelta.from_counts("R", {row(a=2): 2})
+    d1 = Delta.from_counts("R", {row(a=1): -2, row(a=2): 1})
+    d2 = Delta.from_counts("R", {row(a=2): 2})
     assert d1.smash(d2).applied(db, "R") == d2.applied(d1.applied(db, "R"), "R")
 
 
 def test_inverse():
-    d = BagDelta.from_counts("R", {row(a=1): 3, row(a=2): -1})
+    d = Delta.from_counts("R", {row(a=1): 3, row(a=2): -1})
     inv = d.inverse()
     assert inv.count("R", row(a=1)) == -3
     assert inv.count("R", row(a=2)) == 1
@@ -77,7 +77,7 @@ def test_inverse():
 def test_diff():
     before = bag((1, 2), (2, 1))
     after = bag((1, 1), (3, 4))
-    d = BagDelta.diff("R", before, after)
+    d = Delta.diff("R", before, after)
     assert d.count("R", row(a=1)) == -1
     assert d.count("R", row(a=2)) == -1
     assert d.count("R", row(a=3)) == 4
@@ -85,28 +85,27 @@ def test_diff():
 
 
 def test_insertions_deletions():
-    d = BagDelta.from_counts("R", {row(a=1): 2, row(a=2): -3})
-    assert d.insertions("R") == [(row(a=1), 2)]
-    assert d.deletions("R") == [(row(a=2), 3)]
+    d = Delta.from_counts("R", {row(a=1): 2, row(a=2): -3})
+    assert d.insertions("R") == [row(a=1)]
+    assert d.deletions("R") == [row(a=2)]
 
 
-def test_magnitude_and_entry_count():
-    d = BagDelta.from_counts("R", {row(a=1): 2, row(a=2): -3})
-    assert d.magnitude() == 5
-    assert d.entry_count() == 2
+def test_atom_count():
+    d = Delta.from_counts("R", {row(a=1): 2, row(a=2): -3})
+    assert d.atom_count() == 2  # distinct rows, not the sum of counts
 
 
 def test_restrict_to():
-    d = BagDelta()
+    d = Delta()
     d.add("R", row(a=1), 1)
     d.add("S", row(a=1), 1)
     assert d.restrict_to(["R"]).relations() == ("R",)
 
 
 def test_equality_copy_bool():
-    d = BagDelta.from_counts("R", {row(a=1): 1})
+    d = Delta.from_counts("R", {row(a=1): 1})
     clone = d.copy()
     assert clone == d and bool(d)
     clone.add("R", row(a=1), 1)
     assert clone != d
-    assert not BagDelta()
+    assert not Delta()

@@ -2,16 +2,14 @@
 
 import pytest
 
+import functools
+
 from repro.deltas import (
-    BagDelta,
+    Delta,
     LeafParentFilter,
     SetDelta,
-    apply_delta,
-    bag_to_set,
     rename_delta,
     select_project,
-    set_to_bag,
-    smash_all,
 )
 from repro.errors import DeltaError
 from repro.relalg import (
@@ -31,56 +29,47 @@ def test_apply_delta_dispatch_set():
     target = SetRelation.from_values(R, [(1, 2)])
     d = SetDelta()
     d.insert("R", row(a=3, b=4))
-    apply_delta(target, d)
+    d.apply_to(target, "R")
     assert target.contains(row(a=3, b=4))
 
 
 def test_apply_delta_dispatch_bag():
     target = BagRelation.from_values(R, [(1, 2)])
-    d = BagDelta.from_counts("R", {row(a=1, b=2): 2})
-    apply_delta(target, d)
+    d = Delta.from_counts("R", {row(a=1, b=2): 2})
+    d.apply_to(target, "R")
     assert target.count(row(a=1, b=2)) == 3
 
 
 def test_apply_delta_converts_between_kinds():
-    target = BagRelation.from_values(R, [(1, 2)])
+    """One delta applies to either kind of relation: the relation decides
+    what a count means."""
     d = SetDelta()
     d.delete("R", row(a=1, b=2))
-    apply_delta(target, d)
-    assert target.is_empty()
-
-    set_target = SetRelation.from_values(R, [(1, 2)])
-    bd = BagDelta.from_counts("R", {row(a=1, b=2): -1})
-    apply_delta(set_target, bd)
-    assert set_target.is_empty()
+    for target in (BagRelation.from_values(R, [(1, 2)]), SetRelation.from_values(R, [(1, 2)])):
+        d.apply_to(target, "R")
+        assert target.is_empty()
 
 
 def test_bag_to_set_rejects_large_counts():
-    bd = BagDelta.from_counts("R", {row(a=1, b=2): 2})
-    with pytest.raises(DeltaError):
-        bag_to_set(bd)
-
-
-def test_set_to_bag_roundtrip():
-    d = SetDelta()
-    d.insert("R", row(a=1, b=2))
-    d.delete("R", row(a=3, b=4))
-    assert bag_to_set(set_to_bag(d)) == d
+    """A count of 2 is a bag adjustment; a set relation refuses it, whether
+    the row is present or not."""
+    d = Delta.from_counts("R", {row(a=1, b=2): 2})
+    for rows in ([], [(1, 2)]):
+        with pytest.raises(DeltaError):
+            d.apply_to(SetRelation.from_values(R, rows), "R")
 
 
 def test_smash_all():
+    """Smashing a sequence left to right is a fold of ``smash``."""
     d1 = SetDelta()
     d1.insert("R", row(a=1, b=2))
     d2 = SetDelta()
     d2.delete("R", row(a=1, b=2))
-    result = smash_all([d1, d2])
-    assert result.sign("R", row(a=1, b=2)) == -1
-    assert smash_all([]) is None
-
-
-def test_smash_all_rejects_mixed_kinds():
-    with pytest.raises(DeltaError):
-        smash_all([SetDelta(), BagDelta()])
+    d2.insert("R", row(a=3, b=4))
+    result = functools.reduce(Delta.smash, [d1, d2])
+    assert result.count("R", row(a=1, b=2)) == 0
+    assert list(result.atoms()) == [("R", row(a=3, b=4), 1)]
+    assert d1.count("R", row(a=1, b=2)) == 1  # smash copies; absorb folds in place
 
 
 def test_select_project_commutation_law():
@@ -106,7 +95,7 @@ def test_select_project_commutation_law():
 
 
 def test_select_project_merges_projected_atoms():
-    d = BagDelta()
+    d = Delta()
     d.add("R", row(a=1, b=10), 1)
     d.add("R", row(a=1, b=20), 1)
     out = select_project(d, "R", lt("b", 100), ("a",))
@@ -127,7 +116,7 @@ def test_leaf_parent_filter():
     d.insert("R", row(a=2, b=99))  # dropped by predicate
     d.insert("S", row(a=5, b=5))  # other relation ignored
     out = lp.filter(d)
-    assert out.counts_for("Rp") == {row(a=1): 1}
+    assert dict(out.atoms_for("Rp")) == {row(a=1): 1}
 
 
 def test_leaf_parent_prefilter_keeps_other_relations():
@@ -136,5 +125,5 @@ def test_leaf_parent_prefilter_keeps_other_relations():
     d.insert("R", row(a=2, b=99))
     d.insert("S", row(a=5, b=5))
     out = lp.prefilter(d)
-    assert out.sign("R", row(a=2, b=99)) == 0
-    assert out.sign("S", row(a=5, b=5)) == 1
+    assert out.count("R", row(a=2, b=99)) == 0
+    assert out.count("S", row(a=5, b=5)) == 1

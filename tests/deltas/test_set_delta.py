@@ -1,4 +1,4 @@
-"""Unit tests for set-semantics deltas (Section 6.2)."""
+"""Unit tests for deltas used with set semantics: counts of ±1 (Section 6.2)."""
 
 import pytest
 
@@ -17,17 +17,22 @@ def test_insert_delete_atoms():
     d = SetDelta()
     d.insert("R", row(a=1, b=2))
     d.delete("R", row(a=3, b=4))
-    assert d.sign("R", row(a=1, b=2)) == 1
-    assert d.sign("R", row(a=3, b=4)) == -1
-    assert d.sign("R", row(a=9, b=9)) == 0
+    assert d.count("R", row(a=1, b=2)) == 1
+    assert d.count("R", row(a=3, b=4)) == -1
+    assert d.count("R", row(a=9, b=9)) == 0
     assert d.atom_count() == 2
 
 
 def test_conflicting_atoms_rejected():
+    """Opposite atoms for one row cannot coexist in a delta: they cancel."""
     d = SetDelta()
     d.insert("R", row(a=1, b=2))
-    with pytest.raises(DeltaError):
-        d.delete("R", row(a=1, b=2))
+    d.insert("R", row(a=3, b=4))
+    d.delete("R", row(a=1, b=2))
+    assert d.count("R", row(a=1, b=2)) == 0
+    assert list(d.atoms()) == [("R", row(a=3, b=4), 1)]
+    d.delete("R", row(a=3, b=4))
+    assert d.is_empty() and d.relations() == ()
 
 
 def test_duplicate_same_sign_ok():
@@ -35,6 +40,9 @@ def test_duplicate_same_sign_ok():
     d.insert("R", row(a=1, b=2))
     d.insert("R", row(a=1, b=2))
     assert d.atom_count() == 1
+    assert d.count("R", row(a=1, b=2)) == 2  # a set relation refuses it on apply
+    with pytest.raises(DeltaError):
+        d.apply_to(rel(), "R")
 
 
 def test_multi_relation_delta():
@@ -81,12 +89,17 @@ def test_smash_law():
 
 
 def test_smash_later_wins():
+    """Where the later atom used to win, the counts now cancel; against the
+    set the atoms were drawn from, both leave the same net change."""
     d1 = SetDelta()
     d1.insert("R", row(a=1, b=2))
     d2 = SetDelta()
     d2.delete("R", row(a=1, b=2))
     s = d1.smash(d2)
-    assert s.sign("R", row(a=1, b=2)) == -1
+    assert s.count("R", row(a=1, b=2)) == 0
+    later_wins = d2
+    base = rel((5, 6))  # the state d1 was drawn against: (1, 2) absent
+    assert s.normalized("R", base) == later_wins.normalized("R", base) == SetDelta()
 
 
 def test_inverse_undoes_nonredundant_delta():
@@ -109,17 +122,20 @@ def test_diff_computes_net_change():
     before = rel((1, 2), (3, 4))
     after = rel((3, 4), (5, 6))
     d = SetDelta.diff("R", before, after)
-    assert d.sign("R", row(a=1, b=2)) == -1
-    assert d.sign("R", row(a=5, b=6)) == 1
-    assert d.sign("R", row(a=3, b=4)) == 0
+    assert d.count("R", row(a=1, b=2)) == -1
+    assert d.count("R", row(a=5, b=6)) == 1
+    assert d.count("R", row(a=3, b=4)) == 0
     assert d.applied(before, "R") == after
 
 
 def test_redundancy_detection():
     d = SetDelta()
     d.insert("R", row(a=1, b=2))
-    assert d.is_redundant_for(rel((1, 2)), "R")
-    assert not d.is_redundant_for(rel((9, 9)), "R")
+    d.delete("R", row(a=3, b=4))
+    assert d.normalized("R", rel((1, 2))).is_empty()  # both atoms redundant
+    assert d.normalized("R", rel((3, 4))) == d  # neither
+    kept = d.normalized("R", rel((1, 2), (3, 4)))
+    assert list(kept.atoms()) == [("R", row(a=3, b=4), -1)]
 
 
 def test_insertions_deletions_lists():
@@ -147,10 +163,12 @@ def test_equality_and_copy():
     assert clone != d
 
 
-def test_from_atoms():
-    d = SetDelta.from_atoms([("R", row(a=1, b=2), 1), ("R", row(a=3, b=4), -1)])
-    assert d.sign("R", row(a=1, b=2)) == 1
-    assert d.sign("R", row(a=3, b=4)) == -1
+def test_from_counts():
+    d = SetDelta.from_counts("R", {row(a=1, b=2): 1, row(a=3, b=4): -1, row(a=5, b=6): 0})
+    assert d.count("R", row(a=1, b=2)) == 1
+    assert d.count("R", row(a=3, b=4)) == -1
+    assert d.atom_count() == 2  # a zero count is no atom
+    assert SetDelta.from_counts("R", {}).relations() == ()
 
 
 def test_diff_emits_atoms_in_sorted_order():

@@ -170,7 +170,7 @@ def test_engine_announces_net_deltas():
     engine = MatchingEngine([make_rule()], left, right)
     left.insert("customers", cid=4, name="Edsger Dijkstra", phone="303 555 0404")
     announcement = engine.source.take_announcement()
-    assert announcement.sign("cust_match", row(l_cid=4, r_clid=903)) == 1
+    assert announcement.count("cust_match", row(l_cid=4, r_clid=903)) == 1
 
 
 def test_engine_rejects_unknown_relation():

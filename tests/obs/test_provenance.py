@@ -1,6 +1,6 @@
 """Unit tests for the delta-provenance tracker."""
 
-from repro.deltas import BagDelta, SetDelta
+from repro.deltas import Delta, SetDelta
 from repro.obs import ProvenanceTracker, TxnOrigin, origin_labels
 from repro.relalg import row
 
@@ -10,7 +10,7 @@ def origin(source, txn):
 
 
 def bag(relation, *entries):
-    delta = BagDelta()
+    delta = Delta()
     for r, count in entries:
         delta.add(relation, r, count)
     return delta
@@ -69,8 +69,8 @@ def test_cross_origin_cancellation_keeps_both_origins():
     assert prov.live_origins("R") == {origin("db1", 1), origin("db1", 2)}
     # ... and the per-origin sub-deltas survive for downstream re-firing.
     subs = dict(prov.sub_deltas("R"))
-    assert list(subs[origin("db1", 1)].entries()) == [("R", R1, 1)]
-    assert list(subs[origin("db1", 2)].entries()) == [("R", R1, -1)]
+    assert list(subs[origin("db1", 1)].atoms()) == [("R", R1, 1)]
+    assert list(subs[origin("db1", 2)].atoms()) == [("R", R1, -1)]
 
 
 def test_within_origin_cancellation_drops_the_origin():
@@ -85,7 +85,7 @@ def test_within_origin_cancellation_drops_the_origin():
 def test_empty_contribution_does_not_attribute():
     prov = ProvenanceTracker(enabled=True)
     prov.begin_transaction({"R": [(origin("db1", 1), bag("R", (R1, 1)))]})
-    prov.record_contribution("T", origin("db1", 1), BagDelta())
+    prov.record_contribution("T", origin("db1", 1), Delta())
     prov.commit()
     # The node is tracked (a firing touched it) but no origin is blamed.
     assert prov.origins_of("T") == frozenset()

@@ -7,6 +7,7 @@ from repro.relalg import (
     BagRelation,
     Difference,
     EvalCounters,
+    Evaluator,
     Join,
     Project,
     Rename,
@@ -19,6 +20,7 @@ from repro.relalg import (
     gt,
     lt,
     make_schema,
+    parse_expression,
     row,
     scan,
 )
@@ -176,3 +178,27 @@ def test_join_schema_disjointness_enforced():
     }
     with pytest.raises(SchemaError):
         evaluate(Join(scan("A"), scan("B"), eq("x", "x")), cat)
+
+
+def _join_outcome(indexed):
+    """The answer of a chain-selection join, or the error it raises."""
+    left = SetRelation.from_values(make_schema("L", ["k", "x"]), [(1, None), (2, 3)])
+    if indexed:
+        left.ensure_index(("k",))
+    right = SetRelation.from_values(make_schema("R", ["k2", "y"]), [(2, "a")])
+    expr = parse_expression("project[k, y](select[x < 5](L) join[k = k2] R)")
+    try:
+        return Evaluator({"L": left, "R": right}).evaluate(expr).to_sorted_list()
+    except Exception as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 2(a): an index probe runs the chain's selection only on "
+    "the probed rows, so `None < 5` on row (1, None) raises only without the index; "
+    "one value semantics for None makes both paths agree",
+)
+def test_indexed_probe_and_scan_agree_on_selection_over_none():
+    assert _join_outcome(indexed=True) == _join_outcome(indexed=False)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.deltas import BagDelta, SetDelta
+from repro.deltas import Delta, SetDelta
 from repro.relalg import BagRelation, OrderedKey, SetRelation, make_schema, parse_predicate, row
 
 SCHEMA = make_schema("R", ["a", "b", "c"])
@@ -62,7 +62,7 @@ ops = st.lists(
 def test_bag_index_maintained_under_random_ops(steps):
     rel = BagRelation(SCHEMA)
     rel.ensure_index(KEYS)
-    pending_delta = BagDelta()
+    pending_delta = Delta()
     for kind, a, b, c, n in steps:
         r = row(a=a, b=b, c=c)
         if kind == "insert":
@@ -78,7 +78,7 @@ def test_bag_index_maintained_under_random_ops(steps):
                 sign = 1
             pending_delta.add("R", r, sign * n)
             pending_delta.apply_to(rel, "R")
-            pending_delta = BagDelta()
+            pending_delta = Delta()
         assert_index_fresh(rel, KEYS)
 
 
@@ -131,7 +131,7 @@ def test_negative_delta_via_apply_updates_index():
     rel = BagRelation(SCHEMA)
     rel.insert(row(a=1, b=2, c=0), 3)
     rel.ensure_index(KEYS)
-    delta = BagDelta.from_counts("R", {row(a=1, b=2, c=0): -2, row(a=5, b=5, c=1): 1})
+    delta = Delta.from_counts("R", {row(a=1, b=2, c=0): -2, row(a=5, b=5, c=1): 1})
     delta.apply_to(rel, "R")
     assert dict(rel.index_lookup(KEYS, (1, 2))) == {row(a=1, b=2, c=0): 1}
     assert dict(rel.index_lookup(KEYS, (5, 5))) == {row(a=5, b=5, c=1): 1}

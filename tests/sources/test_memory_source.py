@@ -72,8 +72,8 @@ def test_announcements_are_net_and_single_message():
     src.delete("R", r1=3, r2=30)  # insert-then-delete cancels to nothing
     src.insert("S", s1=9)
     ann = src.take_announcement()
-    assert ann.sign("R", row(r1=3, r2=30)) == 0
-    assert ann.sign("S", row(s1=9)) == 1
+    assert ann.count("R", row(r1=3, r2=30)) == 0
+    assert ann.count("S", row(s1=9)) == 1
     assert src.take_announcement() is None
     assert not src.has_pending_announcement()
 
@@ -91,7 +91,7 @@ def test_announcement_net_delete_survives_reinsert_cycle():
     src.insert("R", r1=1, r2=10)
     src.delete("R", r1=1, r2=10)
     ann = src.take_announcement()
-    assert ann.sign("R", row(r1=1, r2=10)) == -1
+    assert ann.count("R", row(r1=1, r2=10)) == -1
 
 
 def test_query_runs_algebra():
@@ -122,9 +122,9 @@ def test_prefilter_keeps_relevant_atoms_only():
     src.insert("R", r1=6, r2=600)  # irrelevant to every filter on R
     src.insert("S", s1=50)         # unfiltered relation: kept
     ann = src.take_announcement()
-    assert ann.sign("R", row(r1=5, r2=5)) == 1
-    assert ann.sign("R", row(r1=6, r2=600)) == 0
-    assert ann.sign("S", row(s1=50)) == 1
+    assert ann.count("R", row(r1=5, r2=5)) == 1
+    assert ann.count("R", row(r1=6, r2=600)) == 0
+    assert ann.count("S", row(s1=50)) == 1
 
 
 def test_snapshot_is_isolated_copy():

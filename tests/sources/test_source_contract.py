@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.deltas import SetDelta, net_accumulate
+from repro.deltas import SetDelta
 from repro.errors import SchemaError, SourceError
 from repro.relalg import make_schema, row
 from repro.sources import MemorySource, SQLiteSource
@@ -56,7 +56,19 @@ REFUSALS = {
         lambda s: s.insert("Z", z=1),
         "source 'db' has no relation 'Z'",
     ),
+    "row inserted twice": (
+        lambda s: s.execute(_twice("P", row(k=3, v=30))),
+        "count 2 for db.P: {'k': 3, 'v': 30}; a source relation takes +1 or -1 per row",
+    ),
 }
+
+
+def _twice(relation, r):
+    """One delta inserting ``r`` twice: the counts add up to +2."""
+    delta = SetDelta()
+    delta.insert(relation, r)
+    delta.insert(relation, r)
+    return delta
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -86,6 +98,22 @@ def test_redundant_atom_in_second_relation_refuses_whole_delta(backend):
     with pytest.raises(SourceError, match="redundant insert into db.Q"):
         source.execute(delta)
     assert observable(source) == before
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_delete_then_insert_of_one_row_is_an_empty_transaction(backend):
+    """Counts add: ``-t`` then ``+t`` in one delta cancel, so the commit is
+    an empty transaction — counted and logged, nothing stored or announced."""
+    source = make_source(backend)
+    before = stored(source)
+    delta = SetDelta()
+    delta.delete("P", row(k=1, v=10))
+    delta.insert("P", row(k=1, v=10))
+    assert delta.is_empty()
+    assert source.execute(delta) == 1
+    assert stored(source) == before
+    assert source.log() == [(1, SetDelta())]
+    assert not source.has_pending_announcement()
 
 
 # ----------------------------------------------------------------------
@@ -133,7 +161,7 @@ def test_sqlite_delete_that_matches_nothing_rolls_back():
 
 
 # ----------------------------------------------------------------------
-# The in-place announcement accumulator is net_accumulate, atom for atom
+# The in-place announcement accumulator is the rebuilt net, atom for atom
 # ----------------------------------------------------------------------
 _ROWS = {"P": [row(k=k, v=v) for k in range(3) for v in (0, None)],
          "Q": [row(q1=q, q2=0) for q in range(3)]}
@@ -146,6 +174,19 @@ _steps = st.lists(
     ),
     max_size=12,
 )
+
+
+def net_accumulate(pending, committed):
+    """The net of two in-order deltas, rebuilt from scratch: opposite atoms
+    of one row cancel, ``pending``'s survivors come first, then
+    ``committed``'s — each relation where its first survivor lands."""
+    cancelled = {(rel, r) for rel, r, n in committed.atoms() if pending.count(rel, r) == -n}
+    out = SetDelta()
+    for delta in (pending, committed):
+        for rel, r, n in delta.atoms():
+            if (rel, r) not in cancelled:
+                out.add(rel, r, n)
+    return out
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -163,7 +204,7 @@ def test_pending_equals_folded_net_accumulate(backend, steps):
         delta = SetDelta()
         for rel, i in step:  # flip each picked row once
             r = _ROWS[rel][i % len(_ROWS[rel])]
-            if delta.sign(rel, r):
+            if delta.count(rel, r):
                 continue
             (delta.delete if (rel, r) in present else delta.insert)(rel, r)
         source.execute(delta)

@@ -143,7 +143,7 @@ def test_announcements_work_through_sql_source():
     src = make_source()
     src.insert("S", s1=33, s2=3)
     ann = src.take_announcement()
-    assert ann.sign("S", row(s1=33, s2=3)) == 1
+    assert ann.count("S", row(s1=33, s2=3)) == 1
 
 
 def test_close():
