@@ -65,6 +65,7 @@ def report(
     shapes: Sequence[str] = (),
     note: Optional[str] = None,
     volatile: Sequence[str] = (),
+    persisted_shapes: Optional[Sequence[str]] = None,
 ) -> str:
     """Render and print one experiment's table; persist a stable copy.
 
@@ -72,13 +73,17 @@ def report(
     ``results/<experiment>.txt`` every timing column (auto-detected by
     name, plus any listed in ``volatile`` — e.g. ratios *of* timings) is
     masked with ``~`` so the committed file only changes when the
-    deterministic counters or shape verdicts do.
+    deterministic counters or shape verdicts do.  A shape line quoting a
+    measurement is persisted as its ``persisted_shapes`` counterpart (the
+    verdict kept, the numbers masked).
     """
     text = render_table(title, columns, rows, note=note)
     for line in shapes:
         text += line + "\n"
     masked_rows = _mask_volatile(columns, rows, volatile)
-    if masked_rows is None:
+    if persisted_shapes is not None:
+        shapes = persisted_shapes
+    if masked_rows is None and persisted_shapes is None:
         persisted = text
     else:
         stable_note = (
@@ -86,7 +91,7 @@ def report(
             + "~ = wall-clock value, masked in the committed copy (run the "
             + "benchmark for live timings)"
         )
-        persisted = render_table(title, columns, masked_rows, note=stable_note)
+        persisted = render_table(title, columns, masked_rows or rows, note=stable_note)
         for line in shapes:
             persisted += line + "\n"
     RESULTS_DIR.mkdir(exist_ok=True)

@@ -202,16 +202,18 @@ def render(results, overhead=None) -> None:
             results["profile_reconciles"],
         ),
     ]
+    persisted = list(shapes)
     if overhead is not None:
-        shapes.append(
-            shape_line(
-                f"disabled-mode overhead bound "
-                f"({overhead['sites']} sites x {overhead['per_call_us']:.2f}us) "
-                f"= {overhead['overhead_ratio']:.4%} of workload < "
-                f"{OVERHEAD_BUDGET:.0%}",
-                overhead["overhead_ratio"] < OVERHEAD_BUDGET,
-            )
-        )
+        holds = overhead["overhead_ratio"] < OVERHEAD_BUDGET
+        for lines, per_call, ratio in (
+            (shapes, f"{overhead['per_call_us']:.2f}", f"{overhead['overhead_ratio']:.4%}"),
+            (persisted, "~", "~%"),  # measured: masked in the committed copy
+        ):
+            lines.append(shape_line(
+                f"disabled-mode overhead bound ({overhead['sites']} sites x {per_call}us) "
+                f"= {ratio} of workload < {OVERHEAD_BUDGET:.0%}",
+                holds,
+            ))
     report(
         "OB_obs_overhead",
         "OB: tracing overhead on the propagation-scaling workload (Figure 1 / ex21)",
@@ -219,6 +221,7 @@ def render(results, overhead=None) -> None:
         rows,
         shapes=shapes,
         note="counters are deterministic; JSON baseline: BENCH_obs.json",
+        persisted_shapes=persisted,
     )
 
 

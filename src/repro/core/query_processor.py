@@ -108,13 +108,15 @@ class QueryProcessor:
                     raise MediatorError(f"no data available for relation {ref!r}")
             schemas = {alias: rel.schema.rename_relation(alias) for alias, rel in catalog.items()}
             counters = self.store.counters
-            evaluator = Evaluator(catalog, schemas=schemas, counters=counters)
+            stored = frozenset(refs).difference(temps)  # read from the store
+            evaluator = Evaluator(catalog, schemas=schemas, counters=counters, indexable=stored)
             scanned = counters.rows_scanned
             with tracer.span("query_evaluate") as evaluate_span:
                 answer = evaluator.evaluate(expr, name)
             if tracer.enabled:
                 rows = answer.cardinality()
-                evaluate_span.set(rows_scanned=counters.rows_scanned - scanned, rows_out=rows)
+                evaluate_span.set(rows_scanned=counters.rows_scanned - scanned, rows_out=rows,
+                                  access=evaluator.access)
                 span.set(rows=rows, virtual=bool(uncovered))
             return answer
 

@@ -431,6 +431,7 @@ class VirtualAttributeProcessor:
             counters = self.store.counters
             scanned, produced = counters.rows_scanned, counters.rows_produced
             temps: Dict[str, Relation] = dict(initial) if initial else {}
+            access: List[str] = []  # per σ evaluated: "range" or "scan"
             polls = [p for p in planned if p.strategy == "poll"]
             internals = [p for p in reversed(planned) if p.strategy != "poll"]
 
@@ -441,7 +442,7 @@ class VirtualAttributeProcessor:
                     if tracer.enabled:
                         tracer.event("cache_store", relation=plan.relation)
             for plan in internals:
-                temps[plan.relation] = self._construct_internal(plan, temps)
+                temps[plan.relation] = self._construct_internal(plan, temps, access)
                 self.stats.temps_built += 1
                 if tracer.enabled:
                     tracer.event(
@@ -458,6 +459,7 @@ class VirtualAttributeProcessor:
                 built=len(planned),
                 rows_scanned=counters.rows_scanned - scanned,
                 rows_out=counters.rows_produced - produced,
+                access=access,
             )
             return temps
 
@@ -631,7 +633,7 @@ class VirtualAttributeProcessor:
         )
 
     def _construct_internal(
-        self, plan: PlannedTemp, temps: Mapping[str, Relation]
+        self, plan: PlannedTemp, temps: Mapping[str, Relation], access: List[str]
     ) -> Relation:
         name = plan.relation
         node = self.vdp.node(name)
@@ -640,15 +642,15 @@ class VirtualAttributeProcessor:
             for child in self.vdp.children(name):
                 catalog[child] = self._resolve(child, temps)
             expr = self._temp_expression(plan)
-            return self._evaluate(expr, catalog, name)
+            return self._evaluate(expr, catalog, name, access)
 
         # Key-based: natural-join the node's stored projection with the
         # key+virtual projections of the supplying children (Example 2.3).
         # Conjuncts of the request predicate that read only stored
         # attributes select *below* the joins (σ_f(A ⋈ B) = σ_f(A) ⋈ B when
         # f reads A alone), so the joins see the selected rows rather than
-        # the whole repository; the rest apply above, where the virtual
-        # attributes exist.
+        # the whole repository (a range σ reads only its slice of an ordered
+        # index); the rest apply above, where the virtual attributes exist.
         repo_alias = f"__repo__{name}"
         ann = self.annotated.annotation(name)
         stored = frozenset(ann.materialized_attrs)
@@ -673,7 +675,7 @@ class VirtualAttributeProcessor:
         if above:
             expr = Select(expr, conjoin(*above))
         expr = Project(expr, plan.request.sorted_attrs())
-        return self._evaluate(expr, catalog, name)
+        return self._evaluate(expr, catalog, name, access, indexable=frozenset((repo_alias,)))
 
     def _resolve(self, child: str, temps: Mapping[str, Relation]) -> Relation:
         if child in temps:
@@ -684,7 +686,10 @@ class VirtualAttributeProcessor:
             f"VAP needs {child!r} but no temporary or repository is available"
         )
 
-    def _evaluate(self, expr: Expression, catalog: Mapping[str, Relation], name: str) -> Relation:
+    def _evaluate(self, expr: Expression, catalog: Mapping[str, Relation], name: str,
+                  access: List[str], indexable: FrozenSet[str] = frozenset()) -> Relation:
         schemas = {alias: rel.schema.rename_relation(alias) for alias, rel in catalog.items()}
-        evaluator = Evaluator(catalog, schemas=schemas, counters=self.store.counters)
-        return evaluator.evaluate(expr, name)
+        evaluator = Evaluator(catalog, schemas, self.store.counters, indexable=indexable)
+        answer = evaluator.evaluate(expr, name)
+        access.extend(evaluator.access)
+        return answer

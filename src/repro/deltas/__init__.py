@@ -11,13 +11,14 @@ state.  ``SetDelta`` is the same class under the name sources use.
 """
 
 from repro.deltas.delta import Delta, SetDelta
-from repro.deltas.filtering import LeafParentFilter
+from repro.deltas.filtering import LeafParentFilter, prefilter
 from repro.deltas.operations import rename_delta, select_project
 
 __all__ = [
     "Delta",
     "SetDelta",
     "LeafParentFilter",
+    "prefilter",
     "select_project",
     "rename_delta",
 ]

@@ -7,21 +7,21 @@ queue so that they are applicable to the leaf-parent nodes."
 A :class:`LeafParentFilter` captures one leaf-parent definition
 ``LP = π_C σ_h (SourceRel)`` and converts incoming multi-relation source
 deltas into deltas on ``LP``.  The optional source-side optimization the
-paper mentions (filtering at the source before transmission) is exposed as
-:meth:`LeafParentFilter.prefilter`, used by sources configured to do so.
+paper mentions (filtering at the source before transmission) is
+:func:`prefilter`, used by sources configured to do so.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.deltas.delta import Delta
 from repro.deltas.operations import select_project
 from repro.errors import DeltaError
-from repro.relalg.predicates import Predicate, TRUE, conjoin
+from repro.relalg.predicates import CompiledTest, Predicate, TRUE, conjoin
 
-__all__ = ["LeafParentFilter"]
+__all__ = ["LeafParentFilter", "prefilter"]
 
 
 @dataclass(frozen=True)
@@ -78,20 +78,23 @@ class LeafParentFilter:
             out_relation=self.target,
         )
 
-    def prefilter(self, delta: Delta) -> Delta:
-        """Source-side optimization: drop atoms that cannot affect the target.
 
-        Keeps the delta in source-relation terms (so ordinary filtering still
-        applies at the mediator) but removes atoms failing the selection
-        condition.  Projection is *not* applied here: the source cannot know
-        whether other mediator nodes need the full rows.
-        """
-        out = Delta()
-        at, names = self.predicate.compiled_test().at, None
-        for rel, r, n in delta.atoms():
-            if rel == self.source_relation and r._names is not names:
-                names = r._names
-                test = at(names)
-            if rel != self.source_relation or test(r._values):
-                out.add(rel, r, n)
-        return out
+def prefilter(delta: Delta, filters: Sequence[LeafParentFilter]) -> Delta:
+    """Source-side optimization: drop the atoms no leaf-parent can use.
+
+    An atom survives when no filter reads its relation, or when it passes
+    the selection condition of *some* filter over that relation — dropping
+    it would starve a node that needs it.  The delta stays in
+    source-relation terms (ordinary filtering still applies at the
+    mediator); projection is *not* applied, since the source cannot know
+    whether other mediator nodes need the full rows.
+    """
+    tests: Dict[str, List[CompiledTest]] = {}
+    for f in filters:
+        tests.setdefault(f.source_relation, []).append(f.predicate.compiled_test())
+    out = Delta()
+    for rel, r, n in delta.atoms():
+        mine = tests.get(rel)
+        if mine is None or any(test.at(r._names)(r._values) for test in mine):
+            out.add(rel, r, n)
+    return out

@@ -53,7 +53,12 @@ proportional to delta size rather than database size:
   same way over an ordered index on one side's term: per drive row one
   bound, one bisect, the qualifying buckets — O(|delta| log n + output), not
   O(|delta| · n).  What the index cannot order is pair-tested with the whole
-  condition, so answers and errors are the filtered cross product's.
+  condition, so answers and errors are the filtered cross product's.  A
+  chain whose selection starts with range conjuncts on one attribute
+  (:class:`ChainBounds`) reads the same kind of index, on that attribute, by
+  two bisects: O(log n + rows in range), with the scan's answers and errors.
+  A relation the caller names ``indexable`` (a stored repository) gets the
+  index on its first range σ; any other relation is scanned.
 
 An optional :class:`EvalCounters` records rows scanned/hashed/produced,
 index probes and index (re)builds; benchmarks and tests use it to assert
@@ -81,7 +86,8 @@ from repro.relalg.expressions import (
     Union,
 )
 from repro.relalg.predicates import (
-    FLIP, CompiledTest, Predicate, Term, compile_test, conjoin, equi_join_pairs, separable,
+    FLIP, Attr, CompiledTest, Predicate, Term, compile_test, conjoin, conjuncts, equi_join_pairs,
+    normalize_comparison, separable,
 )
 from repro.relalg.relation import BagRelation, OrderedKey, Relation, SetRelation, finite_number
 from repro.relalg.schema import RelationSchema
@@ -156,6 +162,55 @@ class ChainLayout(NamedTuple):
     missing: Optional[str]
 
 
+Bound = Optional[Tuple[Any, bool]]  # None (unbounded) or (value, strict)
+
+
+def key_slice(order: List[Any], low: Bound, high: Bound) -> List[Any]:
+    """The keys of the sorted list ``order`` between two bounds: two bisects."""
+    start = 0 if low is None else (bisect_right if low[1] else bisect_left)(order, low[0])
+    end = len(order) if high is None else (bisect_left if high[1] else bisect_right)(order, high[0])
+    return order[start:end]
+
+
+class ChainBounds(NamedTuple):
+    """A chain's range σ: its selection's leading conjuncts comparing one base
+    attribute with a finite number, as bounds on that attribute's ordered index,
+    and ``rest``, the conjuncts after them.  Only a prefix qualifies — a row out
+    of bounds fails before any later conjunct runs — so the scan's errors hold."""
+
+    key: OrderedKey
+    low: Bound
+    high: Bound
+    rest: Optional[CompiledTest]
+
+
+#: a op c → (bounds low?, bounds high?, strict?); the tighter bound wins, strict on a tie
+_RANGE_OPS = {">": (True, False, True), ">=": (True, False, False), "=": (True, True, False),
+              "<": (False, True, True), "<=": (False, True, False)}
+
+
+def _chain_bounds(selection: Predicate) -> Optional[ChainBounds]:
+    parts = conjuncts(selection)
+    name = low = high = None
+    taken = 0
+    for part in parts:
+        norm = normalize_comparison(part)
+        if norm is None or norm[1] not in _RANGE_OPS or not finite_number(norm[2]) or (
+                name is not None and name != norm[0]):
+            break
+        name, op, value = norm
+        lower, upper, strict = _RANGE_OPS[op]
+        if lower and (low is None or value > low[0] or (value == low[0] and strict)):
+            low = (value, strict)
+        if upper and (high is None or value < high[0] or (value == high[0] and strict)):
+            high = (value, strict)
+        taken += 1
+    if not taken:
+        return None
+    rest = conjoin(*parts[taken:]).compiled_test() if taken < len(parts) else None
+    return ChainBounds(OrderedKey(name, Attr(name)), low, high, rest)
+
+
 class ScanChain(NamedTuple):
     """A select/project/rename chain over one scanned relation, normalised.
 
@@ -176,6 +231,7 @@ class ScanChain(NamedTuple):
     projected: bool
     #: The output attribute names when nothing is renamed, else None.
     plain: Optional[FrozenSet[str]]
+    bounds: Optional[ChainBounds]  #: the selection's range prefix, if any
     #: One :class:`ChainLayout` per row layout met (see :meth:`outmap_over`).
     layouts: Dict[Names, ChainLayout]
 
@@ -265,10 +321,11 @@ def compile_scan_chain(
                 return None
             visible = renamed_to
             plain = None
-    test = None
+    test = bounds = None
     if selects:
-        test = (selects[0] if len(selects) == 1 else conjoin(*selects)).compiled_test()
-    chain = ScanChain(node.name, test, visible, projected, plain, {})
+        selection = selects[0] if len(selects) == 1 else conjoin(*selects)
+        test, bounds = selection.compiled_test(), _chain_bounds(selection)
+    chain = ScanChain(node.name, test, visible, projected, plain, bounds, {})
     chain.outmap_over(schema)
     return chain
 
@@ -418,11 +475,6 @@ class RangeSpec(NamedTuple):
         indexed = rel is not None and rel.has_index(self.index_keys)
         return rel if indexed and self.chain.outmap_over(rel.schema).missing is None else None
 
-    def keys(self, order: List[Any], bound: Any) -> List[Any]:
-        """The sorted keys ``k`` with ``k op bound``."""
-        at = (bisect_left if self.op in ("<", ">=") else bisect_right)(order, bound)
-        return order[:at] if self.op[0] == "<" else order[at:]
-
 
 def _range_spec(side: Expression, term: Term, op: str, drive: Term, drive_names: Names,
                 rest: Optional[CompiledTest], schemas: Mapping[str, RelationSchema]) -> Any:
@@ -542,6 +594,7 @@ class Evaluator:
         schemas: Optional[Mapping[str, RelationSchema]] = None,
         counters: Optional[EvalCounters] = None,
         plans: Optional[Mapping[int, Any]] = None,
+        indexable: FrozenSet[str] = frozenset(),
     ):
         self.catalog = catalog
         self.schemas = schemas or {name: rel.schema for name, rel in catalog.items()}
@@ -554,6 +607,8 @@ class Evaluator:
         # expression can never alias a cached id.
         self._plans: Dict[int, Any] = dict(plans) if plans else {}
         self._plan_pins: Dict[int, Expression] = {}
+        self.indexable = indexable  # repositories a range σ may give an ordered index
+        self.access: List[str] = []  #: per selection chain evaluated: "range" or "scan"
 
     # ------------------------------------------------------------------
     def evaluate(self, expr: Expression, name: str = "result") -> Relation:
@@ -605,26 +660,49 @@ class Evaluator:
         raise EvaluationError(f"unknown expression node {type(expr).__name__}")
 
     def _eval_chain(self, chain: ScanChain) -> Dict[Row, int]:
-        """The fused pass: one loop over the stored relation."""
+        """The fused pass: one loop over the stored relation, or over the slice
+        of its ordered index that a range σ bisects (see :class:`ChainBounds`)."""
         try:
             rel = self.catalog[chain.base]
         except KeyError as exc:
             raise EvaluationError(f"relation {chain.base!r} not in catalog") from exc
-        self.counters.rows_scanned += rel.cardinality()
-        layout = chain.outmap_over(rel.schema)
+        layout, bounds = chain.outmap_over(rel.schema), chain.bounds
         test, out, get = layout.test, layout.out, layout.get
-        if out is None:
-            if test is None:
+        indexed = bounds is not None and rel.has_index(bounds.key)
+        if bounds is not None and not indexed and chain.base in self.indexable:
+            rel.ensure_indexes((bounds.key,), self.counters)  # built once, then maintained
+            indexed = rel.has_index(bounds.key)
+        if indexed:
+            self.access.append("range")
+            buckets = rel.index_buckets(bounds.key)
+            rest = None if bounds.rest is None else bounds.rest.at(rel.schema.row_names)
+            keys = key_slice(rel.index_order(bounds.key), bounds.low, bounds.high)
+            found = [(buckets[k], rest) for k in keys]
+            if None in buckets:
+                found.append((buckets[None], test))
+            self.counters.rows_scanned += sum(sum(bucket.values()) for bucket, _ in found)
+        else:
+            if test is not None:
+                self.access.append("scan")
+            self.counters.rows_scanned += rel.cardinality()
+            if out is None and test is None:
                 return rel.counts_copy()
-            return {r: n for r, n in rel.items() if test(r._values)}
+            found = [(rel, test)]
+        if out is None:  # whole buckets are unioned at C level
+            counts: Dict[Row, int] = {}
+            for rows, test in found:
+                counts.update(rows if test is None else
+                              {r: n for r, n in rows.items() if test(r._values)})
+            return counts
         new = Row.new
-        counts: Dict[Row, int] = defaultdict(int)
-        for r, n in rel.items():
-            values = r._values
-            if test is None or test(values):
-                # get None: the survivor lacks an attribute; apply reports it
-                counts[new(Row, (out, get(values))) if get else chain.apply(r, layout)] += n
-        return dict(counts)
+        built: Dict[Row, int] = defaultdict(int)
+        for rows, test in found:
+            for r, n in rows.items():
+                values = r._values
+                if test is None or test(values):
+                    # get None: the survivor lacks an attribute; apply reports it
+                    built[new(Row, (out, get(values))) if get else chain.apply(r, layout)] += n
+        return dict(built)
 
     def _eval_select(self, expr: Select) -> Dict[Row, int]:
         child = self._eval(expr.child)
@@ -784,6 +862,7 @@ class Evaluator:
         probed = rel.schema.row_names if layout.out is None else layout.out
         buckets, order = rel.index_buckets(spec.index_keys), rel.index_order(spec.index_keys)
         unordered = buckets.get(None)
+        upper, strict = spec.op[0] == "<", spec.op in ("<", ">")  # keys k op bound
         counts: Dict[Row, int] = defaultdict(int)
         new, names = Row.new, None
         for dr, dn in drive.items():
@@ -801,7 +880,9 @@ class Evaluator:
             except Exception:  # the whole residual raises it again, pair by pair
                 bound = None
             if finite_number(bound):
-                found = [(buckets[k], rest) for k in spec.keys(order, bound)]
+                edge = (bound, strict)
+                keys = key_slice(order, None, edge) if upper else key_slice(order, edge, None)
+                found = [(buckets[k], rest) for k in keys]
                 if unordered:
                     found.append((unordered, full))
             else:

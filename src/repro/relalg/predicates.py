@@ -58,6 +58,7 @@ __all__ = [
     "disjoin",
     "equi_join_pairs",
     "implies",
+    "normalize_comparison",
     "compile_test",
     "CompiledTest",
     "separable",
@@ -528,7 +529,7 @@ def disjoin(*preds: Predicate) -> Predicate:
     return result
 
 
-def _normalize_comparison(pred: Predicate) -> Optional[Tuple[str, str, Any]]:
+def normalize_comparison(pred: Predicate) -> Optional[Tuple[str, str, Any]]:
     """``(attr, op, const)`` for a single-attribute constant comparison.
 
     ``c op x`` forms are flipped so the attribute is always on the left;
@@ -536,18 +537,17 @@ def _normalize_comparison(pred: Predicate) -> Optional[Tuple[str, str, Any]]:
     """
     if not isinstance(pred, Comparison):
         return None
-    flip = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
     if isinstance(pred.left, Attr) and isinstance(pred.right, Const):
         return pred.left.name, pred.op, pred.right.value
     if isinstance(pred.left, Const) and isinstance(pred.right, Attr):
-        return pred.right.name, flip[pred.op], pred.left.value
+        return pred.right.name, FLIP.get(pred.op, pred.op), pred.left.value
     return None
 
 
 def _comparison_implies(premise: Predicate, conclusion: Predicate) -> bool:
     """Sound interval reasoning: ``x op1 c1`` entails ``x op2 c2``?"""
-    p = _normalize_comparison(premise)
-    q = _normalize_comparison(conclusion)
+    p = normalize_comparison(premise)
+    q = normalize_comparison(conclusion)
     if p is None or q is None or p[0] != q[0]:
         return False
     _, op1, c1 = p

@@ -24,8 +24,8 @@ indexes: a copy is a fresh relation and re-declares what it needs.
 An **ordered index**, keyed by an :class:`OrderedKey` (a term such as
 ``a1 ^ 2 + a2``), is the same bucket dict keyed by each row's term value
 plus the sorted list of its distinct keys, maintained in the same loop.
-Only finite ``int`` / ``float`` values are ordered; a row whose term yields
-anything else or raises is bucketed under ``None``.
+Only finite ``int`` / ``float`` values (and bools, as 0 / 1) are ordered; a
+row whose term yields anything else or raises is bucketed under ``None``.
 
 Rows are tuples (:mod:`repro.relalg.tuples`), so the bulk paths stay at C
 level: a copy reuses every stored hash (one ``set`` / ``dict`` copy, no
@@ -46,7 +46,7 @@ from typing import (Any, Callable, Dict, Iterable, Iterator, List, Mapping, Name
                     Sequence, Tuple, Union)
 
 from repro.errors import DeltaError, SchemaError
-from repro.relalg.predicates import Term
+from repro.relalg.predicates import Attr, Term
 from repro.relalg.schema import RelationSchema
 from repro.relalg.tuples import Picker, Row, picker
 
@@ -72,9 +72,10 @@ IndexKey = Union[Tuple[str, ...], OrderedKey]  # a hash index's or an ordered in
 
 
 def finite_number(value: Any) -> bool:
-    """True for a finite ``int`` or ``float``: what an ordered index sorts."""
+    """True for a finite ``int`` / ``float`` or a ``bool`` (the 0 or 1 it
+    equals, as ``Row(a=True) == Row(a=1)``): what an ordered index sorts."""
     kind = type(value)
-    return kind is int or (kind is float and isfinite(value))
+    return kind is int or kind is bool or (kind is float and isfinite(value))
 
 
 def _ordered_key(term: Callable[..., Any], values: Tuple[Any, ...]) -> Any:
@@ -84,6 +85,15 @@ def _ordered_key(term: Callable[..., Any], values: Tuple[Any, ...]) -> Any:
     except Exception:  # the pair test raises it again, pair by pair
         return None
     return key if finite_number(key) else None
+
+
+def _attr_key(position: int) -> Callable[[Tuple[Any, ...]], Any]:
+    """:func:`_ordered_key` of a bare attribute, inlined (every write calls it)."""
+    def key(values: Tuple[Any, ...]) -> Any:
+        value = values[position]
+        kind = type(value)
+        return value if kind is int or kind is bool or (kind is float and isfinite(value)) else None
+    return key
 
 
 #: Containers whose elements are distinct already (a bulk load's fast path).
@@ -135,11 +145,11 @@ class Relation:
 
     def __init__(self, schema: RelationSchema):
         self.schema = schema
-        # index key -> {key value -> {row: multiplicity}}, the key's picker
-        # over a row's values, and an ordered index's sorted distinct keys
+        # index key -> {key value -> {row: multiplicity}}, and what every
+        # write walks: the key's picker over a row's values, the same buckets
+        # and an ordered index's sorted distinct keys (None for a hash index)
         self._indexes: Dict[IndexKey, Dict[Any, Dict[Row, int]]] = {}
-        self._index_pickers: Dict[IndexKey, Picker] = {}
-        self._index_order: Dict[IndexKey, List[Any]] = {}
+        self._maintained: Dict[IndexKey, Tuple[Picker, Dict[Any, Dict[Row, int]], Any]] = {}
 
     # -- abstract container protocol --------------------------------------
     def items(self) -> Iterable[Tuple[Row, int]]:
@@ -223,8 +233,10 @@ class Relation:
         if keys in self._indexes:
             return
         self.schema.check_attributes(sorted(keys.term.attributes()) if ordered else keys)
-        get = (partial(_ordered_key, keys.term.compiled_test().at(self.schema.row_names)) if ordered
-               else picker([self.schema.row_names.index(k) for k in keys]))
+        names = self.schema.row_names
+        get = (picker([names.index(k) for k in keys]) if not ordered
+               else _attr_key(names.index(keys.term.name)) if type(keys.term) is Attr
+               else partial(_ordered_key, keys.term.compiled_test().at(names)))
         index: Dict[Any, Dict[Row, int]] = {}
         bucket_for = index.setdefault
         hashed = 0
@@ -232,9 +244,8 @@ class Relation:
             bucket_for(get(r._values), {})[r] = n
             hashed += 1
         self._indexes[keys] = index
-        self._index_pickers[keys] = get
-        if ordered:
-            self._index_order[keys] = sorted(k for k in index if k is not None)
+        order = sorted(k for k in index if k is not None) if ordered else None
+        self._maintained[keys] = (get, index, order)
         if counters is not None:
             counters.index_rebuilds += 1
             counters.rows_hashed += hashed
@@ -272,24 +283,26 @@ class Relation:
 
     def index_order(self, keys: OrderedKey) -> List[Any]:
         """The live sorted finite keys of an ordered index (read-only)."""
-        return self._index_order[keys]
+        return self._maintained[keys][2]
 
     def _index_add(self, row: Row, multiplicity: int) -> None:
         """Reflect an insert of ``row`` in every live index."""
-        for keys, index in self._indexes.items():
-            values = self._index_pickers[keys](row._values)
-            bucket = index.get(values)
+        values = row._values
+        for get, index, order in self._maintained.values():
+            key = get(values)
+            bucket = index.get(key)
             if bucket is None:
-                bucket = index[values] = {}
-                if values is not None and keys in self._index_order:
-                    insort(self._index_order[keys], values)
+                bucket = index[key] = {}
+                if order is not None and key is not None:
+                    insort(order, key)
             bucket[row] = bucket.get(row, 0) + multiplicity
 
     def _index_remove(self, row: Row, multiplicity: int) -> None:
         """Reflect a delete of ``row`` in every live index."""
-        for keys, index in self._indexes.items():
-            values = self._index_pickers[keys](row._values)
-            bucket = index.get(values)
+        values = row._values
+        for get, index, order in self._maintained.values():
+            key = get(values)
+            bucket = index.get(key)
             if bucket is None:
                 continue
             remaining = bucket.get(row, 0) - multiplicity
@@ -298,10 +311,9 @@ class Relation:
             else:
                 bucket.pop(row, None)
                 if not bucket:
-                    del index[values]
-                    order = self._index_order.get(keys)
-                    if order is not None and values is not None:
-                        del order[bisect_left(order, values)]
+                    del index[key]
+                    if order is not None and key is not None:
+                        del order[bisect_left(order, key)]
 
     def __len__(self) -> int:
         return self.cardinality()

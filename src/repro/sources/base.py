@@ -23,7 +23,7 @@ import threading
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.deltas import Delta
-from repro.deltas.filtering import LeafParentFilter
+from repro.deltas.filtering import LeafParentFilter, prefilter
 from repro.errors import SourceError
 from repro.relalg import Expression, Relation, RelationSchema, Row, SetRelation
 
@@ -245,7 +245,7 @@ class SourceDatabase:
             announcement = self._pending
             self._pending = Delta()
             if self._prefilters:
-                announcement = self._prefilter(announcement)
+                announcement = prefilter(announcement, self._prefilters)
             return announcement if not announcement.is_empty() else None
 
     def take_announcement_versioned(self) -> Tuple[Optional[Delta], int]:
@@ -271,25 +271,6 @@ class SourceDatabase:
         """
         with self._lock:
             return self._pending.copy()
-
-    def _prefilter(self, delta: Delta) -> Delta:
-        """Keep each atom that is relevant to at least one leaf-parent.
-
-        An atom survives when its relation has no installed filter at all,
-        or when it passes the selection condition of *some* filter over that
-        relation — dropping it would starve a node that needs it.
-        """
-        filtered_relations = {f.source_relation for f in self._prefilters}
-        out = Delta()
-        for rel, r, n in delta.atoms():
-            relevant = rel not in filtered_relations or any(
-                f.predicate.compiled_test().at(r._names)(r._values)
-                for f in self._prefilters
-                if f.source_relation == rel
-            )
-            if relevant:
-                out.add(rel, r, n)
-        return out
 
     # ------------------------------------------------------------------
     # Introspection

@@ -137,11 +137,15 @@ def test_plan_refuses_key_based_for_union_nodes():
 # Key-based construction selects before it joins: conjuncts of the request
 # predicate over stored attributes (T stores r1, s1 under ex23) filter the
 # repository below the join with the polled R', the rest filter above it.
+# A σ there that starts with range conjuncts reads the slice of T's ordered
+# index on r1 (built by this first one); any other σ scans T.
 KEY_BASED_PREDICATES = {
     "stored-only": "r1 >= 2 and r1 < 5",
     "mixed": "r1 >= 2 and r3 < 50",
     "virtual-only": "r3 < 50",
+    "not-a-prefix": "r1 != 0 and r1 >= 2 and r1 < 5",
 }
+RANGED = {"stored-only", "mixed"}
 
 
 @pytest.mark.parametrize("case", sorted(KEY_BASED_PREDICATES))
@@ -152,7 +156,8 @@ def test_key_based_selects_stored_conjuncts_below_the_join(case):
     stored = [
         c for c in conjuncts(predicate) if c.attributes() <= set(repo.schema.attribute_names)
     ]
-    selected = sum(1 for r, _ in repo.items() if all(c.evaluate(r) for c in stored))
+    passing = [(r, n) for r, n in repo.items() if all(c.evaluate(r) for c in stored)]
+    selected = len(passing)
 
     counters = mediator.store.counters
     counters.reset()
@@ -160,10 +165,15 @@ def test_key_based_selects_stored_conjuncts_below_the_join(case):
         temps = mediator.vap.materialize([request("T", ["r1", "r3", "s1"], predicate)])
     assert mediator.vap.stats.key_based_used == 1
     polled = temps["R_p"].cardinality()
-    # One pass over the repository and one over the poll answer; the hash
-    # table holds the poll answer; only the selected repository rows probe it.
-    assert counters.rows_scanned == repo.cardinality() + polled
-    assert counters.rows_hashed == polled
+    # One pass over the repository — over the rows the range selects, when
+    # the σ has one — and one over the poll answer; the hash table holds the
+    # poll answer (plus, for a range, the one build of T's ordered index);
+    # only the selected repository rows probe it.
+    ranged = case in RANGED
+    read = sum(n for _, n in passing) if ranged else repo.cardinality()
+    assert counters.rows_scanned == read + polled
+    assert counters.rows_hashed == polled + (repo.distinct_size() if ranged else 0)
+    assert counters.index_rebuilds == (1 if ranged else 0)
     assert counters.hash_probes == selected
     assert (selected < repo.cardinality()) == bool(stored)
 

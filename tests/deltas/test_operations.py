@@ -8,6 +8,7 @@ from repro.deltas import (
     Delta,
     LeafParentFilter,
     SetDelta,
+    prefilter,
     rename_delta,
     select_project,
 )
@@ -16,6 +17,7 @@ from repro.relalg import (
     BagRelation,
     SetRelation,
     evaluate,
+    ge,
     lt,
     make_schema,
     row,
@@ -124,6 +126,10 @@ def test_leaf_parent_prefilter_keeps_other_relations():
     d = SetDelta()
     d.insert("R", row(a=2, b=99))
     d.insert("S", row(a=5, b=5))
-    out = lp.prefilter(d)
+    out = prefilter(d, [lp])
     assert out.count("R", row(a=2, b=99)) == 0
     assert out.count("S", row(a=5, b=5)) == 1
+    # Any filter over a relation keeps an atom: a second leaf-parent over R
+    # that wants b >= 50 keeps the row the first one drops.
+    out = prefilter(d, [lp, LeafParentFilter("Rq", "R", ge("b", 50))])
+    assert out.count("R", row(a=2, b=99)) == 1

@@ -102,18 +102,28 @@ def test_virtual_query_span_tree_complete(ex23_trace):
 
 def test_evaluation_spans_say_what_a_query_read():
     """``rows_scanned`` / ``rows_out`` on ``query_evaluate`` (and on the VAP's
-    construct evaluation) are the ``EvalCounters`` difference over the span:
-    a materialized range query reads every stored row of ``T`` — today's one
-    access path, a scan — whatever it returns."""
+    construct evaluation) are the ``EvalCounters`` difference over the span,
+    and ``access`` says how each σ read its relation: a materialized range
+    query reads only the rows its range selects from ``T``'s ordered index
+    ("range"); a σ that does not start with a range conjunct reads every
+    stored row ("scan")."""
     tracer = Tracer(enabled=True)
     mediator, _ = figure1_mediator("ex23", tracer=tracer)
     stored = mediator.store.repo("T").cardinality()
     before = mediator.store.counters.rows_scanned
     answer = mediator.query("project[r1, s1](select[r1 >= 20 and r1 < 60](T))")
     evaluate = spans_named(tracer.span_tree(), "query_evaluate")[-1]
-    assert evaluate["attrs"] == {"rows_scanned": stored, "rows_out": answer.cardinality()}
+    in_range = answer.cardinality()  # every row in the range survives
+    assert evaluate["attrs"] == {"rows_scanned": in_range, "rows_out": in_range, "access": ["range"]}
+    assert mediator.store.counters.rows_scanned - before == in_range
+    assert 0 < in_range < stored
+
+    before = mediator.store.counters.rows_scanned
+    scanned = mediator.query("project[r1, s1](select[r1 + 0 >= 20 and r1 < 60](T))")
+    evaluate = spans_named(tracer.span_tree(), "query_evaluate")[-1]
+    assert scanned == answer
+    assert evaluate["attrs"] == {"rows_scanned": stored, "rows_out": in_range, "access": ["scan"]}
     assert mediator.store.counters.rows_scanned - before == stored
-    assert 0 < answer.cardinality() < stored
 
     before = mediator.store.counters.rows_scanned
     virtual = mediator.query("project[r1, r3, s1](select[r1 >= 20 and r1 < 60](T))")
@@ -122,10 +132,14 @@ def test_evaluation_spans_say_what_a_query_read():
     evaluate = spans_named([query], "query_evaluate")[0]
     polled = events_named([construct], "temp_built")[0]["attrs"]
     assert polled["strategy"] == "poll"
-    # The σ below the key-based join scans T; the join's other side, the poll answer.
-    assert construct["attrs"]["rows_scanned"] == stored + polled["rows"]
+    # The σ below the key-based join reads T's range; the join's other side, the poll answer.
+    assert construct["attrs"]["rows_scanned"] == in_range + polled["rows"]
     assert construct["attrs"]["rows_out"] == virtual.cardinality()
-    assert evaluate["attrs"] == {"rows_scanned": virtual.cardinality(), "rows_out": virtual.cardinality()}
+    assert construct["attrs"]["access"] == ["range"]
+    # The query's σ then scans the temporary, which never carries an index.
+    assert evaluate["attrs"] == {
+        "rows_scanned": virtual.cardinality(), "rows_out": virtual.cardinality(), "access": ["scan"],
+    }
     scanned = construct["attrs"]["rows_scanned"] + evaluate["attrs"]["rows_scanned"]
     assert mediator.store.counters.rows_scanned - before == scanned
 

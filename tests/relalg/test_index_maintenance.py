@@ -236,3 +236,15 @@ def test_ordered_index_is_dropped_by_copy_and_counted_once():
     assert (counters.index_rebuilds, counters.rows_hashed) == (1, 3)
     assert rel.index_order(TERM_KEY) == [2]
     assert not rel.copy().has_index(TERM_KEY)
+
+
+@pytest.mark.parametrize("bag", [False, True])
+def test_equal_rows_share_one_ordered_key(bag):
+    """``Row(a=True) == Row(a=1)``: deleting one through the other must
+    empty the index too, so a bool orders as the number it equals."""
+    key = OrderedKey("a", parse_predicate("a < 0").left)
+    rel = (BagRelation if bag else SetRelation).from_values(SCHEMA, [(True, 1, 1)])
+    rel.ensure_index(key)
+    rel.delete(row(a=1, b=1, c=1))
+    assert rel.cardinality() == 0
+    assert rel.index_buckets(key) == {} and rel.index_order(key) == []
