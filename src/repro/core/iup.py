@@ -24,9 +24,9 @@ new-if-processed/old-if-not states as materialized repositories do.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-from repro.core.derived_from import TempRequest, child_requirements
+from repro.core.derived_from import TempRequest
 from repro.core.local_store import LocalStore
 from repro.core.rulebase import RuleBase
 from repro.core.update_queue import QueuedUpdate, UpdateQueue
@@ -142,14 +142,17 @@ class IncrementalUpdateProcessor:
                         origins=origin_labels(prov.live_origins(leaf)),
                     )
 
-            # Phase (a): determine needed temporary relations.  With
+            # Phase (a): determine needed temporary relations.  Only the
+            # updated leaves and the nodes above them can see a delta.  With
             # provenance on, leaves whose net delta cancelled to empty but
             # whose per-origin sub-deltas did not are still traversed (for
             # attribution-only firings), so their rules' reads are prepared
             # too.
-            extra_affected: Set[str] = set(prov.live_nodes()) if prov.enabled else set()
+            touched = self.vdp.upward(
+                set(leaf_deltas).union(prov.live_nodes()) if prov.enabled else leaf_deltas
+            )
             with tracer.span("iup_prepare") as prep_span:
-                requests = self._prepare(leaf_deltas, extra_affected)
+                requests = self._prepare(touched)
                 prep_span.set(temps=sorted(requests))
             self.stats.temp_requests += len(requests)
 
@@ -183,7 +186,7 @@ class IncrementalUpdateProcessor:
             self._txn_applies = []
             with tracer.span("kernel") as kernel_span:
                 self.stats.propagation_passes += 1
-                processed, fired = self._kernel(leaf_deltas, temps)
+                processed, fired = self._kernel(leaf_deltas, touched, temps)
                 kernel_span.set(nodes=list(processed), rules_fired=fired)
             prov.commit()
             self.queue.mark_reflected(entries)
@@ -223,8 +226,8 @@ class IncrementalUpdateProcessor:
         relations outside the VDP are ignored (the source announced more
         than this mediator integrates).
         """
-        leaves = ((leaf, combined.restrict_to((leaf,))) for leaf in self.vdp.leaves())
-        return {leaf: delta for leaf, delta in leaves if delta}
+        leaves = self.vdp.leaf_set().intersection(combined.relations())
+        return {leaf: combined.restrict_to((leaf,)) for leaf in sorted(leaves)}
 
     def _leaf_subs(
         self, entries: List[QueuedUpdate]
@@ -236,7 +239,7 @@ class IncrementalUpdateProcessor:
         counts), which is what makes leaf-level provenance attribution
         exact.
         """
-        leaves = set(self.vdp.leaves())
+        leaves = self.vdp.leaf_set()
         out: Dict[str, List[Tuple[TxnOrigin, Delta]]] = {}
         for entry in entries:
             for relation in entry.delta.relations():
@@ -267,40 +270,24 @@ class IncrementalUpdateProcessor:
     # ------------------------------------------------------------------
     # Phase (a): the IUP Preparation Algorithm
     # ------------------------------------------------------------------
-    def _prepare(
-        self,
-        leaf_deltas: Mapping[str, Delta],
-        extra_affected: Iterable[str] = (),
-    ) -> Dict[str, TempRequest]:
+    def _prepare(self, touched: Iterable[str]) -> Dict[str, TempRequest]:
         """Dry-run the kernel to collect temporary-relation requests.
 
-        Conservatively treats every node reachable from an updated leaf as
-        affected (a real run might see its delta cancel to empty); for every
-        rule that would fire, the relations the rule reads that are not
-        covered by materialized storage are requested at the width the
-        rule's definition references.
+        Conservatively treats every ``touched`` node (the updated leaves and
+        everything above them) as affected (a real run might see its delta
+        cancel to empty); for every rule that would fire, the relations the
+        rule reads that are not covered by materialized storage are
+        requested at the width the rule's definition references.
         """
-        affected: Set[str] = set(leaf_deltas) | set(extra_affected)
         requests: Dict[str, TempRequest] = {}
-        schemas = self.vdp.schemas()
-        for name in self.vdp.topological_order():
-            if name not in affected:
-                continue
+        for name in touched:
             for rule in self.rulebase.rules_out_of(name):
-                parent = rule.parent
-                affected.add(parent)
-                parent_node = self.vdp.node(parent)
-                needs = child_requirements(
-                    parent_node.definition,
-                    frozenset(parent_node.schema.attribute_names),
-                    TRUE,
-                    schemas,
-                )
+                needs = self.rulebase.requirements(rule.parent)
                 for sibling in rule.sibling_names():
                     requirement = needs.get(sibling)
                     if requirement is None:
                         continue
-                    if self._covered(requirement):
+                    if self.store.covers(requirement):
                         continue
                     existing = requests.get(sibling)
                     requests[sibling] = (
@@ -308,18 +295,13 @@ class IncrementalUpdateProcessor:
                     )
         return requests
 
-    def _covered(self, request: TempRequest) -> bool:
-        if not self.store.has_repo(request.relation):
-            return False
-        ann = self.annotated.annotation(request.relation)
-        return ann.covers(request.attrs | request.predicate.attributes())
-
     # ------------------------------------------------------------------
     # Phase (c): the IUP Kernel Algorithm
     # ------------------------------------------------------------------
     def _kernel(
         self,
         leaf_deltas: Mapping[str, Delta],
+        touched: Tuple[str, ...],
         temps: Dict[str, Relation],
     ) -> Tuple[List[str], int]:
         processed: List[str] = []
@@ -331,9 +313,11 @@ class IncrementalUpdateProcessor:
         for leaf in sorted(leaf_deltas):
             fired += self._fire_rules_out_of(leaf, leaf_deltas[leaf], temps)
 
-        # Upward traversal (step 2): process nodes children-first.
-        for name in self.vdp.non_leaves():
-            if not self.store.has_pending_delta(name):
+        # Upward traversal (step 2): process nodes children-first.  Only
+        # nodes above an updated leaf can have accumulated a delta.
+        leaves = self.vdp.leaf_set()
+        for name in touched:
+            if name in leaves or not self.store.has_pending_delta(name):
                 continue
             delta = self.store.delta(name)
             if self.vdp.node(name).kind is NodeKind.SET:
@@ -361,7 +345,7 @@ class IncrementalUpdateProcessor:
         # origin by firing its exclusion deltas against post-state
         # catalogs (see _reconcile_provenance for why it must run last).
         if prov.enabled:
-            self._reconcile_provenance(temps)
+            self._reconcile_provenance(touched, temps)
         return processed, fired
 
     def _normalize_set_delta(
@@ -410,7 +394,7 @@ class IncrementalUpdateProcessor:
     # ------------------------------------------------------------------
     # Delta provenance attribution (active only with provenance tracing)
     # ------------------------------------------------------------------
-    def _reconcile_provenance(self, temps: Mapping[str, Relation]) -> None:
+    def _reconcile_provenance(self, touched: Tuple[str, ...], temps: Mapping[str, Relation]) -> None:
         """Blame origins bottom-up against *post-transaction* state.
 
         The contract (``repro.obs.provenance``) is exclusion semantics: an
@@ -436,15 +420,17 @@ class IncrementalUpdateProcessor:
         then not linear in either child alone).
         """
         prov = self.tracer.provenance
-        leaves = set(self.vdp.leaves())
+        leaves = self.vdp.leaf_set()
+        # Every node with live origins is touched, and ``touched`` is closed
+        # upward, so edges out of touched children are all that can blame.
         edges_into: Dict[str, List[Tuple[str, CompiledRule]]] = {}
-        for child in self.vdp.topological_order():
+        for child in touched:
             for rule in self.rulebase.rules_out_of(child):
                 edges_into.setdefault(rule.parent, []).append((child, rule))
         with self.tracer.span("provenance_reconcile"):
-            # non_leaves() is children-first, so when a parent is visited
+            # ``touched`` is children-first, so when a parent is visited
             # every child's origin set and exclusion sub-deltas are final.
-            for parent in self.vdp.non_leaves():
+            for parent in touched:
                 for child, rule in edges_into.get(parent, ()):
                     live = prov.live_origins(child)
                     if not live:

@@ -29,9 +29,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Set, Tuple
+from typing import Dict, Iterator, List, Mapping, Set, Tuple
 
 from repro.core.annotations import Annotation
+from repro.core.derived_from import TempRequest
 from repro.core.vdp import AnnotatedVDP, NodeKind
 from repro.deltas import Delta, select_project
 from repro.errors import MediatorError
@@ -126,6 +127,13 @@ class LocalStore:
         """True when the node stores anything."""
         return name in self._repos
 
+    def covers(self, request: TempRequest) -> bool:
+        """True when the node's stored projection alone answers ``request``."""
+        if request.relation not in self._repos:
+            return False
+        ann = self.annotated.annotation(request.relation)
+        return ann.covers(request.attrs | request.predicate.attributes())
+
     def repo(self, name: str) -> Relation:
         """The live repository of a node (raises for fully virtual nodes)."""
         try:
@@ -147,6 +155,17 @@ class LocalStore:
         current value.  Fully virtual nodes are evaluated transiently (their
         value may be needed by storing ancestors) but not retained.
         """
+        for name, full_value in self.evaluate_all(leaf_values):
+            ann = self.annotated.annotation(name)
+            if ann.materialized_attrs:
+                self._repos[name] = self._stored_projection(name, full_value, ann)
+        self._deltas = {}
+        self._initialized = True
+        self._build_declared_indexes()
+
+    def evaluate_all(self, leaf_values: Mapping[str, Relation]) -> Iterator[Tuple[str, Relation]]:
+        """Every non-leaf node's full value, evaluated bottom-up over leaf
+        snapshots (what view initialization computes), children first."""
         transient: Dict[str, Relation] = {}
         for name in self.vdp.topological_order():
             node = self.vdp.node(name)
@@ -157,14 +176,8 @@ class LocalStore:
                     raise MediatorError(f"missing initial value for leaf {name!r}") from exc
                 continue
             evaluator = Evaluator(transient, counters=self.counters)
-            full_value = evaluator.evaluate(node.definition, name)
-            transient[name] = full_value
-            ann = self.annotated.annotation(name)
-            if ann.materialized_attrs:
-                self._repos[name] = self._stored_projection(name, full_value, ann)
-        self._deltas = {}
-        self._initialized = True
-        self._build_declared_indexes()
+            transient[name] = evaluator.evaluate(node.definition, name)
+            yield name, transient[name]
 
     def reinitialize_node(self, name: str, full_value: Relation) -> None:
         """Replace one storing node's repository with a fresh full value.

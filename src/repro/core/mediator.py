@@ -245,7 +245,6 @@ class SquirrelMediator:
             self.store,
             self.links,
             self.queue,
-            self.contributor_kinds,
             eca_enabled=eca_enabled,
             key_based_enabled=key_based_enabled,
             tracer=tracer,
@@ -528,10 +527,7 @@ class SquirrelMediator:
         self._require_init()
         if name not in self.sources:
             raise MediatorError(f"cannot detach unknown source {name!r}")
-        removed: Set[str] = set()
-        for leaf in self.vdp.leaves_of_source(name):
-            removed.add(leaf)
-            removed |= set(self.vdp.ancestors(leaf))
+        removed = frozenset(self.vdp.upward(self.vdp.leaves_of_source(name)))
         remaining_nodes = [
             node for node_name, node in self.vdp.nodes.items() if node_name not in removed
         ]
@@ -622,12 +618,7 @@ class SquirrelMediator:
         vap.annotated = annotated
         vap.vdp = annotated.vdp
         vap.links = dict(self.links)
-        vap.contributor_kinds = dict(self.contributor_kinds)
         vap.cache = VAPTempCache(self.vdp)
-        vap._cacheable_memo = {}
-        vap._topo_index = {
-            node: i for i, node in enumerate(self.vdp.topological_order())
-        }
         self.iup.annotated = annotated
         self.iup.vdp = annotated.vdp
         self.iup.rulebase = self.rulebase
@@ -671,9 +662,7 @@ class SquirrelMediator:
         number of messages enqueued."""
         self._require_init()
         collected = 0
-        for name, kind in sorted(self.contributor_kinds.items()):
-            if not kind.announces:
-                continue
+        for name in self.annotated.announcing_sources():
             announcement, cursor = self.sources[name].take_announcement_versioned()
             if announcement is not None:
                 self.enqueue_update(name, announcement, cursor=cursor)

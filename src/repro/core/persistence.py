@@ -47,7 +47,7 @@ from repro.core.mediator import SquirrelMediator
 from repro.core.vdp import AnnotatedVDP, NodeKind
 from repro.deltas import Delta
 from repro.errors import MediatorError, OrphanStateError, SnapshotStaleError
-from repro.relalg import BagRelation, Evaluator, Relation, RelationSchema, SetRelation
+from repro.relalg import BagRelation, Relation, RelationSchema, SetRelation
 from repro.relalg.relation import rows_from_values
 
 __all__ = [
@@ -250,7 +250,7 @@ def restore_mediator(
         key_based_enabled=key_based_enabled,
     )
 
-    expected = set(annotated.nodes_with_storage())
+    expected = annotated.storing_set()
     present = set(node_columns)
     missing = expected - present
     if missing:
@@ -374,9 +374,7 @@ def reinitialize_sources(
     stale_leaves: Set[str] = set()
     for name in names:
         stale_leaves.update(vdp.leaves_of_source(name))
-    affected: Set[str] = set(stale_leaves)
-    for leaf in stale_leaves:
-        affected.update(vdp.ancestors(leaf))
+    affected = frozenset(vdp.upward(stale_leaves))
 
     # Leaf values for the recompute, per the contribution rules above.
     leaf_values: Dict[str, Relation] = {}
@@ -402,17 +400,9 @@ def reinitialize_sources(
 
     # Bottom-up transient evaluation (exactly view initialization), but
     # only the affected nodes' repositories are replaced.
-    transient: Dict[str, Relation] = {}
     replaced: List[str] = []
-    storing = set(mediator.annotated.nodes_with_storage())
-    for node_name in vdp.topological_order():
-        node = vdp.node(node_name)
-        if node.is_leaf:
-            transient[node_name] = leaf_values[node_name]
-            continue
-        evaluator = Evaluator(transient, counters=mediator.store.counters)
-        full_value = evaluator.evaluate(node.definition, node_name)
-        transient[node_name] = full_value
+    storing = mediator.annotated.storing_set()
+    for node_name, full_value in mediator.store.evaluate_all(leaf_values):
         if node_name in affected and node_name in storing:
             mediator.store.reinitialize_node(node_name, full_value)
             replaced.append(node_name)

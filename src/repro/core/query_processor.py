@@ -80,7 +80,7 @@ class QueryProcessor:
             self.stats.queries += 1
 
             requests = self._requests_for(expr, refs)
-            uncovered = [r for r in requests.values() if not self._covered(r)]
+            uncovered = [r for r in requests.values() if not self.store.covers(r)]
             if tracer.enabled:
                 tracer.event(
                     "query_classify",
@@ -178,9 +178,3 @@ class QueryProcessor:
                 return node.name, attrs | predicate.attributes(), predicate
             else:
                 return None
-
-    def _covered(self, request: TempRequest) -> bool:
-        if not self.store.has_repo(request.relation):
-            return False
-        ann = self.annotated.annotation(request.relation)
-        return ann.covers(request.attrs | request.predicate.attributes())

@@ -12,11 +12,13 @@ annotation of the VDP (the paper notes this explicitly).
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple, Union as TypingUnion
+from typing import Dict, List, Mapping, Set, Tuple, Union as TypingUnion
 
+from repro.core.derived_from import TempRequest, child_requirements
 from repro.core.rules import BagNodeRule, SetNodeRule, build_rule
 from repro.core.vdp import VDP
 from repro.errors import VDPError
+from repro.relalg import TRUE
 
 __all__ = ["RuleBase", "EdgeRule"]
 
@@ -28,23 +30,30 @@ class RuleBase:
 
     Construction passes the VDP's node schemas into :func:`build_rule`, so
     every rule compiles eagerly — rewritten expressions, renamed schemas and
-    join plans are resolved here, once, rather than per ``fire()``.
+    join plans are resolved here, once, rather than per ``fire()``.  So are
+    the per-child data requirements of every full-width parent definition
+    (:meth:`requirements`), which transaction preparation reads.
     """
 
     def __init__(self, vdp: VDP):
         self.vdp = vdp
         schemas = vdp.schemas()
         self._by_edge: Dict[Tuple[str, str], EdgeRule] = {}
-        self._out_rules: Dict[str, List[EdgeRule]] = {name: [] for name in vdp.nodes}
+        out_rules: Dict[str, List[EdgeRule]] = {name: [] for name in vdp.nodes}
+        self._needs: Dict[str, Dict[str, TempRequest]] = {}
         for parent_name in vdp.non_leaves():
             parent = vdp.node(parent_name)
+            self._needs[parent_name] = child_requirements(
+                parent.definition, frozenset(parent.schema.attribute_names), TRUE, schemas
+            )
             for child_name in vdp.children(parent_name):
                 child = vdp.node(child_name)
                 rule = build_rule(
                     parent_name, parent.definition, child_name, child.schema, schemas
                 )
                 self._by_edge[(parent_name, child_name)] = rule
-                self._out_rules[child_name].append(rule)
+                out_rules[child_name].append(rule)
+        self._out_rules = {name: tuple(rules) for name, rules in out_rules.items()}
         self._index_requirements: Dict[str, Set[Tuple[str, ...]]] = {}
         for rule in self._by_edge.values():
             for declared in (rule.index_requirements(), rule.probe_index_requirements()):
@@ -70,11 +79,16 @@ class RuleBase:
         except KeyError as exc:
             raise VDPError(f"no edge ({parent!r}, {child!r}) in the VDP") from exc
 
-    def rules_out_of(self, node: str) -> List[EdgeRule]:
+    def rules_out_of(self, node: str) -> Tuple[EdgeRule, ...]:
         """The paper's ``edge_rule(v)``: rules propagating updates out of ``v``."""
         if node not in self._out_rules:
             raise VDPError(f"no node named {node!r}")
-        return list(self._out_rules[node])
+        return self._out_rules[node]
+
+    def requirements(self, parent: str) -> Mapping[str, TempRequest]:
+        """What a rule into ``parent`` reads of each child: the full-width
+        definition's ``child_requirements`` (read-only)."""
+        return self._needs[parent]
 
     def edges(self) -> List[Tuple[str, str]]:
         """All (parent, child) edges with rules."""

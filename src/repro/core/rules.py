@@ -363,10 +363,15 @@ class BagNodeRule:
     schemas: Optional[Mapping[str, RelationSchema]] = None
 
     def __post_init__(self) -> None:
+        parts = self._relevant_parts()
         self._compiled: List[CompiledSPJ] = [
             CompiledSPJ(part, self.parent, self.child, self.child_schema, self.schemas)
-            for part in self._relevant_parts()
+            for part in parts
         ]
+        names = set().union(*(part.relation_names() for part in parts))
+        if self.is_linear:
+            names.discard(self.child)  # a self-join also reads the child
+        self._siblings = tuple(sorted(names))
 
     def fire(
         self,
@@ -402,15 +407,7 @@ class BagNodeRule:
 
     def sibling_names(self) -> Tuple[str, ...]:
         """Relations (other than the delta itself) the rule must read."""
-        names = set()
-        self_join = False
-        for part in self._relevant_parts():
-            names |= part.relation_names()
-            if _count_occurrences(part, self.child) > 1:
-                self_join = True
-        if self_join:
-            return tuple(sorted(names))  # self-join also reads the child
-        return tuple(sorted(names - {self.child}))
+        return self._siblings
 
     def index_requirements(self) -> Dict[str, Set[Tuple[str, ...]]]:
         """Relations this rule's compiled joins can probe, with key tuples."""
@@ -449,6 +446,7 @@ class SetNodeRule:
     schemas: Optional[Mapping[str, RelationSchema]] = None
 
     def __post_init__(self) -> None:
+        self._siblings = tuple(sorted(self.definition.relation_names()))
         self._sides = _operand_for_child(self.definition, self.child)
         self._compiled: List[CompiledSPJ] = [
             CompiledSPJ(operand, "operand", self.child, self.child_schema, self.schemas)
@@ -565,7 +563,7 @@ class SetNodeRule:
 
     def sibling_names(self) -> Tuple[str, ...]:
         """Relations the rule must read besides the incoming delta."""
-        return tuple(sorted(self.definition.relation_names()))
+        return self._siblings
 
     def index_requirements(self) -> Dict[str, Set[Tuple[str, ...]]]:
         """Relations this rule's compiled joins can probe, with key tuples."""

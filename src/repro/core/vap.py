@@ -60,7 +60,6 @@ from repro.relalg import (
     conjoin,
     conjuncts,
 )
-from repro.sources.contributors import ContributorKind
 
 __all__ = ["PlannedTemp", "VAPStats", "VirtualAttributeProcessor"]
 
@@ -114,7 +113,6 @@ class VirtualAttributeProcessor:
         store: LocalStore,
         links: Mapping[str, SourceLink],
         queue: UpdateQueue,
-        contributor_kinds: Mapping[str, ContributorKind],
         eca_enabled: bool = True,
         key_based_enabled: bool = True,
         tracer: Tracer = NULL_TRACER,
@@ -125,14 +123,11 @@ class VirtualAttributeProcessor:
         self.store = store
         self.links = dict(links)
         self.queue = queue
-        self.contributor_kinds = dict(contributor_kinds)
         self.eca_enabled = eca_enabled
         self.key_based_enabled = key_based_enabled
         self.stats = VAPStats()
         self.cache = VAPTempCache(self.vdp)
         self._cache_bypass = False
-        self._cacheable_memo: Dict[str, bool] = {}
-        self._topo_index = {name: i for i, name in enumerate(self.vdp.topological_order())}
 
     # ------------------------------------------------------------------
     # Public entry point
@@ -169,15 +164,7 @@ class VirtualAttributeProcessor:
         """
         if not self.eca_enabled or self._cache_bypass:
             return False
-        memo = self._cacheable_memo.get(relation)
-        if memo is None:
-            kinds = (
-                self.contributor_kinds.get(s)
-                for s in self.vdp.sources_below(relation)
-            )
-            memo = all(k is not None and k.announces for k in kinds)
-            self._cacheable_memo[relation] = memo
-        return memo
+        return self.annotated.sources_announce(relation)
 
     def invalidate_cache(self, leaf_deltas: Mapping[str, Delta]) -> int:
         """Drop cache entries whose lineage the applied deltas touch (called
@@ -242,7 +229,7 @@ class VirtualAttributeProcessor:
         with tracer.span("vap_plan") as span:
             unprocessed: Dict[str, TempRequest] = {}
             for request in requests:
-                if self._covered_by_storage(request):
+                if self.store.covers(request):
                     continue  # answerable straight from the local store
                 self._merge_request(unprocessed, request)
 
@@ -250,7 +237,7 @@ class VirtualAttributeProcessor:
             seen: Dict[str, int] = {}
             while unprocessed:
                 # Earliest in parents-first order == highest topological index.
-                name = max(unprocessed, key=lambda n: self._topo_index[n])
+                name = max(unprocessed, key=self.vdp.rank)
                 request = unprocessed.pop(name)
                 if served is not None and self._cacheable(name):
                     hit = self.cache.lookup(request)
@@ -285,13 +272,6 @@ class VirtualAttributeProcessor:
         existing = pending.get(request.relation)
         pending[request.relation] = existing.merge(request) if existing else request
 
-    def _covered_by_storage(self, request: TempRequest) -> bool:
-        name = request.relation
-        if not self.store.has_repo(name):
-            return False
-        ann = self.annotated.annotation(name)
-        return ann.covers(request.attrs | request.predicate.attributes())
-
     def _plan_one(self, request: TempRequest, unprocessed: Dict[str, TempRequest]) -> PlannedTemp:
         name = request.relation
         node = self.vdp.node(name)
@@ -309,7 +289,7 @@ class VirtualAttributeProcessor:
             plan = PlannedTemp(request, "children")
             needed = child_requests
         for child_request in needed:
-            if not self._covered_by_storage(child_request):
+            if not self.store.covers(child_request):
                 self._merge_request(unprocessed, child_request)
         return plan
 
@@ -344,7 +324,7 @@ class VirtualAttributeProcessor:
         if not virtual_needed:
             return None
         # Children that would require a fetch under the children-based plan.
-        uncovered = [cr for cr in child_requests if not self._covered_by_storage(cr)]
+        uncovered = [cr for cr in child_requests if not self.store.covers(cr)]
         if not uncovered:
             return None
 
@@ -374,7 +354,7 @@ class VirtualAttributeProcessor:
         if remaining:
             return None
 
-        needed_fetches = [fr for fr in fetch_requests if not self._covered_by_storage(fr)]
+        needed_fetches = [fr for fr in fetch_requests if not self.store.covers(fr)]
         if len(needed_fetches) >= len(uncovered):
             return None  # no saving over the children-based plan
         plan = PlannedTemp(
@@ -608,10 +588,9 @@ class VirtualAttributeProcessor:
         source: str,
         in_flight: Mapping[str, List[Delta]],
     ) -> Relation:
-        kind = self.contributor_kinds.get(source)
-        if kind is None or not kind.announces or not self.eca_enabled:
-            return answer
         leaf = self.vdp.children(plan.relation)[0]
+        if not self.eca_enabled or not self.annotated.sources_announce(leaf):
+            return answer
         uncompensated = list(in_flight.get(source, [])) + self.queue.pending_for_source(source)
         if not uncompensated:
             return answer

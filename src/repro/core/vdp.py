@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.annotations import Annotation
@@ -136,11 +137,28 @@ class VDP:
                 raise VDPError(f"duplicate node name {node.name!r}")
             self.nodes[node.name] = node
         self.exports: Tuple[str, ...] = tuple(exports)
+        self._schemas: Mapping[str, RelationSchema] = MappingProxyType(
+            {name: node.schema for name, node in self.nodes.items()}
+        )
         self._children: Dict[str, Tuple[str, ...]] = {}
         self._parents: Dict[str, List[str]] = {name: [] for name in self.nodes}
         self._validate()
         self._topo: Tuple[str, ...] = self._topological_sort()
         self._fds: Dict[str, FDSet] = self._compute_fds()
+        # Structure derived once: every per-transaction walk reads these.
+        self._rank: Dict[str, int] = {name: i for i, name in enumerate(self._topo)}
+        self._leaves = tuple(sorted(n for n, node in self.nodes.items() if node.is_leaf))
+        self._leaf_set: FrozenSet[str] = frozenset(self._leaves)
+        self._non_leaves = tuple(n for n in self._topo if n not in self._leaf_set)
+        self._below: Dict[str, FrozenSet[str]] = {}  # leaf descendants, children first
+        for name in self._topo:
+            kids = self._children[name]
+            below = frozenset().union(*map(self._below.get, kids))
+            self._below[name] = below if kids else frozenset((name,))
+        self._ancestors: Dict[str, Tuple[str, ...]] = {}  # parents first
+        for name in reversed(self._topo):
+            above = set(self._parents[name]).union(*map(self._ancestors.get, self._parents[name]))
+            self._ancestors[name] = tuple(sorted(above, key=self._rank.__getitem__))
 
     # ------------------------------------------------------------------
     # Validation
@@ -172,7 +190,7 @@ class VDP:
                         "more than select/project/rename to a leaf (Section 5.1 restriction (a))"
                     )
             # Schema consistency.
-            inferred = node.definition.infer_schema(self.schemas(), node.name)
+            inferred = node.definition.infer_schema(self._schemas, node.name)
             if inferred.attribute_names != node.schema.attribute_names:
                 raise VDPError(
                     f"node {node.name!r} schema {node.schema.attribute_names} does not match "
@@ -228,9 +246,9 @@ class VDP:
         except KeyError as exc:
             raise VDPError(f"no node named {name!r}") from exc
 
-    def schemas(self) -> Dict[str, RelationSchema]:
-        """Catalog of every node's schema, keyed by node name."""
-        return {name: node.schema for name, node in self.nodes.items()}
+    def schemas(self) -> Mapping[str, RelationSchema]:
+        """Read-only catalog of every node's schema, keyed by node name."""
+        return self._schemas
 
     def children(self, name: str) -> Tuple[str, ...]:
         """Direct children (the relations the node's definition reads)."""
@@ -242,11 +260,15 @@ class VDP:
 
     def leaves(self) -> Tuple[str, ...]:
         """All leaf (source-relation) node names, sorted."""
-        return tuple(sorted(n for n, node in self.nodes.items() if node.is_leaf))
+        return self._leaves
+
+    def leaf_set(self) -> FrozenSet[str]:
+        """The leaf node names, for membership tests."""
+        return self._leaf_set
 
     def non_leaves(self) -> Tuple[str, ...]:
         """All mediator-maintained node names, in topological order."""
-        return tuple(n for n in self._topo if not self.nodes[n].is_leaf)
+        return self._non_leaves
 
     def leaf_parents(self) -> Tuple[str, ...]:
         """Nodes whose (single) child is a leaf."""
@@ -260,19 +282,17 @@ class VDP:
         """All node names, children before parents (deterministic)."""
         return self._topo
 
+    def rank(self, name: str) -> int:
+        """``name``'s position in :meth:`topological_order`."""
+        return self._rank[name]
+
     def fds(self, name: str) -> FDSet:
         """Functional dependencies inferred for a node's relation."""
         return self._fds[self.node(name).name]
 
     def leaf_descendants(self, name: str) -> FrozenSet[str]:
         """All leaf nodes reachable below ``name`` (``name`` itself if a leaf)."""
-        node = self.node(name)
-        if node.is_leaf:
-            return frozenset((name,))
-        out: Set[str] = set()
-        for child in self._children[name]:
-            out |= self.leaf_descendants(child)
-        return frozenset(out)
+        return self._below[self.node(name).name]
 
     def sources_below(self, name: str) -> FrozenSet[str]:
         """Source database names feeding ``name``."""
@@ -291,16 +311,16 @@ class VDP:
             n for n in self.leaves() if self.nodes[n].source == source
         )
 
-    def ancestors(self, name: str) -> FrozenSet[str]:
-        """All nodes strictly above ``name``."""
-        out: Set[str] = set()
-        frontier = list(self._parents[self.node(name).name])
-        while frontier:
-            parent = frontier.pop()
-            if parent not in out:
-                out.add(parent)
-                frontier.extend(self._parents[parent])
-        return frozenset(out)
+    def ancestors(self, name: str) -> Tuple[str, ...]:
+        """All nodes strictly above ``name``, in topological order."""
+        return self._ancestors[self.node(name).name]
+
+    def upward(self, names: Iterable[str]) -> Tuple[str, ...]:
+        """``names`` and every node above them, in topological order — the
+        sub-DAG a delta at ``names`` can reach."""
+        names = set(names)
+        reached = names.union(*map(self._ancestors.__getitem__, names))
+        return tuple(sorted(reached, key=self._rank.__getitem__))
 
     def __repr__(self) -> str:
         return f"<VDP nodes={len(self.nodes)} exports={list(self.exports)}>"
@@ -328,6 +348,13 @@ class AnnotatedVDP:
         self.vdp = vdp
         self.annotations: Dict[str, Annotation] = dict(annotations)
         self._validate()
+        self._storing = tuple(n for n in vdp.non_leaves() if self.annotations[n].materialized_attrs)
+        self._storing_set = frozenset(self._storing)
+        self._kinds = self._classify_contributors()
+        self._announcing = tuple(n for n, kind in self._kinds.items() if kind.announces)
+        self._announced = frozenset(
+            n for n in vdp.nodes if vdp.sources_below(n).issubset(self._announcing)
+        )
 
     def _validate(self) -> None:
         for name in self.vdp.non_leaves():
@@ -367,35 +394,40 @@ class AnnotatedVDP:
         """True when every attribute of the node is virtual."""
         return self.annotation(name).fully_virtual
 
-    def materialized_attrs(self, name: str) -> Tuple[str, ...]:
-        """The materialized attributes of a node."""
-        return self.annotation(name).materialized_attrs
-
     def virtual_attrs(self, name: str) -> Tuple[str, ...]:
         """The virtual attributes of a node."""
         return self.annotation(name).virtual_attrs
 
-    def has_materialized_data(self, name: str) -> bool:
-        """True when the node stores anything at all."""
-        return bool(self.annotation(name).materialized_attrs)
-
     def nodes_with_storage(self) -> Tuple[str, ...]:
         """Non-leaf nodes that store at least one attribute, topologically."""
-        return tuple(
-            n for n in self.vdp.non_leaves() if self.has_materialized_data(n)
-        )
+        return self._storing
+
+    def storing_set(self) -> FrozenSet[str]:
+        """:meth:`nodes_with_storage` as a set, for membership tests."""
+        return self._storing_set
 
     # ------------------------------------------------------------------
     # Contributor classification (Section 4)
     # ------------------------------------------------------------------
     def contributor_kinds(self) -> Dict[str, ContributorKind]:
-        """Classify every source database.
+        """Classify every source database (a fresh copy, sorted by name).
 
         A source contributes to the *materialized portion* when some node
         with materialized attributes depends on it, and to the *virtual
         portion* when some node with virtual attributes depends on it.  A
         source in both camps is a hybrid-contributor.
         """
+        return dict(self._kinds)
+
+    def announcing_sources(self) -> Tuple[str, ...]:
+        """The sources whose kind announces updates, sorted."""
+        return self._announcing
+
+    def sources_announce(self, name: str) -> bool:
+        """True when every source feeding ``name`` announces its updates."""
+        return name in self._announced
+
+    def _classify_contributors(self) -> Dict[str, ContributorKind]:
         materialized_side: Set[str] = set()
         virtual_side: Set[str] = set()
         for name in self.vdp.non_leaves():

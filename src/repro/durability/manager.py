@@ -238,8 +238,7 @@ class DurabilityManager:
         for observer in self.observers:
             observer(record)
 
-        storing = set(self.mediator.annotated.nodes_with_storage())
-        self._dirty.update(set(processed) & storing)
+        self._dirty.update(self.mediator.annotated.storing_set().intersection(processed))
         if self.policy.due(self._txns_since, self._bytes_since):
             self.checkpoint()
 

@@ -49,7 +49,7 @@ def test_figure4_vdp_structure():
     assert vdp.node("G").kind is NodeKind.SET
     assert vdp.node("E").kind is NodeKind.BAG
     assert set(vdp.children("G")) == {"E", "F"}
-    assert vdp.ancestors("A_p") == {"E", "G"}
+    assert vdp.ancestors("A_p") == ("E", "G")
     assert vdp.leaves_of_source("dbA") == ("A",)
 
 
