@@ -6,10 +6,11 @@ optimizations layered on top of it:
 
 * **A — repeated-query window.**  On Figure 1 / Example 2.3, a hot query
   touching virtual ``r3`` is repeated while sources are quiescent.  With
-  the cache on, only the *first* execution polls; a follow-up query with a
-  strictly narrower predicate is answered by **subsumption** (the dual of
-  the §6.3 step-(2b) merge).  Under ``vap.cache_bypassed()`` every
-  repetition re-polls — poll count grows linearly with the window.
+  the cache on, only the *first* execution polls and every later one is an
+  exact-match hit; a follow-up query with a strictly narrower predicate is
+  a different key, so it misses and polls once.  Under
+  ``vap.cache_bypassed()`` every repetition re-polls — poll count grows
+  linearly with the window.
 
 * **B — precise invalidation.**  An update transaction through ``db2``
   whose rows pass the ``S'`` leaf-parent selection (``s3 < 50``) kills
@@ -59,6 +60,7 @@ DEFAULT_BASELINE = (
 WINDOW = 6  # repeated executions of the hot query in experiment A
 HOT_QUERY = "project[r1, s1](select[r3 < 100](T))"
 NARROW_QUERY = "project[r1, s1](select[r3 < 40](T))"
+FULL_QUERY = "project[r1, r3, s1, s2](T)"  # full width: T, R' and S' temps
 FANOUT_DELAY = 0.05  # injected per-source poll latency in experiment C
 
 
@@ -88,7 +90,6 @@ def run_window(cache_enabled: bool) -> dict:
         "polls_trajectory": polls_trajectory,
         "polls_for_narrow": stats.polls - narrow_before,
         "cache_hits": stats.cache_hits,
-        "subsumption_hits": stats.subsumption_hits,
     }
 
 
@@ -98,9 +99,9 @@ def run_window(cache_enabled: bool) -> dict:
 def run_invalidation() -> dict:
     mediator, sources = figure1_mediator("ex23", seed=BENCH_SEED)
     mediator.reset_stats()
-    # Warm a T entry and a full-width R' entry.
-    mediator.query(HOT_QUERY)
-    mediator.query_relation("R_p", ["r1", "r2", "r3"])
+    # Warm T, R' and S' entries.  The R' request is the same full-width one
+    # the IUP makes for an S-side transaction, so the two share one entry.
+    mediator.query(FULL_QUERY)
     entries_before = mediator.vap.cache.entry_count()
 
     # Relevant update: passes the S' selection (s3 < 50) → T's entry dies.
@@ -112,7 +113,7 @@ def run_invalidation() -> dict:
     polls = mediator.vap.stats.polls
     polled_sources = mediator.vap.stats.polled_sources
     # Needs S-side virtual attrs: re-polls db2 only (R' entry survives).
-    mediator.query("project[r1, s2](select[r3 < 100](T))")
+    mediator.query(FULL_QUERY)
     repoll_polls = mediator.vap.stats.polls - polls
     repoll_sources = mediator.vap.stats.polled_sources - polled_sources
 
@@ -124,7 +125,7 @@ def run_invalidation() -> dict:
         mediator.vap.stats.cache_invalidations - base_invalidations
     )
     polls = mediator.vap.stats.polls
-    mediator.query(HOT_QUERY)
+    mediator.query(FULL_QUERY)
     irrelevant_repoll_polls = mediator.vap.stats.polls - polls
     return {
         "entries_warm": entries_before,
@@ -229,8 +230,12 @@ def check_shapes(results, times=None) -> list:
             ablation["polls_window"] == WINDOW * ablation["polls_first"],
         ),
         (
-            "a strictly narrower predicate is served by subsumption, zero polls",
-            cached["polls_for_narrow"] == 0 and cached["subsumption_hits"] >= 1,
+            "every cached repeat after the first is an exact-match hit",
+            cached["cache_hits"] == WINDOW - 1,
+        ),
+        (
+            "a strictly narrower predicate is a different key: a miss that polls once",
+            cached["polls_for_narrow"] == 1,
         ),
         (
             "a relevant update kills exactly the touched lineage (R' entry survives)",
@@ -280,25 +285,25 @@ def render(results, times=None) -> None:
         print(f"fan-out speedup (serial/parallel): {speedup:.1f}x", file=sys.stderr)
     rows = [
         ["A", "cache on", cached["polls_window"], cached["cache_hits"],
-         cached["subsumption_hits"], "-", "-", "-"],
+         "-", "-", "-"],
         ["A", "cache off", ablation["polls_window"], ablation["cache_hits"],
-         ablation["subsumption_hits"], "-", "-", "-"],
-        ["B", "relevant update", inv["repoll_polls"], "-", "-",
+         "-", "-", "-"],
+        ["B", "relevant update", inv["repoll_polls"], "-",
          inv["relevant_invalidations"], "-", "-"],
-        ["B", "filtered update", inv["irrelevant_repoll_polls"], "-", "-",
+        ["B", "filtered update", inv["irrelevant_repoll_polls"], "-",
          inv["irrelevant_invalidations"], "-", "-"],
-        ["C", "parallel polls", fan["parallel"]["polls"], "-", "-", "-",
+        ["C", "parallel polls", fan["parallel"]["polls"], "-", "-",
          fan["parallel"]["parallel_poll_batches"],
          f"{times['parallel_wall'] * 1e3:.1f}" if times else "-"],
-        ["C", "serial polls", fan["serial"]["polls"], "-", "-", "-",
+        ["C", "serial polls", fan["serial"]["polls"], "-", "-",
          fan["serial"]["parallel_poll_batches"],
          f"{times['serial_wall'] * 1e3:.1f}" if times else "-"],
     ]
     report(
         "QC_query_cache",
         "QC: VAP temp cache (A window / B invalidation) + concurrent fan-out (C)",
-        ["exp", "configuration", "polls", "cache hits", "subsumed",
-         "invalidations", "batches", "wall ms"],
+        ["exp", "configuration", "polls", "cache hits", "invalidations",
+         "batches", "wall ms"],
         rows,
         shapes=[shape_line(desc, ok) for desc, ok in check_shapes(results, times)],
         note=(

@@ -103,7 +103,6 @@ class MediatorStats:
     cache_hits: int
     cache_misses: int
     cache_invalidations: int
-    subsumption_hits: int
     parallel_poll_batches: int
     poll_wall_time: float
     stored_rows: int
@@ -150,7 +149,6 @@ STATS_METRICS: Dict[str, str] = {
     "cache_hits": "vap.cache_hits",
     "cache_misses": "vap.cache_misses",
     "cache_invalidations": "vap.cache_invalidations",
-    "subsumption_hits": "vap.subsumption_hits",
     "parallel_poll_batches": "vap.parallel_poll_batches",
     "poll_wall_time": "vap.poll_wall_time",
     "stored_rows": "store.stored_rows",

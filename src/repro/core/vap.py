@@ -95,7 +95,6 @@ class VAPStats:
     cache_hits: int = 0
     cache_misses: int = 0
     cache_invalidations: int = 0
-    subsumption_hits: int = 0
     parallel_poll_batches: int = 0
     poll_wall_time: float = 0.0  # seconds spent waiting on source polls
 
@@ -240,17 +239,12 @@ class VirtualAttributeProcessor:
                 name = max(unprocessed, key=self.vdp.rank)
                 request = unprocessed.pop(name)
                 if served is not None and self._cacheable(name):
-                    hit = self.cache.lookup(request)
-                    if hit is not None:
-                        value, subsumed = hit
+                    value = self.cache.lookup(request)
+                    if value is not None:
                         served[name] = value
                         self.stats.cache_hits += 1
-                        if subsumed:
-                            self.stats.subsumption_hits += 1
                         if tracer.enabled:
-                            tracer.event(
-                                "cache_hit", relation=name, subsumption=subsumed
-                            )
+                            tracer.event("cache_hit", relation=name)
                         continue  # subtree pruned: children never requested
                     self.stats.cache_misses += 1
                     if tracer.enabled:

@@ -3,12 +3,11 @@
 The paper's hybrid approach (§2, §6.3) amortizes source access by keeping
 *partially* materialized views; without a query-path cache, however, every
 query that touches a virtual attribute re-plans and re-polls from scratch.
-This module retains constructed temporaries keyed by their
-``(relation, attrs, predicate)`` request and serves later requests by
-**subsumption**: a cached ``π_B σ_g R`` answers a narrower ``π_A σ_f R``
-whenever ``A ⊆ B`` and ``f ⇒ g`` (the dual of the paper's step-(2b) merge,
-which *widens* requests — here a wide cached temp stands in for the merged
-request it covers).
+This module retains constructed temporaries keyed by their exact
+``(relation, attrs, predicate)`` request: a later request for the same key
+is one dict hit, anything else is a cold construction.  The VAP's work thus
+stays what §6.3 makes it — planning plus construction — and a repeated
+request skips the construction.
 
 Soundness rests on the Eager Compensation invariant: every constructed
 temporary reflects the node's value at the *materialized* state
@@ -23,11 +22,7 @@ and that state only advances when an update transaction applies.  So:
   leaf-parent filters (:class:`~repro.deltas.LeafParentFilter`, §6.2) on
   the path into the entry's lineage, survives filtering — updates outside
   a leaf-parent's selection, and entries over untouched subtrees, keep
-  their entries alive;
-* serving by *attribute* narrowing additionally requires the node
-  definition to be free of deduplicating projections (narrowing a
-  ``dproject``'s attribute list changes multiplicities, so those nodes
-  only serve exact-width hits; predicate narrowing is always safe).
+  their entries alive.
 """
 
 from __future__ import annotations
@@ -40,20 +35,7 @@ from repro.core.vdp import VDP
 from repro.deltas import Delta
 from repro.deltas.filtering import LeafParentFilter
 from repro.errors import DeltaError
-from repro.relalg import (
-    Difference,
-    Evaluator,
-    Expression,
-    Join,
-    Project,
-    Relation,
-    Rename,
-    Scan,
-    Select,
-    TruePredicate,
-    Union,
-    implies,
-)
+from repro.relalg import Relation
 
 __all__ = ["CacheEntry", "InvalidatedEntry", "VAPTempCache"]
 
@@ -85,27 +67,14 @@ class InvalidatedEntry:
         return self.request.relation
 
 
-def _narrow_safe(expr: Expression) -> bool:
-    """True when narrowing the projection width of a value of ``expr``
-    preserves multiplicities — i.e. the definition contains no
-    deduplicating projection (bag π composes; ``dproject`` does not)."""
-    if isinstance(expr, Project):
-        return (not expr.dedup) and _narrow_safe(expr.child)
-    if isinstance(expr, (Select, Rename)):
-        return _narrow_safe(expr.child)
-    if isinstance(expr, (Join, Union, Difference)):
-        return _narrow_safe(expr.left) and _narrow_safe(expr.right)
-    return True  # Scan
-
-
 class VAPTempCache:
-    """Subsumption-answering, precisely-invalidated store of VAP temps."""
+    """Exact-match, precisely-invalidated store of VAP temps."""
 
     def __init__(self, vdp: VDP, max_entries_per_relation: int = 8):
         self.vdp = vdp
         self.max_entries_per_relation = max_entries_per_relation
-        self._entries: Dict[str, List[CacheEntry]] = {}
-        self._narrow_safe_memo: Dict[str, bool] = {}
+        # Per relation, entries keyed by request, oldest first.
+        self._entries: Dict[str, Dict[TempRequest, CacheEntry]] = {}
         self._filters_memo: Dict[str, Optional[LeafParentFilter]] = {}
 
     # ------------------------------------------------------------------
@@ -116,85 +85,34 @@ class VAPTempCache:
         return sum(len(v) for v in self._entries.values())
 
     def entries_for(self, relation: str) -> Tuple[CacheEntry, ...]:
-        """The live entries for one relation (observers only)."""
-        return tuple(self._entries.get(relation, ()))
+        """The live entries for one relation, oldest first (observers only)."""
+        return tuple(self._entries.get(relation, {}).values())
 
     def clear(self) -> None:
         """Drop every entry (view re-initialization)."""
         self._entries.clear()
 
     # ------------------------------------------------------------------
-    # Lookup (subsumption)
+    # Lookup and fill
     # ------------------------------------------------------------------
-    def lookup(self, request: TempRequest) -> Optional[Tuple[Relation, bool]]:
-        """A relation satisfying ``request``, or ``None``.
+    def lookup(self, request: TempRequest) -> Optional[Relation]:
+        """A private copy of the temp retained for exactly ``request``, or
+        ``None``; callers may mutate it freely."""
+        entry = self._entries.get(request.relation, {}).get(request)
+        return None if entry is None else entry.value.copy()
 
-        Returns ``(value, was_subsumption)`` — ``was_subsumption`` is False
-        for an exact request match.  The returned relation is a fresh copy
-        (or a fresh evaluation); callers may mutate it freely.
-        """
-        for entry in self._entries.get(request.relation, ()):  # newest last
-            served = self._serve(entry, request)
-            if served is not None:
-                return served
-        return None
-
-    def _serve(
-        self, entry: CacheEntry, request: TempRequest
-    ) -> Optional[Tuple[Relation, bool]]:
-        held = entry.request
-        if request.attrs == held.attrs and request.predicate == held.predicate:
-            return entry.value.copy(), False
-        if not request.attrs <= held.attrs:
-            return None
-        if not implies(request.predicate, held.predicate):
-            return None
-        if request.attrs != held.attrs and not self._node_narrow_safe(request.relation):
-            return None
-        # π_A σ_f over the cached π_B σ_g value ≡ the cold construction:
-        # A ∪ attrs(f) ⊆ B and f ⇒ g, and narrowing is multiplicity-safe.
-        alias = f"__vapcache__{request.relation}"
-        expr: Expression = Scan(alias)
-        if not isinstance(request.predicate, TruePredicate):
-            expr = Select(expr, request.predicate)
-        expr = Project(expr, request.sorted_attrs())
-        catalog = {alias: entry.value}
-        schemas = {alias: entry.value.schema.rename_relation(alias)}
-        value = Evaluator(catalog, schemas=schemas).evaluate(expr, request.relation)
-        return value, True
-
-    def _node_narrow_safe(self, relation: str) -> bool:
-        memo = self._narrow_safe_memo.get(relation)
-        if memo is None:
-            node = self.vdp.node(relation)
-            memo = node.definition is not None and _narrow_safe(node.definition)
-            self._narrow_safe_memo[relation] = memo
-        return memo
-
-    # ------------------------------------------------------------------
-    # Fill
-    # ------------------------------------------------------------------
     def store(self, request: TempRequest, value: Relation) -> None:
-        """Retain a freshly constructed temporary (a private copy of it)."""
-        entries = self._entries.setdefault(request.relation, [])
-        # A new entry obsoletes every held request it subsumes.
-        entries[:] = [
-            e
-            for e in entries
-            if not (
-                e.request.attrs <= request.attrs
-                and implies(e.request.predicate, request.predicate)
-            )
-        ]
-        entries.append(
-            CacheEntry(
-                request=request,
-                value=value.copy(),
-                lineage=self.vdp.leaf_descendants(request.relation),
-            )
+        """Retain a freshly constructed temporary (a private copy of it) as
+        the newest entry for its key, evicting the oldest over the cap."""
+        entries = self._entries.setdefault(request.relation, {})
+        entries.pop(request, None)
+        entries[request] = CacheEntry(
+            request=request,
+            value=value.copy(),
+            lineage=self.vdp.leaf_descendants(request.relation),
         )
         while len(entries) > self.max_entries_per_relation:
-            entries.pop(0)
+            del entries[next(iter(entries))]
 
     # ------------------------------------------------------------------
     # Precise invalidation
@@ -219,18 +137,18 @@ class VAPTempCache:
             return []
         dropped: List[InvalidatedEntry] = []
         for relation in list(self._entries):
-            keep: List[CacheEntry] = []
-            for entry in self._entries[relation]:
+            keep: Dict[TempRequest, CacheEntry] = {}
+            for request, entry in self._entries[relation].items():
                 triggers = self._entry_triggers(entry, leaf_deltas)
                 if triggers:
                     dropped.append(
                         InvalidatedEntry(
-                            request=entry.request,
+                            request=request,
                             triggering_leaves=frozenset(triggers),
                         )
                     )
                 else:
-                    keep.append(entry)
+                    keep[request] = entry
             if keep:
                 self._entries[relation] = keep
             else:

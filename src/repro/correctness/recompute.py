@@ -60,9 +60,9 @@ def assert_view_correct(
 
     When the VAP temp cache holds entries, each answer is additionally
     recomputed with the cache bypassed (cold construction, fresh polls) and
-    the two mediator answers must be bit-identical — every cached or
-    subsumption-served result in the test suite is thereby cross-checked
-    against the uncached query path, not just against ground truth.
+    the two mediator answers must be bit-identical — every cache-served
+    result in the test suite is thereby cross-checked against the uncached
+    query path, not just against ground truth.
     """
     truth = recompute_all(mediator.vdp, mediator.sources)
     targets = [relation] if relation else list(mediator.vdp.exports)

@@ -89,7 +89,8 @@ class CheckpointStore:
         path = self.path_for(ckpt_id)
         tmp = path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
+            # json.dumps runs the C encoder; json.dump always iterates in Python.
+            fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")))
             fh.flush()
         if abort_before_publish:
             return tmp

@@ -163,7 +163,6 @@ class CostProfile:
     queries: QueryCost = dataclasses.field(default_factory=QueryCost)
     txns: TxnCost = dataclasses.field(default_factory=TxnCost)
     durability: DurabilityCost = dataclasses.field(default_factory=DurabilityCost)
-    cache_subsumption_hits: int = 0
     compensations: int = 0
 
     # -- derived totals (the reconciliation currency) -------------------
@@ -224,7 +223,6 @@ class CostProfile:
             "queries": _num_dict(self.queries),
             "txns": _num_dict(self.txns),
             "durability": _num_dict(self.durability),
-            "cache_subsumption_hits": self.cache_subsumption_hits,
             "compensations": self.compensations,
             "attribute_costs": self.attribute_costs(),
         }
@@ -266,7 +264,6 @@ class CostProfile:
                 self.total("cache_invalidations"),
                 stats.cache_invalidations,
             ),
-            ("subsumption_hits", self.cache_subsumption_hits, stats.subsumption_hits),
         ]
         mismatches = []
         for name, profiled, counted in checks:
@@ -441,8 +438,6 @@ class CostProfiler:
 
     def _event_cache_hit(self, record: Dict[str, Any]) -> None:
         self._node(record["attrs"]["relation"]).cache_hits += 1
-        if record["attrs"].get("subsumption"):
-            self._profile.cache_subsumption_hits += 1
 
     def _event_cache_miss(self, record: Dict[str, Any]) -> None:
         self._node(record["attrs"]["relation"]).cache_misses += 1

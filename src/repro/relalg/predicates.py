@@ -57,7 +57,6 @@ __all__ = [
     "conjoin",
     "disjoin",
     "equi_join_pairs",
-    "implies",
     "normalize_comparison",
     "compile_test",
     "CompiledTest",
@@ -542,76 +541,6 @@ def normalize_comparison(pred: Predicate) -> Optional[Tuple[str, str, Any]]:
     if isinstance(pred.left, Const) and isinstance(pred.right, Attr):
         return pred.right.name, FLIP.get(pred.op, pred.op), pred.left.value
     return None
-
-
-def _comparison_implies(premise: Predicate, conclusion: Predicate) -> bool:
-    """Sound interval reasoning: ``x op1 c1`` entails ``x op2 c2``?"""
-    p = normalize_comparison(premise)
-    q = normalize_comparison(conclusion)
-    if p is None or q is None or p[0] != q[0]:
-        return False
-    _, op1, c1 = p
-    _, op2, c2 = q
-    try:
-        if op2 == "<":
-            return (op1 == "<" and c1 <= c2) or (op1 in ("<=", "=") and c1 < c2)
-        if op2 == "<=":
-            return (op1 in ("<", "<=", "=") and c1 <= c2)
-        if op2 == ">":
-            return (op1 == ">" and c1 >= c2) or (op1 in (">=", "=") and c1 > c2)
-        if op2 == ">=":
-            return (op1 in (">", ">=", "=") and c1 >= c2)
-        if op2 == "=":
-            return op1 == "=" and c1 == c2
-        if op2 == "!=":
-            return (
-                (op1 == "=" and c1 != c2)
-                or (op1 == "!=" and c1 == c2)
-                or (op1 == "<" and c2 >= c1)
-                or (op1 == "<=" and c2 > c1)
-                or (op1 == ">" and c2 <= c1)
-                or (op1 == ">=" and c2 < c1)
-            )
-    except TypeError:
-        return False  # constants of incomparable types
-    return False
-
-
-def implies(premise: Predicate, conclusion: Predicate) -> bool:
-    """Sound (conservative) implication test: every row satisfying
-    ``premise`` provably satisfies ``conclusion``.
-
-    ``False`` means "could not prove it", not "does not hold" — callers
-    (the VAP temp cache's subsumption check) treat an unproven implication
-    as a cache miss, which is always safe.  The fragment covered: syntactic
-    equality, conjunction/disjunction decomposition, and interval
-    reasoning over single-attribute constant comparisons (so
-    ``s3 < 30 ⇒ s3 < 50`` and ``r4 = 100 ⇒ r4 >= 50`` are recognized).
-    """
-    if isinstance(conclusion, TruePredicate):
-        return True
-    if premise == conclusion:
-        return True
-    # A conjunctive conclusion holds iff every conjunct does.
-    ccs = conjuncts(conclusion)
-    if len(ccs) > 1:
-        return all(implies(premise, cc) for cc in ccs)
-    # A disjunctive premise must imply the conclusion on both branches.
-    if isinstance(premise, Or):
-        return implies(premise.left, conclusion) and implies(premise.right, conclusion)
-    # A disjunctive conclusion is implied via either branch.
-    if isinstance(conclusion, Or) and (
-        implies(premise, conclusion.left) or implies(premise, conclusion.right)
-    ):
-        return True
-    # A conjunctive premise entails anything one of its conjuncts entails.
-    pcs = conjuncts(premise)
-    for pc in pcs:
-        if pc == conclusion or _comparison_implies(pc, conclusion):
-            return True
-    if len(pcs) > 1:
-        return any(implies(pc, conclusion) for pc in pcs)
-    return False
 
 
 def equi_join_pairs(

@@ -1,4 +1,4 @@
-"""The delta-aware VAP temp cache: subsumption, invalidation, ablations.
+"""The delta-aware VAP temp cache: exact-match hits, invalidation, ablations.
 
 Unit tests drive :class:`VAPTempCache` directly; integration tests pin the
 mediator-level contract (repeated queries poll nothing, updates invalidate
@@ -21,7 +21,6 @@ from repro.core import (
     VAPTempCache,
     build_vdp,
 )
-from repro.core.vap_cache import _narrow_safe
 from repro.correctness import assert_view_correct
 from repro.deltas import Delta
 from repro.errors import AnnotationError
@@ -29,7 +28,6 @@ from repro.relalg import (
     TRUE,
     lt,
     make_schema,
-    parse_expression,
     parse_predicate,
     row,
 )
@@ -58,103 +56,63 @@ def test_exact_hit_returns_private_copy():
     value = full_t(mediator)
     cache.store(req, value)
 
-    served, subsumed = cache.lookup(req)
-    assert not subsumed
+    served = cache.lookup(req)
     assert served == value
     # Mutating a served value must not corrupt the retained entry.
     served.insert(row(r1=-1, r3=-1, s1=-1, s2=-1))
-    again, _ = cache.lookup(req)
-    assert again == value
+    assert cache.lookup(req) == value
 
 
-def test_weaker_predicate_subsumes_narrower_request():
+def test_lookup_is_exact_match_only():
     mediator, _ = figure1_mediator("ex23")
     cache = VAPTempCache(mediator.vdp)
     wide = request("T", ["r1", "r3", "s1", "s2"], parse_predicate("r3 < 100"))
-    cache.store(wide, full_t(mediator))
-
-    narrow = request("T", ["r1", "r3", "s1", "s2"], parse_predicate("r3 < 40"))
-    hit = cache.lookup(narrow)
-    assert hit is not None
-    served, subsumed = hit
-    assert subsumed
     with mediator.vap.cache_bypassed():
-        expected = mediator.vap.materialize([narrow])["T"]
-    assert served == expected
-    # The reverse direction must miss: a narrow entry cannot answer wide.
-    cache.clear()
-    cache.store(narrow, mediator.vap.materialize([narrow])["T"])
-    assert cache.lookup(wide) is None
+        value = mediator.vap.materialize([wide])["T"]
+    cache.store(wide, value)
 
-
-def test_attr_narrowing_served_for_bag_definitions():
-    # T's definition is a non-dedup π over a join — multiplicities survive
-    # attribute narrowing, so a full-width entry answers a narrower request.
-    mediator, _ = figure1_mediator("ex23")
-    cache = VAPTempCache(mediator.vdp)
-    cache.store(request("T", ["r1", "r3", "s1", "s2"]), full_t(mediator))
-
-    narrow = request("T", ["r1", "r3", "s1"], parse_predicate("r3 < 100"))
-    hit = cache.lookup(narrow)
-    assert hit is not None
-    served, subsumed = hit
-    assert subsumed
-    with mediator.vap.cache_bypassed():
-        expected = mediator.vap.materialize([narrow])["T"]
-    assert served == expected
-
-
-def test_narrow_safe_walker_rejects_dedup_projections():
-    # The VDP grammar currently forbids dproject in node definitions, so the
-    # walker is exercised directly: if the grammar ever admits dedup, the
-    # cache must refuse attribute narrowing over those nodes.
-    safe = parse_expression("project[x1, x2](select[x3 < 5](X))")
-    assert _narrow_safe(safe)
-    assert _narrow_safe(parse_expression("X join[x2 = y1] Y"))
-    assert not _narrow_safe(parse_expression("dproject[x1, x2](X)"))
-    assert not _narrow_safe(
-        parse_expression("select[x1 < 3](dproject[x1, x2](X))")
-    )
-
-
-def test_attr_narrowing_refused_for_non_narrow_safe_nodes():
-    mediator, _ = figure1_mediator("ex23")
-    cache = VAPTempCache(mediator.vdp)
-    cache.store(request("T", ["r1", "r3", "s1", "s2"]), full_t(mediator))
-    # Force the memoized verdict a dedup-bearing definition would produce.
-    cache._narrow_safe_memo["T"] = False
-
-    # Attribute narrowing is refused...
-    assert cache.lookup(request("T", ["r1", "s1"])) is None
-    # ...but exact-width hits and predicate-only narrowing still serve.
-    assert cache.lookup(request("T", ["r1", "r3", "s1", "s2"])) is not None
-    hit = cache.lookup(
+    assert cache.lookup(wide) == value
+    # A narrower predicate, a narrower attribute set, a weaker predicate:
+    # each is a different key, so each is a miss.
+    assert cache.lookup(
         request("T", ["r1", "r3", "s1", "s2"], parse_predicate("r3 < 40"))
-    )
-    assert hit is not None and hit[1]
+    ) is None
+    assert cache.lookup(request("T", ["r1", "s1"], parse_predicate("r3 < 100"))) is None
+    assert cache.lookup(request("T", ["r1", "r3", "s1", "s2"])) is None
 
 
-def test_store_drops_entries_the_new_one_subsumes():
+def test_store_overwrites_same_request():
     mediator, _ = figure1_mediator("ex23")
     cache = VAPTempCache(mediator.vdp)
     value = full_t(mediator)
-    cache.store(request("T", ["r1", "s1"], parse_predicate("r3 < 10")), value)
-    cache.store(request("T", ["r3", "s2"], parse_predicate("r3 < 50")), value)
-    assert cache.entry_count() == 2  # incomparable attr sets: both kept
-    # Wider and weaker than both: they are now redundant.
+    narrow = request("T", ["r1", "s1"], parse_predicate("r3 < 10"))
+    other = request("T", ["r3", "s2"], parse_predicate("r3 < 50"))
+    cache.store(narrow, value)
+    cache.store(other, value)
+    # A wider, weaker request is one more key: nothing it covers is dropped.
     cache.store(request("T", ["r1", "r3", "s1", "s2"]), value)
-    assert cache.entry_count() == 1
+    assert cache.entry_count() == 3
+    # Re-storing a key replaces its value and makes it the newest entry.
+    fresh = value.copy()
+    fresh.insert(row(r1=-1, r3=-1, s1=-1, s2=-1))
+    cache.store(narrow, fresh)
+    assert cache.entry_count() == 3
+    assert [e.request for e in cache.entries_for("T")][-1] == narrow
+    assert cache.lookup(narrow) == fresh
 
 
 def test_store_caps_entries_per_relation():
     mediator, _ = figure1_mediator("ex23")
     cache = VAPTempCache(mediator.vdp, max_entries_per_relation=3)
     value = full_t(mediator)
-    for bound in range(10, 100, 10):  # all incomparable-ish, none subsumed
-        cache.store(
-            request("T", ["r1", "s1"], parse_predicate(f"r3 = {bound}")), value
-        )
+    keys = [
+        request("T", ["r1", "s1"], parse_predicate(f"r3 = {bound}"))
+        for bound in range(10, 100, 10)
+    ]
+    for key in keys:
+        cache.store(key, value)
     assert cache.entry_count() == 3
+    assert [e.request for e in cache.entries_for("T")] == keys[-3:]  # oldest evicted
 
 
 def test_invalidate_kills_touched_lineage_only():
@@ -201,39 +159,74 @@ def test_repeated_queries_poll_nothing_when_quiescent():
     assert mediator.vap.stats.cache_hits >= 5
 
 
-def test_narrower_query_served_by_subsumption():
+def test_narrower_query_is_a_miss_that_polls():
     mediator, _ = figure1_mediator("ex23")
     mediator.query("project[r1, s1](select[r3 < 100](T))")
-    polls = mediator.vap.stats.polls
+    stats = mediator.stats()
     narrower = mediator.query("project[r1, s1](select[r3 < 40](T))")
-    assert mediator.vap.stats.polls == polls  # no new poll
-    assert mediator.vap.stats.subsumption_hits >= 1
+    after = mediator.stats()
+    assert after.cache_hits == stats.cache_hits
+    assert after.cache_misses > stats.cache_misses
+    assert after.polls > stats.polls
     with mediator.vap.cache_bypassed():
         assert narrower == mediator.query("project[r1, s1](select[r3 < 40](T))")
 
 
+def test_r_updates_hit_the_iup_s_p_temp_and_never_poll_db2():
+    # ex23 keeps S_p virtual, so every R-side transaction joins its R_p
+    # delta against a full-width S_p temp.  An R update leaves that temp's
+    # lineage (S) untouched: after one warm-up transaction each further
+    # transaction is one exact hit and no poll of db2.
+    mediator, sources = figure1_mediator("ex23")
+    r = min(
+        (dict(x) for x in sources["db1"].relation("R").rows() if x["r4"] == 100),
+        key=lambda x: x["r1"],
+    )
+
+    def bump():
+        nonlocal r
+        new = dict(r, r3=r["r3"] + 1)
+        sources["db1"].update("R", r, new)
+        r = new
+        mediator.refresh()
+
+    bump()  # warm-up: the S_p temp is built once and retained
+    before, db2_polls = mediator.stats(), sources["db2"].query_count
+    k = 5
+    for _ in range(k):
+        bump()
+    after = mediator.stats()
+    assert after.update_transactions - before.update_transactions == k
+    assert after.cache_hits - before.cache_hits == k
+    assert sources["db2"].query_count == db2_polls
+    assert_view_correct(mediator)
+
+
 def test_update_transaction_invalidates_and_repolls_affected_subtree_only():
     mediator, sources = figure1_mediator("ex23")
-    # Warm a T entry and a full-width R_p entry.
-    mediator.query("project[r1, s1](select[r3 < 100](T))")
+    # Warm a T entry and R_p entries (the T query's and a full-width one).
+    q = "project[r1, s2](select[r3 < 100](T))"
+    mediator.query(q)
     mediator.query_relation("R_p", ["r1", "r2", "r3"])
     assert len(mediator.vap.cache.entries_for("T")) == 1
-    assert len(mediator.vap.cache.entries_for("R_p")) == 1
+    rp_entries = mediator.vap.cache.entries_for("R_p")
+    assert len(rp_entries) == 2
 
     sources["db2"].insert("S", s1=999, s2=1, s3=10)  # relevant: s3 < 50
     mediator.refresh()
     # T's lineage includes S: its entry died.  R_p's (R only) survived.
     assert mediator.vap.stats.cache_invalidations >= 1
     assert mediator.vap.cache.entries_for("T") == ()
-    assert len(mediator.vap.cache.entries_for("R_p")) == 1
+    assert mediator.vap.cache.entries_for("R_p") == rp_entries
     # An R_p query is still served without a poll...
     polls = mediator.vap.stats.polls
     sources_polled = mediator.vap.stats.polled_sources
     mediator.query_relation("R_p", ["r1", "r2", "r3"])
     assert mediator.vap.stats.polls == polls
-    # ...and a query needing S-side virtual attrs re-polls db2 ONLY: the
-    # R-side of the reconstruction rides the surviving R_p entry.
-    mediator.query("project[r1, s2](select[r3 < 100](T))")
+    # ...and re-asking the T query, which needs S-side virtual attrs,
+    # re-polls db2 ONLY: the R-side of the reconstruction is an exact hit
+    # on the T query's surviving R_p entry.
+    mediator.query(q)
     assert mediator.vap.stats.polls == polls + 1
     assert mediator.vap.stats.polled_sources == sources_polled + 1
     assert_view_correct(mediator)

@@ -69,7 +69,7 @@ def test_vap_and_source_records_fold():
             event("poll_answer", source="db1", relation="R_p", rows=7),
             event("temp_built", relation="R_p", rows=5),
             event("cache_miss", relation="R_p"),
-            event("cache_hit", relation="R_p", subsumption=True),
+            event("cache_hit", relation="R_p"),
             event("cache_invalidate", relation="R_p"),
             event("key_based", relation="R_p"),
             event("compensation", source="db1"),
@@ -84,7 +84,6 @@ def test_vap_and_source_records_fold():
     assert source.poll_spans == 1 and source.poll_time == 0.5
     assert source.polls == 1 and source.poll_rows == 7
     assert source.compensations == 1
-    assert profile.cache_subsumption_hits == 1
     assert profile.compensations == 1
 
 
