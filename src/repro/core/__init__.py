@@ -32,7 +32,6 @@ from repro.core.mediator import (
     ReplicationStats,
     SquirrelMediator,
 )
-from repro.core.persistence import restore_mediator, save_mediator
 from repro.core.query_processor import QPStats, QueryProcessor
 from repro.core.rulebase import RuleBase
 from repro.core.rules import BagNodeRule, SetNodeRule, spj_delta
@@ -83,6 +82,4 @@ __all__ = [
     "DelayedLink",
     "SourceLink",
     "compensate",
-    "save_mediator",
-    "restore_mediator",
 ]

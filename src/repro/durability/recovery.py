@@ -1,35 +1,37 @@
-"""Restart recovery: checkpoint + WAL tail + source-log catch-up.
+"""The one restart path: image install, WAL-tail fold, source-log catch-up.
 
-The recovery state machine (``docs/durability.md`` draws the picture):
+Every way a mediator comes back — crash recovery
+(:meth:`RecoveryManager.recover`), a replica's bootstrap or gap heal
+(:meth:`~repro.replication.ReplicaMediator.resync_from_checkpoint`) and a
+replica's promotion (:meth:`~repro.replication.ReplicaMediator.promote`) —
+is built from the three functions here (``docs/durability.md`` draws the
+picture):
 
-1. **Load** the newest usable checkpoint chain and rebuild every storing
-   node's repository from it.  The chain's ``cursors`` say exactly which
-   source-log prefix that image reflects; ``source_seqs`` give the WAL
-   replay floor per source.
-2. **Replay the WAL tail** — records with ``txn`` past the chain's
-   ``wal_txn``.  Each record's per-source component is skipped when its
-   ``(source, seq)`` is at or below the checkpoint's floor (idempotence
-   under arbitrary crash/restart interleavings); surviving deltas fold
-   into one net per source and the cursors advance to the record's.
-3. **Catch up from source logs** — each announcing source's log entries
-   past its post-WAL cursor fold into the same per-source net (the source
-   committed them while the mediator was down or before it could log
-   them).  The pending announcement accumulator is discarded atomically
-   with the cursor read: replay covers the same transactions.
-4. One net per source is enqueued and **a single update transaction**
-   propagates everything incrementally — recovery costs one propagation
-   pass regardless of how many transactions were lost.
-5. A source whose log has been **compacted past the cursor** cannot catch
-   up by replay.  With ``on_stale="reinit"`` (the default here — recovery
-   should self-heal) only that source's leaf relations and the
-   materialized subtree above them are rebuilt from a fresh snapshot
+1. :func:`install_image` rebuilds every storing node's repository from a
+   resolved checkpoint chain and records the chain's ``cursors``: exactly
+   which source-log prefix that image reflects.
+2. :func:`fold_wal_tail` folds the WAL records past the image into one net
+   delta per source.  Each record's per-source component is skipped when
+   its ``(source, seq)`` is at or below the floor (idempotence under
+   arbitrary crash/restart interleavings) and the cursors advance to the
+   record's.
+3. :func:`catch_up` first checks every announcing source's log for the
+   entries past its cursor.  A source whose log has been **compacted past
+   the cursor** cannot catch up by replay: with ``on_stale="raise"`` the
+   restart raises :class:`~repro.errors.SnapshotStaleError` with every gap
+   before it takes any announcement.  Otherwise each source's pending
+   announcement is discarded atomically with the cursor read (replay
+   covers the same transactions), its log past the cursor folds into its
+   WAL net, and **a single update transaction** propagates every net —
+   one propagation pass however many transactions were lost.  Last, the
+   stale sources' leaf relations and the materialized subtree above them
+   are rebuilt from fresh snapshots
    (:func:`~repro.core.persistence.reinitialize_sources`), staleness-tagged
-   while the rebuild is in flight; ``on_stale="raise"`` surfaces
-   :class:`~repro.errors.SnapshotStaleError` instead.
+   while the rebuild is in flight.
 
 Why the catch-up transaction may run while stale sources are still wrong:
-the contamination is confined.  During step 4 a stale source's leaves
-contribute stale rows only to their *ancestors* — exactly the nodes step 5
+the contamination is confined.  A stale source's leaves contribute stale
+rows only to their *ancestors* — exactly the nodes the re-initialization
 recomputes from scratch and swaps wholesale.  Every node outside that
 closure reads nothing from the stale leaves, by the VDP's edge structure.
 """
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, MutableMapping, Optional, Tuple
 
 from repro.core.mediator import SquirrelMediator
 from repro.core.persistence import decode_repo, reinitialize_sources
@@ -46,11 +48,160 @@ from repro.core.vdp import AnnotatedVDP
 from repro.deltas import Delta
 from repro.durability.checkpoint import CheckpointPolicy, CheckpointStore
 from repro.durability.manager import WAL_FILENAME, DurabilityManager
-from repro.durability.wal import WriteAheadLog
+from repro.durability.wal import WalRecord, WriteAheadLog
 from repro.errors import MediatorError, SimulatedCrash, SnapshotStaleError
 from repro.sources.base import SourceDatabase
 
-__all__ = ["RecoveryResult", "RecoveryManager", "restart_after_crash"]
+__all__ = [
+    "RecoveryResult",
+    "RecoveryManager",
+    "restart_after_crash",
+    "install_image",
+    "fold_wal_tail",
+    "catch_up",
+]
+
+
+def install_image(
+    mediator: SquirrelMediator, meta: Mapping, node_images: Mapping[str, Mapping]
+) -> None:
+    """Install a resolved checkpoint chain into a fresh mediator.
+
+    ``meta`` and ``node_images`` are what
+    :meth:`~repro.durability.CheckpointStore.resolve_chain` returns.  Each
+    storing node's repository is decoded from its image, the store and the
+    mediator are marked initialized, the declared join indexes are built
+    once, and the chain's per-source cursors are recorded as reflected.
+    Cursors of sources outside the mediator's federation (a source
+    detached since the image was taken) are dropped.
+    """
+    vdp = mediator.annotated.vdp
+    store = mediator.store
+    for node_name, image in node_images.items():
+        store.install_repo(
+            node_name,
+            decode_repo(
+                vdp.node(node_name).kind,
+                store.stored_schema(node_name),
+                image["columns"],
+                image["rows"],
+                node_name,
+            ),
+        )
+    store._initialized = True
+    store._build_declared_indexes()
+    mediator._initialized = True
+    for name, cursor in meta.get("cursors", {}).items():
+        if name in mediator.sources:
+            mediator.queue.note_reflected_cursor(name, int(cursor))
+
+
+def fold_wal_tail(
+    records: Iterable[WalRecord], seq_floor: MutableMapping[str, int]
+) -> Tuple[Dict[str, Delta], Dict[str, int], int]:
+    """Fold WAL records into one net delta per source.
+
+    A record's per-source entry is skipped when its ``seq`` is at or below
+    ``seq_floor`` for that source; a folded entry advances the floor (in
+    place) and the source's cursor.  Returns ``(nets, cursors, fresh)``,
+    where ``fresh`` counts the records that contributed at least one entry.
+    """
+    nets: Dict[str, Delta] = {}
+    cursors: Dict[str, int] = {}
+    fresh = 0
+    for record in records:
+        folded = False
+        for name, entry in record.sources.items():
+            if entry.seq <= seq_floor.get(name, 0):
+                continue
+            seq_floor[name] = entry.seq
+            folded = True
+            nets.setdefault(name, Delta()).absorb(entry.delta)
+            if entry.cursor is not None:
+                cursors[name] = max(cursors.get(name, 0), entry.cursor)
+        if folded:
+            fresh += 1
+    return nets, cursors, fresh
+
+
+def catch_up(
+    mediator: SquirrelMediator,
+    cursors: Mapping[str, int],
+    nets: Mapping[str, Delta],
+    on_stale: str,
+) -> Tuple[int, Dict[str, Tuple[int, int]], Tuple[str, ...]]:
+    """Bring an installed mediator current from its sources' own logs.
+
+    ``cursors`` and ``nets`` come from :func:`fold_wal_tail`; each source
+    catches up from the higher of its WAL cursor and the cursor the
+    mediator already reflects.  Returns ``(replayed, stale_gaps,
+    reinitialized_nodes)``: the source-log transactions folded, each stale
+    source's ``(cursor, log_floor)``, and the storing nodes the selective
+    re-initialization replaced.
+    """
+    if on_stale not in ("raise", "reinit"):
+        raise MediatorError(f"on_stale must be 'raise' or 'reinit', got {on_stale!r}")
+    queue = mediator.queue
+    for name, cursor in cursors.items():
+        if name in mediator.sources:
+            queue.note_reflected_cursor(name, cursor)
+
+    # Check every source before taking any announcement, so a raise (or
+    # the fallback) covers every gap and a raising restart touches nothing.
+    logs: Dict[str, List[Tuple[int, Delta]]] = {}
+    stale: Dict[str, Tuple[int, int]] = {}
+    for name in mediator.annotated.announcing_sources():
+        source = mediator.sources[name]
+        cursor = queue.reflected_cursor(name) or 0
+        log = logs[name] = source.log()
+        seqs = {seq for seq, _ in log}
+        if any(seq not in seqs for seq in range(cursor + 1, source.txn_count + 1)):
+            stale[name] = (cursor, log[0][0] if log else source.txn_count + 1)
+    if stale and on_stale == "raise":
+        raise SnapshotStaleError(stale)
+    tracer = mediator.tracer
+    if tracer.enabled and stale:
+        tracer.event(
+            "snapshot_stale",
+            gaps={
+                name: {"cursor": gap[0], "log_floor": gap[1]}
+                for name, gap in sorted(stale.items())
+            },
+        )
+
+    replayed = 0
+    for name, log in logs.items():
+        # The pending accumulator describes transactions the log replay is
+        # about to cover; take it atomically with the cursor so nothing
+        # committed in between is delivered twice or lost.
+        _, now_cursor = mediator.sources[name].take_announcement_versioned()
+        if name in stale:
+            continue
+        cursor = queue.reflected_cursor(name) or 0
+        net = nets.get(name, Delta())
+        for seq, delta in log:
+            if cursor < seq <= now_cursor:
+                net.absorb(delta)
+                replayed += 1
+        if not net.is_empty():
+            mediator.enqueue_update(name, net, cursor=now_cursor)
+        else:
+            queue.note_reflected_cursor(name, now_cursor)
+    mediator.run_update_transaction()
+
+    reinit_nodes: Tuple[str, ...] = ()
+    if stale:
+        names = sorted(stale)
+        for name in names:
+            mediator.begin_resync(name)
+        try:
+            with tracer.span("selective_reinit") as reinit_span:
+                reinit_nodes = reinitialize_sources(mediator, names)
+                reinit_span.set(sources=names, nodes=sorted(reinit_nodes))
+        finally:
+            for name in names:
+                mediator.end_resync(name)
+    return replayed, stale, reinit_nodes
 
 
 @dataclass
@@ -86,42 +237,19 @@ class RecoveryManager:
         (tracer, feature toggles).  Raises :class:`MediatorError` when the
         directory holds no usable checkpoint chain, and
         :class:`SnapshotStaleError` when a source's log gap cannot be
-        replayed and ``on_stale="raise"``.
+        replayed and ``on_stale="raise"``.  Images and cursors of a source
+        detached since the checkpoint are dropped.
         """
-        if on_stale not in ("raise", "reinit"):
-            raise MediatorError(f"on_stale must be 'raise' or 'reinit', got {on_stale!r}")
         mediator = SquirrelMediator(annotated, sources, **mediator_kwargs)
         tracer = mediator.tracer
         with tracer.span("recovery") as span:
             meta, node_images = self.checkpoints.resolve_chain(
                 annotated.nodes_with_storage()
             )
-            for node_name, image in node_images.items():
-                node = annotated.vdp.node(node_name)
-                mediator.store.install_repo(
-                    node_name,
-                    decode_repo(
-                        node.kind,
-                        mediator.store.stored_schema(node_name),
-                        image["columns"],
-                        image["rows"],
-                        node_name,
-                    ),
-                )
-            mediator.store._initialized = True
-            mediator.store._build_declared_indexes()
-            mediator._initialized = True
-
-            cursors: Dict[str, int] = {
-                name: int(value) for name, value in meta.get("cursors", {}).items()
-            }
-            seq_floor: Dict[str, int] = {
+            install_image(mediator, meta, node_images)
+            seq_floor = {
                 name: int(value) for name, value in meta.get("source_seqs", {}).items()
             }
-
-            # Step 2: the WAL tail, filtered by the (source, seq) floor.
-            wal_nets: Dict[str, Delta] = {}
-            wal_records = 0
             with tracer.span("wal_replay") as wal_span:
                 tail = [
                     record
@@ -130,81 +258,19 @@ class RecoveryManager:
                     )
                     if record.txn > meta.get("wal_txn", 0)
                 ]
-                for record in tail:
-                    wal_records += 1
-                    for name, entry in record.sources.items():
-                        if entry.seq <= seq_floor.get(name, 0):
-                            continue
-                        wal_nets.setdefault(name, Delta()).absorb(entry.delta)
-                        if entry.cursor is not None:
-                            cursors[name] = max(cursors.get(name, 0), entry.cursor)
-                wal_span.set(records=wal_records, sources=sorted(wal_nets))
-            for name, cursor in cursors.items():
-                if name in mediator.sources:
-                    mediator.queue.note_reflected_cursor(name, cursor)
-
-            # Step 3: source-log catch-up past the post-WAL cursors, with
-            # staleness detection against compacted logs.
-            stale: Dict[str, Tuple[int, int]] = {}
-            replayed = 0
-            for source_name, kind in sorted(mediator.contributor_kinds.items()):
-                if not kind.announces:
-                    continue
-                source = mediator.sources[source_name]
-                cursor = cursors.get(source_name, 0)
-                _, now_cursor = source.take_announcement_versioned()
-                logged = {seq: delta for seq, delta in source.log()}
-                needed = range(cursor + 1, now_cursor + 1)
-                if any(seq not in logged for seq in needed):
-                    present = sorted(logged)
-                    floor = present[0] if present else now_cursor + 1
-                    stale[source_name] = (cursor, floor)
-                    continue
-                net = wal_nets.get(source_name, Delta())
-                for seq in needed:
-                    net.absorb(logged[seq])
-                    replayed += 1
-                if not net.is_empty():
-                    mediator.enqueue_update(source_name, net, cursor=now_cursor)
-                else:
-                    mediator.queue.note_reflected_cursor(source_name, now_cursor)
-            if stale and on_stale == "raise":
-                raise SnapshotStaleError(stale)
-            if tracer.enabled and stale:
-                tracer.event(
-                    "snapshot_stale",
-                    gaps={
-                        name: {"cursor": gap[0], "log_floor": gap[1]}
-                        for name, gap in sorted(stale.items())
-                    },
-                )
-
-            # Step 4: one propagation pass over everything recovered.
-            mediator.run_update_transaction()
+                nets, cursors, _ = fold_wal_tail(tail, seq_floor)
+                wal_span.set(records=len(tail), sources=sorted(nets))
+            replayed, stale, reinit_nodes = catch_up(mediator, cursors, nets, on_stale)
             if tracer.enabled:
                 tracer.event(
                     "recovery_catchup",
-                    wal_records=wal_records,
+                    wal_records=len(tail),
                     replayed_txns=replayed,
                     stale=sorted(stale),
                 )
-
-            # Step 5: selective re-initialization of stale sources.
-            reinit_nodes: Tuple[str, ...] = ()
-            if stale:
-                names = sorted(stale)
-                for name in names:
-                    mediator.begin_resync(name)
-                try:
-                    with tracer.span("selective_reinit") as reinit_span:
-                        reinit_nodes = reinitialize_sources(mediator, names)
-                        reinit_span.set(sources=names, nodes=sorted(reinit_nodes))
-                finally:
-                    for name in names:
-                        mediator.end_resync(name)
             span.set(
                 checkpoint=meta["id"],
-                wal_records=wal_records,
+                wal_records=len(tail),
                 replayed_txns=replayed,
                 stale=sorted(stale),
             )
@@ -212,7 +278,7 @@ class RecoveryManager:
         result = RecoveryResult(
             mediator=mediator,
             checkpoint_id=meta["id"],
-            wal_records_replayed=wal_records,
+            wal_records_replayed=len(tail),
             replayed_txns=replayed,
             reinitialized_sources=tuple(sorted(stale)),
             reinitialized_nodes=tuple(sorted(reinit_nodes)),

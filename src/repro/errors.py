@@ -100,12 +100,14 @@ class StaleReadError(MediatorError):
 
 
 class SnapshotStaleError(MediatorError):
-    """A persisted snapshot's cursors outrun a source's transaction log.
+    """A checkpoint's cursors outrun a source's transaction log.
 
-    Raised by :func:`repro.core.persistence.restore_mediator` (and the
-    recovery path built on it) when a source's log has been truncated past
-    the saved cursor, so the missed updates can no longer be replayed.
-    ``gaps`` maps each such source to ``(saved_cursor, log_floor)`` where
+    Raised by :meth:`repro.durability.RecoveryManager.recover` with
+    ``on_stale="raise"`` when a source's log has been truncated past the
+    cursor the checkpoint chain and WAL tail reflect, so the missed updates
+    can no longer be replayed.  Every source is checked before any
+    announcement is taken, so a raising recovery leaves every source as it
+    found it.  ``gaps`` maps each such source to ``(cursor, log_floor)`` where
     ``log_floor`` is the lowest transaction sequence the log still holds
     (``source.txn_count + 1`` when the log is empty) — the caller can see
     exactly how far each log fell short.  Pass ``on_stale="reinit"`` to
@@ -124,30 +126,6 @@ class SnapshotStaleError(MediatorError):
                 f"snapshot stale for {len(self.gaps)} source(s) ({detail}); "
                 'replay impossible — pass on_stale="reinit" for selective '
                 "re-initialization"
-            )
-        super().__init__(message)
-
-
-class OrphanStateError(MediatorError):
-    """A persisted snapshot holds state for sources no longer federated.
-
-    Raised by :func:`repro.core.persistence.restore_mediator` with
-    ``on_orphan="raise"`` when the snapshot images nodes (or carries
-    cursors) belonging to a source that was detached between save and
-    restore.  The default policy (``on_orphan="drop"``) silently discards
-    the orphan state instead — a detach is an intentional shrink of the
-    federation, not corruption.  ``nodes`` lists the orphan storing nodes,
-    ``cursors`` the orphan source cursors.
-    """
-
-    def __init__(self, nodes, cursors, message=None):
-        self.nodes = sorted(nodes)
-        self.cursors = sorted(cursors)
-        if message is None:
-            message = (
-                f"snapshot holds orphan state (nodes {self.nodes}, "
-                f"cursors {self.cursors}) for sources outside the current "
-                'federation; pass on_orphan="drop" to discard it'
             )
         super().__init__(message)
 

@@ -17,7 +17,11 @@ logical replay is only legal post-mortem.  Replicas bootstrap and heal
 exclusively from the primary's durability directory (checkpoint chain +
 live WAL tail, re-shipped by the
 :class:`~repro.replication.WalShipper`), and first query a source at
-:meth:`promote` time, when the primary is already dead.
+:meth:`promote` time, when the primary is already dead.  Both go through
+the one restart path of :mod:`repro.durability.recovery`: a resync is
+:func:`~repro.durability.recovery.install_image` of the resolved chain, a
+promotion is :func:`~repro.durability.recovery.fold_wal_tail` plus
+:func:`~repro.durability.recovery.catch_up`.
 
 Staleness model (the Theorem 7.2 extension — see
 :class:`repro.sim.ReplicationDelays`): a replica knows it is current as of
@@ -36,10 +40,10 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.core.mediator import SquirrelMediator
-from repro.core.persistence import decode_repo, reinitialize_sources
 from repro.core.vdp import AnnotatedVDP
-from repro.deltas import Delta
 from repro.durability.checkpoint import CheckpointStore
+from repro.durability.manager import WAL_FILENAME
+from repro.durability.recovery import catch_up, fold_wal_tail, install_image
 from repro.durability.wal import WalRecord, WriteAheadLog
 from repro.errors import MediatorError
 from repro.faults.staleness import StalenessTag, TaggedAnswer
@@ -107,37 +111,26 @@ class ReplicaMediator:
     def resync_from_checkpoint(self, now: float) -> int:
         """Rebuild this replica's state from the primary's checkpoint chain.
 
-        Installs every storing node's image from the newest usable chain,
-        seeds the ``(source, seq)`` idempotence floors and reflected
-        cursors from the chain's metadata, and swaps the fresh mediator in
-        wholesale (the old one, gap and all, is discarded).  Returns the
-        checkpoint's ``wal_txn`` — the shipper re-ships the live WAL tail
-        past it to close the distance to the primary's present.
+        Resolves the newest usable chain and installs it (:meth:`_install`).
+        Returns the checkpoint's ``wal_txn`` — the shipper re-ships the live
+        WAL tail past it to close the distance to the primary's present.
+        """
+        meta, node_images = self.checkpoints.resolve_chain(
+            self.annotated.nodes_with_storage()
+        )
+        return self._install(meta, node_images, now)
+
+    def _install(self, meta: Mapping, node_images: Mapping, now: float) -> int:
+        """Swap in a fresh mediator built from one resolved chain.
+
+        Installs every storing node's image (:func:`install_image`), seeds
+        the ``(source, seq)`` idempotence floors from the chain's metadata,
+        and replaces the old mediator, gap and all, wholesale.  Returns the
+        chain's ``wal_txn``.
         """
         with self.tracer.span("replica_resync") as span:
             mediator = SquirrelMediator(self.annotated, self.sources, **self.mediator_kwargs)
-            meta, node_images = self.checkpoints.resolve_chain(
-                self.annotated.nodes_with_storage()
-            )
-            for node_name, image in node_images.items():
-                node = self.annotated.vdp.node(node_name)
-                mediator.store.install_repo(
-                    node_name,
-                    decode_repo(
-                        node.kind,
-                        mediator.store.stored_schema(node_name),
-                        image["columns"],
-                        image["rows"],
-                        node_name,
-                    ),
-                )
-            mediator.store._initialized = True
-            mediator.store._build_declared_indexes()
-            mediator._initialized = True
-            for source_name, cursor in meta.get("cursors", {}).items():
-                if source_name in mediator.sources:
-                    mediator.queue.note_reflected_cursor(source_name, int(cursor))
-
+            install_image(mediator, meta, node_images)
             self.mediator = mediator
             self.seq_floor = {
                 source_name: int(value)
@@ -269,111 +262,50 @@ class ReplicaMediator:
     def promote(self, now: float) -> PromotionResult:
         """Converge on everything the dead primary committed, then go live.
 
-        The replica-local variant of the restart-recovery protocol, run
-        over state the replica *already holds* instead of a cold
-        checkpoint load:
+        The restart path of :mod:`repro.durability.recovery`, run over
+        state the replica *already holds* instead of a cold checkpoint
+        load:
 
-        1. replay the primary's **on-disk WAL tail** past this replica's
-           own ``(source, seq)`` floors — records the shipper never
-           delivered (including ones a crash cut off mid-ship) are
-           acknowledged transactions and must not be lost;
-        2. **catch up from source logs** past the post-WAL cursors —
-           transactions sources committed that the primary never saw.
-           Touching the sources is legal now: the primary is dead, so its
-           announcement accumulators have no other consumer;
-        3. a source whose log was compacted past the cursor is rebuilt by
-           selective re-initialization, staleness-tagged while in flight;
-        4. one update transaction propagates the union.
+        0. checkpoints compact the WAL, so transactions this replica never
+           applied may survive *only* in the newest checkpoint chain — the
+           on-disk tail cannot bridge a gap below the chain's ``wal_txn``.
+           The chain is resolved once and installed whenever it is ahead
+           (this also heals a promote() forced onto a gapped replica);
+        1. :func:`fold_wal_tail` folds the primary's **on-disk WAL** past
+           this replica's own ``(source, seq)`` floors — records the
+           shipper never delivered (including ones a crash cut off
+           mid-ship) are acknowledged transactions and must not be lost;
+        2. :func:`catch_up` replays **source logs** past the post-WAL
+           cursors — transactions sources committed that the primary never
+           saw — in one update transaction, and re-initializes a source
+           whose log was compacted past the cursor.  Touching the sources
+           is legal now: the primary is dead, so its announcement
+           accumulators have no other consumer.
 
         After this returns, the replica answers as the primary
         (``is_primary`` is set) and has lost no acknowledged transaction.
         """
         if self.mediator is None:
             raise RuntimeError(f"replica {self.name!r} has no state; resync first")
-        from repro.durability.manager import WAL_FILENAME
-
         with self.tracer.span("failover") as span:
-            # Step 0: checkpoints compact the WAL, so transactions this
-            # replica never applied may survive *only* in the newest
-            # checkpoint chain — the on-disk tail cannot bridge a gap
-            # below the chain's wal_txn.  Re-baseline from the chain
-            # first whenever it is ahead (this also heals a promote()
-            # forced onto a gapped replica).
             try:
-                meta, _ = self.checkpoints.resolve_chain(
+                meta, node_images = self.checkpoints.resolve_chain(
                     self.annotated.nodes_with_storage()
                 )
-                chain_txn = int(meta.get("wal_txn", 0))
+                behind = int(meta.get("wal_txn", 0)) > self.applied_txn
             except MediatorError:
-                chain_txn = 0
-            if self.needs_resync or chain_txn > self.applied_txn:
-                self.resync_from_checkpoint(now)
+                if self.needs_resync:
+                    raise
+                behind = False
+            if self.needs_resync or behind:
+                self._install(meta, node_images, now)
             mediator = self.mediator
 
-            # Step 1: the primary's durable WAL tail past our floors.
-            nets: Dict[str, Delta] = {}
-            cursors: Dict[str, int] = {}
-            wal_records = 0
-            wal_txn = self.applied_txn
-            for record in WriteAheadLog.read_records(
-                os.path.join(self.directory, WAL_FILENAME)
-            ):
-                fresh = False
-                for source_name, entry in record.sources.items():
-                    if source_name not in mediator.sources:
-                        continue
-                    if entry.seq <= self.seq_floor.get(source_name, 0):
-                        continue
-                    self.seq_floor[source_name] = entry.seq
-                    fresh = True
-                    nets.setdefault(source_name, Delta()).absorb(entry.delta)
-                    if entry.cursor is not None:
-                        cursors[source_name] = max(
-                            cursors.get(source_name, 0), entry.cursor
-                        )
-                if fresh:
-                    wal_records += 1
-                wal_txn = max(wal_txn, record.txn)
-            for source_name, cursor in cursors.items():
-                mediator.queue.note_reflected_cursor(source_name, cursor)
-
-            # Step 2: source-log catch-up past the reflected cursors.
-            stale = []
-            replayed = 0
-            for source_name, kind in sorted(mediator.contributor_kinds.items()):
-                if not kind.announces:
-                    continue
-                source = mediator.sources[source_name]
-                cursor = mediator.queue.reflected_cursor(source_name) or 0
-                _, now_cursor = source.take_announcement_versioned()
-                logged = {seq: delta for seq, delta in source.log()}
-                needed = range(cursor + 1, now_cursor + 1)
-                if any(seq not in logged for seq in needed):
-                    stale.append(source_name)
-                    continue
-                net = nets.get(source_name, Delta())
-                for seq in needed:
-                    net.absorb(logged[seq])
-                    replayed += 1
-                if not net.is_empty():
-                    mediator.enqueue_update(source_name, net, cursor=now_cursor)
-                else:
-                    mediator.queue.note_reflected_cursor(source_name, now_cursor)
-
-            # Step 3: one propagation pass over everything recovered.
-            mediator.run_update_transaction()
-
-            # Step 4: selective re-init of sources with compacted logs.
-            if stale:
-                for source_name in stale:
-                    mediator.begin_resync(source_name)
-                try:
-                    with self.tracer.span("selective_reinit") as reinit_span:
-                        nodes = reinitialize_sources(mediator, stale)
-                        reinit_span.set(sources=stale, nodes=sorted(nodes))
-                finally:
-                    for source_name in stale:
-                        mediator.end_resync(source_name)
+            records = WriteAheadLog.read_records(os.path.join(self.directory, WAL_FILENAME))
+            nets, cursors, wal_records = fold_wal_tail(records, self.seq_floor)
+            wal_txn = max([self.applied_txn] + [record.txn for record in records])
+            replayed, stale_gaps, _ = catch_up(mediator, cursors, nets, on_stale="reinit")
+            stale = sorted(stale_gaps)
 
             self.applied_txn = wal_txn
             self.primary_txn_seen = max(self.primary_txn_seen, wal_txn)
@@ -399,7 +331,7 @@ class ReplicaMediator:
             replica=self.name,
             wal_records_replayed=wal_records,
             replayed_txns=replayed,
-            reinitialized_sources=tuple(sorted(stale)),
+            reinitialized_sources=tuple(stale),
         )
 
     def __repr__(self) -> str:

@@ -293,16 +293,5 @@ class SourceDatabase:
             self._log = [(seq, delta) for seq, delta in self._log if seq > through_seq]
             return before - len(self._log)
 
-    def log_reaches(self, cursor: int) -> bool:
-        """True when every transaction in ``(cursor, txn_count]`` is logged.
-
-        This is the replayability test: a reader current through ``cursor``
-        can catch up iff no entry it needs has been compacted away.
-        """
-        with self._lock:
-            needed = set(range(cursor + 1, self.txn_count + 1))
-            present = {seq for seq, _ in self._log}
-            return needed <= present
-
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r} relations={sorted(self.schemas)}>"

@@ -14,8 +14,9 @@ import inspect
 import pytest
 
 from repro.core import SquirrelMediator, annotate
-from repro.core.persistence import restore_mediator, save_mediator
+from repro.durability import DurabilityManager, RecoveryManager
 from repro.generator import generate_mediator, make_sources
+from repro.replication import ReplicaMediator
 from repro.runtime import SimulatedEnvironment
 from repro.sim import EnvironmentDelays
 from repro.workloads import (
@@ -56,8 +57,8 @@ def test_constructor_has_exactly_the_papers_options():
 def test_removed_options_are_type_errors_everywhere(tmp_path):
     annotated = annotate(figure1_vdp(), FIGURE1_ANNOTATIONS["ex21"])
     mediator, sources = figure1_mediator("ex21")
-    path = str(tmp_path / "mediator.snapshot")
-    save_mediator(mediator, path)
+    directory = str(tmp_path / "dur")
+    DurabilityManager.attach(mediator, directory).close()
     delays = EnvironmentDelays.uniform(["db1", "db2"], u_hold_delay_med=1.0)
     # Each keyword-forwarding builder, closed over otherwise valid
     # arguments — so a TypeError can only be about the extra keyword.
@@ -66,7 +67,10 @@ def test_removed_options_are_type_errors_everywhere(tmp_path):
         figure1_mediator,
         figure4_mediator,
         lambda **kw: generate_mediator(SPEC, make_sources(SPEC), **kw),
-        lambda **kw: restore_mediator(annotated, sources, path, **kw),
+        lambda **kw: RecoveryManager(directory).recover(annotated, sources, **kw),
+        lambda **kw: ReplicaMediator(
+            "replica-0", annotated, sources, directory, **kw
+        ).resync_from_checkpoint(0.0),
         lambda **kw: SimulatedEnvironment(annotated, figure1_sources(), delays, **kw),
     ]
     for build in builders:

@@ -1,11 +1,20 @@
-"""Tests for mediator snapshot / warm-restart persistence."""
+"""Warm restart: the local store survives as a checkpoint and catches up.
+
+A mediator is saved by attaching durability to a fresh directory (a base
+checkpoint of its current state, mid-stream or not) and restored by
+recovering from that directory with ``on_stale="raise"``: only the updates
+committed since the checkpoint are replayed, from the sources' own logs.
+"""
+
+import json
+import os
 
 import pytest
 
 from repro.core import annotate
-from repro.core.persistence import restore_mediator, save_mediator
 from repro.correctness import assert_view_correct
-from repro.errors import MediatorError, OrphanStateError
+from repro.durability import DurabilityManager, RecoveryManager
+from repro.errors import MediatorError
 from repro.generator import (
     build_annotated_from_spec,
     generate_mediator,
@@ -23,27 +32,34 @@ from repro.workloads import (
 )
 
 
-def snapshot_path(tmp_path):
-    return str(tmp_path / "mediator.snapshot")
+def checkpoint_into(mediator, tmp_path):
+    """A base checkpoint of the mediator as it is; returns the directory."""
+    directory = str(tmp_path / "dur")
+    DurabilityManager.attach(mediator, directory).close()
+    return directory
+
+
+def recover_from(annotated, sources, directory):
+    return RecoveryManager(directory).recover(annotated, sources, on_stale="raise").mediator
 
 
 @pytest.mark.parametrize("example", ["ex21", "ex23"])
 def test_save_and_restore_roundtrip(tmp_path, example):
     mediator, sources = figure1_mediator(example, seed=91)
-    path = snapshot_path(tmp_path)
-    written = save_mediator(mediator, path)
-    assert written > 0
+    directory = str(tmp_path / "dur")
+    manager = DurabilityManager.attach(mediator, directory)
+    manager.close()
+    assert manager.stats.checkpoint_rows > 0
 
     annotated = annotate(figure1_vdp(), FIGURE1_ANNOTATIONS[example])
-    restored = restore_mediator(annotated, sources, path)
+    restored = recover_from(annotated, sources, directory)
     assert restored.query_relation("T") == mediator.query_relation("T")
     assert_view_correct(restored)
 
 
 def test_restore_catches_up_from_source_logs(tmp_path):
     mediator, sources = figure1_mediator("ex21", seed=92)
-    path = snapshot_path(tmp_path)
-    save_mediator(mediator, path)
+    directory = checkpoint_into(mediator, tmp_path)
 
     # The mediator "goes down"; sources keep committing.
     sources["db1"].insert("R", r1=95_001, r2=1, r3=1, r4=100)
@@ -52,7 +68,7 @@ def test_restore_catches_up_from_source_logs(tmp_path):
     sources["db1"].delete("R", r1=95_002, r2=2, r3=2, r4=100)  # nets away
 
     annotated = annotate(figure1_vdp(), FIGURE1_ANNOTATIONS["ex21"])
-    restored = restore_mediator(annotated, sources, path)
+    restored = recover_from(annotated, sources, directory)
     assert_view_correct(restored)
     # The restart replayed only the missed updates, not a full reload.
     assert restored.iup.stats.transactions == 1
@@ -60,12 +76,11 @@ def test_restore_catches_up_from_source_logs(tmp_path):
 
 def test_restore_does_not_double_apply_pending_announcements(tmp_path):
     mediator, sources = figure1_mediator("ex21", seed=93)
-    path = snapshot_path(tmp_path)
-    save_mediator(mediator, path)
+    directory = checkpoint_into(mediator, tmp_path)
     sources["db1"].insert("R", r1=96_000, r2=1, r3=1, r4=100)
 
     annotated = annotate(figure1_vdp(), FIGURE1_ANNOTATIONS["ex21"])
-    restored = restore_mediator(annotated, sources, path)
+    restored = recover_from(annotated, sources, directory)
     assert_view_correct(restored)
     # A later refresh finds nothing new to deliver.
     result = restored.refresh()
@@ -78,16 +93,15 @@ def test_save_mid_stream_restores_exactly(tmp_path):
     not part of the snapshot, and restore recovers them from the source
     logs past the saved cursors — no loss, no double-apply."""
     mediator, sources = figure1_mediator("ex21", seed=94)
-    path = snapshot_path(tmp_path)
     # One update announced-and-queued but NOT propagated, one still
     # unannounced at the source: maximum mid-stream-ness.
     sources["db1"].insert("R", r1=97_000, r2=1, r3=1, r4=100)
     mediator.collect_announcements()
     sources["db2"].insert("S", s1=2, s2=7, s3=7)
-    save_mediator(mediator, path)
+    directory = checkpoint_into(mediator, tmp_path)
 
     annotated = annotate(figure1_vdp(), FIGURE1_ANNOTATIONS["ex21"])
-    restored = restore_mediator(annotated, sources, path)
+    restored = recover_from(annotated, sources, directory)
     assert_view_correct(restored)
     # Catch-up was incremental (one transaction) and complete: a further
     # refresh finds nothing to deliver.
@@ -97,23 +111,21 @@ def test_save_mid_stream_restores_exactly(tmp_path):
 
 def test_restore_rejects_annotation_mismatch(tmp_path):
     mediator, sources = figure1_mediator("ex21", seed=95)
-    path = snapshot_path(tmp_path)
-    save_mediator(mediator, path)
+    directory = checkpoint_into(mediator, tmp_path)
     other = annotate(figure1_vdp(), FIGURE1_ANNOTATIONS["ex23"])
     with pytest.raises(MediatorError):
-        restore_mediator(other, sources, path)
+        recover_from(other, sources, directory)
 
 
 def test_restore_with_set_nodes(tmp_path):
     mediator, sources = figure4_mediator("paper", seed=96)
-    path = snapshot_path(tmp_path)
-    save_mediator(mediator, path)
+    directory = checkpoint_into(mediator, tmp_path)
     sources["dbC"].insert("C", c1=900, c2=3)
     annotated = annotate(
         figure4_vdp(),
         {"B_p": "[b1^v, b2^v]", "E": "[a1^m, a2^v, b1^m]", "F": "[a1^v, b1^v]"},
     )
-    restored = restore_mediator(annotated, sources, path)
+    restored = recover_from(annotated, sources, directory)
     assert_view_correct(restored)
 
 
@@ -132,9 +144,8 @@ def test_roundtrip_preserves_bag_multiplicity(tmp_path):
     original = mediator.store.repo("all_orders")
     assert any(n > 1 for _, n in original.to_sorted_list())
 
-    path = snapshot_path(tmp_path)
-    save_mediator(mediator, path)
-    restored = restore_mediator(annotate(union_vdp(), {}), sources, path)
+    directory = checkpoint_into(mediator, tmp_path)
+    restored = recover_from(annotate(union_vdp(), {}), sources, directory)
     back = restored.store.repo("all_orders")
     assert back.is_bag and original.is_bag
     assert back.to_sorted_list() == original.to_sorted_list()
@@ -144,13 +155,12 @@ def test_roundtrip_preserves_set_kind(tmp_path):
     """Set nodes (figure 4's difference export ``G``) come back as sets —
     multiplicity-1 rows under set semantics, not bags."""
     mediator, sources = figure4_mediator("paper", seed=97)
-    path = snapshot_path(tmp_path)
-    save_mediator(mediator, path)
+    directory = checkpoint_into(mediator, tmp_path)
     annotated = annotate(
         figure4_vdp(),
         {"B_p": "[b1^v, b2^v]", "E": "[a1^m, a2^v, b1^m]", "F": "[a1^v, b1^v]"},
     )
-    restored = restore_mediator(annotated, sources, path)
+    restored = recover_from(annotated, sources, directory)
     saw_set = False
     for name in mediator.annotated.nodes_with_storage():
         original = mediator.store.repo(name)
@@ -163,26 +173,25 @@ def test_roundtrip_preserves_set_kind(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Orphan snapshot state: a source detached between save and restore
+# A source detached between the checkpoint and the restart
 # ---------------------------------------------------------------------------
-def _federation_snapshot(tmp_path):
-    """A 4-source federation snapshot whose s002 (curated, joined to s001)
-    will be detached before the restore — its materialized leaf-parent and
-    join repo become orphans, and so does its cursor."""
+def _federation_checkpoint(tmp_path):
+    """A 4-source federation checkpoint whose s002 (curated, joined to
+    s001) will be detached before the restart — its materialized
+    leaf-parent and join repo become orphans, and so does its cursor."""
     fed = make_federation(4, seed=21)
     sources = make_sources(fed.spec_text_for(), fed.initial_data())
     mediator = generate_mediator(fed.spec_text_for(), sources)
-    path = snapshot_path(tmp_path)
-    save_mediator(mediator, path)
+    directory = checkpoint_into(mediator, tmp_path)
     survivors = [n for n in fed.names if n != "s002"]
     annotated = build_annotated_from_spec(fed.spec_text_for(survivors))
     kept = {n: sources[n] for n in survivors}
-    return fed, sources, annotated, kept, path
+    return fed, sources, annotated, kept, directory
 
 
 def test_restore_drops_orphan_state_by_default(tmp_path):
-    fed, sources, annotated, kept, path = _federation_snapshot(tmp_path)
-    restored = restore_mediator(annotated, kept, path)
+    fed, sources, annotated, kept, directory = _federation_checkpoint(tmp_path)
+    restored = recover_from(annotated, kept, directory)
     assert "s002" not in restored.sources
     assert fed.leaf_parent("s002") not in restored.vdp.nodes
     assert_view_correct(restored)
@@ -194,73 +203,46 @@ def test_restore_drops_orphan_state_by_default(tmp_path):
 
 
 def test_restore_drop_orphans_then_catches_up(tmp_path):
-    fed, sources, annotated, kept, path = _federation_snapshot(tmp_path)
-    # Survivors keep committing after the snapshot; the detached source
+    fed, sources, annotated, kept, directory = _federation_checkpoint(tmp_path)
+    # Survivors keep committing after the checkpoint; the detached source
     # does too, but its log must simply be ignored.
     k, a, b = fed.attributes("s000")
     kept["s000"].insert(fed.relation("s000"), **{k: 999, a: 1, b: 1})
     k2, a2, b2 = fed.attributes("s002")
     sources["s002"].insert(fed.relation("s002"), **{k2: 999, a2: 1, b2: 1})
-    restored = restore_mediator(annotated, kept, path)
+    restored = recover_from(annotated, kept, directory)
     assert_view_correct(restored)
     values = {v for v, _ in restored.query_relation(fed.leaf_parent("s000")).to_sorted_list()}
     assert (999, 1, 1) in values
 
 
-def test_restore_raises_on_orphans_when_asked(tmp_path):
-    fed, sources, annotated, kept, path = _federation_snapshot(tmp_path)
-    with pytest.raises(OrphanStateError) as excinfo:
-        restore_mediator(annotated, kept, path, on_orphan="raise")
-    err = excinfo.value
-    assert err.cursors == ["s002"]
-    assert fed.leaf_parent("s002") in err.nodes
-    assert fed.join_name("s001", "s002") in err.nodes
-    # The message points at the recovery knob.
-    assert "on_orphan" in str(err)
-
-
-def test_restore_rejects_unknown_on_orphan_mode(tmp_path):
-    _, _, annotated, kept, path = _federation_snapshot(tmp_path)
-    with pytest.raises(MediatorError):
-        restore_mediator(annotated, kept, path, on_orphan="ignore")
-
-
 def test_restore_missing_nodes_is_an_error_even_with_drop(tmp_path):
-    """Orphans (snapshot ⊃ federation) are recoverable; missing nodes
-    (snapshot ⊂ federation) never are — the repositories can't be conjured."""
+    """Orphans (checkpoint ⊃ federation) are dropped; missing nodes
+    (checkpoint ⊂ federation) never are — the repositories can't be conjured."""
     fed = make_federation(4, seed=21)
     survivors = [n for n in fed.names if n != "s002"]
     sources = make_sources(fed.spec_text_for(), fed.initial_data())
     kept = {n: sources[n] for n in survivors}
     mediator = generate_mediator(fed.spec_text_for(survivors), kept)
-    path = snapshot_path(tmp_path)
-    save_mediator(mediator, path)
+    directory = checkpoint_into(mediator, tmp_path)
     annotated = build_annotated_from_spec(fed.spec_text_for())
     with pytest.raises(MediatorError):
-        restore_mediator(annotated, sources, path, on_orphan="drop")
+        recover_from(annotated, sources, directory)
 
 
 def test_restore_rejects_column_order_mismatch(tmp_path):
-    """A snapshot written under a different attribute order than the
+    """A checkpoint written under a different attribute order than the
     annotation now declares must be refused, not silently transposed."""
-    import json
-    import sqlite3
-
     mediator, sources = figure1_mediator("ex21", seed=98)
-    path = snapshot_path(tmp_path)
-    save_mediator(mediator, path)
-    conn = sqlite3.connect(path)
-    (payload,) = conn.execute(
-        "SELECT payload FROM squirrel_meta WHERE kind='node' AND name='T'"
-    ).fetchone()
-    columns = json.loads(payload)
-    conn.execute(
-        "UPDATE squirrel_meta SET payload=? WHERE kind='node' AND name='T'",
-        (json.dumps(list(reversed(columns))),),
-    )
-    conn.commit()
-    conn.close()
+    directory = checkpoint_into(mediator, tmp_path)
+    (name,) = [n for n in os.listdir(directory) if n.startswith("ckpt-")]
+    with open(os.path.join(directory, name), encoding="utf-8") as fh:
+        payload = json.load(fh)
+    image = payload["nodes"]["T"]
+    image["columns"] = list(reversed(image["columns"]))
+    with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
 
     annotated = annotate(figure1_vdp(), FIGURE1_ANNOTATIONS["ex21"])
-    with pytest.raises(MediatorError):
-        restore_mediator(annotated, sources, path)
+    with pytest.raises(MediatorError, match="columns"):
+        recover_from(annotated, sources, directory)

@@ -3,7 +3,7 @@
 A repository gets the ordered index on its first range σ (the QP's
 materialized read, the VAP's key-based σ below the join) and keeps it up to
 date through every write after that.  A repository built anew — a checkpoint
-restore (``install_repo``), selective re-initialization
+restore (``install_image``), selective re-initialization
 (``reinitialize_node``), crash recovery, a replica's promotion — starts
 without it: the next range σ builds it once, counted in ``index_rebuilds`` /
 ``rows_hashed``, and answers as the from-scratch recompute does.
@@ -12,7 +12,7 @@ without it: the next range σ builds it once, counted in ``index_rebuilds`` /
 import pytest
 
 from repro.core import annotate
-from repro.core.persistence import reinitialize_sources, restore_mediator, save_mediator
+from repro.core.persistence import reinitialize_sources
 from repro.correctness import recompute_all
 from repro.deltas import SetDelta
 from repro.durability import CheckpointPolicy, DurabilityManager, RecoveryManager
@@ -77,11 +77,11 @@ def test_checkpoint_restore(tmp_path):
     mediator, sources = figure1_mediator("ex23", seed=91)
     mediator.query(RANGE)
     assert indexed(mediator)
-    path = str(tmp_path / "mediator.snapshot")
-    save_mediator(mediator, path)
+    DurabilityManager.attach(mediator, str(tmp_path)).close()
     sources["db1"].execute(insert_r(30))
-    restored = restore_mediator(annotate(figure1_vdp(), FIGURE1_ANNOTATIONS["ex23"]), sources, path)
-    assert_built_once_and_correct(restored, sources)
+    annotated = annotate(figure1_vdp(), FIGURE1_ANNOTATIONS["ex23"])
+    restored = RecoveryManager(str(tmp_path)).recover(annotated, sources, on_stale="raise")
+    assert_built_once_and_correct(restored.mediator, sources)
 
 
 def test_selective_reinitialization():

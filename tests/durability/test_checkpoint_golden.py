@@ -2,12 +2,13 @@
 
 A checkpoint is the JSON image recovery starts from, so its bytes are
 pinned the same way the WAL's are: a change to the encoder (key order,
-separators, number formatting) or to what an incremental checkpoint
-images shows up here as a different digest.
+separators, number formatting, the canonical row order) or to what an
+incremental checkpoint images shows up here as a different digest.
 
-A repository's row order follows hash order, so the run happens in a child
-process under ``PYTHONHASHSEED=0`` whatever seed the suite itself runs
-under.
+Rows are written in one canonical order, so the bytes depend on the
+committed state alone: the run happens in-process under whatever hash seed
+the suite runs with, and two processes under different seeds write
+byte-identical checkpoint and WAL files.
 """
 
 import hashlib
@@ -19,13 +20,13 @@ from repro.durability import CheckpointPolicy, DurabilityManager
 from repro.workloads import figure1_mediator
 from repro.workloads.scenarios import figure1_sources
 
-#: sha256 of each checkpoint file the canned run leaves under
-#: ``PYTHONHASHSEED=0``, by file name.
+#: sha256 of each checkpoint file the canned run leaves, by file name, in
+#: the canonical-row-order format (rows sorted by their type-tagged values).
 GOLDEN_SHA256 = {
-    "ckpt-00000000.json": "6e245ff06502412a37e03e37f685742e6a9b6c0d785b237372ab349d4f470fd8",
-    "ckpt-00000001.json": "79f7127266aa2fc53e8970cc420d588aacfe7c2d9c1c6869176aa113ae1a3c53",
-    "ckpt-00000002.json": "70338d028237f797f85331cacc5048cd64af3f8fc565fef437444b327914a6c0",
-    "ckpt-00000003.json": "8a5573981ae965e168f221e9ecfcbe4e7359f62b99b0c52f92ed1ca1e8aff8b0",
+    "ckpt-00000000.json": "b2f05bac614505c9f9c7b161874dab61635ff3dcaf34e81e91a3736d8b6cb6eb",
+    "ckpt-00000001.json": "58062157322bcbc542440ed517decbf816a737024de4a2a6aeb1550c905a6a4b",
+    "ckpt-00000002.json": "66ca8b107a906472b7d8114c187245483205a4c00d26d41fd3f4fe73424aae87",
+    "ckpt-00000003.json": "60a7353264e9a6cd655a43643a934553820552bed56f485f388f2b6f94f2205b",
 }
 
 
@@ -61,16 +62,41 @@ def canned_run(directory):
     manager.close()
 
 
-def test_checkpoint_bytes_of_canned_run_are_pinned(tmp_path):
-    env = dict(os.environ, PYTHONHASHSEED="0")
-    subprocess.run([sys.executable, __file__, str(tmp_path)], env=env, check=True)
-    files = sorted(name for name in os.listdir(tmp_path) if name.startswith("ckpt-"))
-    digests = {
-        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        for name in files
+def digests(directory):
+    return {
+        name: hashlib.sha256(open(os.path.join(directory, name), "rb").read()).hexdigest()
+        for name in sorted(os.listdir(directory))
     }
-    assert digests == GOLDEN_SHA256
+
+
+def test_checkpoint_bytes_of_canned_run_are_pinned(tmp_path):
+    canned_run(str(tmp_path))
+    found = {name: d for name, d in digests(tmp_path).items() if name.startswith("ckpt-")}
+    assert found == GOLDEN_SHA256
+
+
+def test_canned_run_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    """This canned run and the WAL golden's, each in a child process under
+    hash seeds 1 and 2: every checkpoint and WAL file is byte-identical."""
+    runs = []
+    for seed in ("1", "2"):
+        directory = tmp_path / f"seed-{seed}"
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        subprocess.run([sys.executable, __file__, str(directory)], env=env, check=True)
+        runs.append(
+            {
+                (run, name): digest
+                for run in ("checkpoints", "wal")
+                for name, digest in digests(directory / run).items()
+            }
+        )
+    assert {name for run, name in runs[0] if run == "checkpoints"} >= set(GOLDEN_SHA256)
+    assert os.path.getsize(tmp_path / "seed-1" / "wal" / "wal.log") > 0
+    assert runs[0] == runs[1]
 
 
 if __name__ == "__main__":
-    canned_run(sys.argv[1])
+    from test_wal_golden import canned_run as wal_canned_run
+
+    canned_run(os.path.join(sys.argv[1], "checkpoints"))
+    wal_canned_run(os.path.join(sys.argv[1], "wal"))

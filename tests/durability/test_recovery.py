@@ -3,12 +3,12 @@
 import pytest
 
 from repro.core import annotate
-from repro.core.persistence import (
-    reinitialize_sources,
-    restore_mediator,
-    save_mediator,
+from repro.core.persistence import reinitialize_sources
+from repro.correctness import (
+    assert_materialized_correct,
+    assert_view_correct,
+    recompute_all,
 )
-from repro.correctness import assert_materialized_correct, assert_view_correct
 from repro.durability import (
     CheckpointPolicy,
     Commit,
@@ -21,6 +21,7 @@ from repro.deltas import SetDelta
 from repro.errors import MediatorError, SimulatedCrash, SnapshotStaleError
 from repro.faults import CrashPoint, CrashSchedule
 from repro.relalg import Row
+from repro.replication import ReplicaMediator
 from repro.workloads import FIGURE1_ANNOTATIONS, figure1_mediator, figure1_vdp
 
 
@@ -313,24 +314,24 @@ def test_traced_crash_run_validates_against_schema(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# restore_mediator: typed staleness and the reinit fallback
+# on_stale="raise": typed staleness, checked before any source is touched
 # ----------------------------------------------------------------------
 def stale_snapshot(tmp_path):
     mediator, sources = figure1_mediator("ex21", seed=31)
-    path = str(tmp_path / "mediator.snapshot")
-    save_mediator(mediator, path)
+    directory = str(tmp_path / "dur")
+    DurabilityManager.attach(mediator, directory).close()
     sources["db1"].insert("R", r1=64_000, r2=1, r3=1, r4=100)
     sources["db1"].insert("R", r1=64_001, r2=2, r3=2, r4=100)
     sources["db2"].insert("S", s1=64_002, s2=1, s3=7)
     sources["db1"].compact_log(sources["db1"].txn_count)
     annotated = annotate(figure1_vdp(), FIGURE1_ANNOTATIONS["ex21"])
-    return annotated, sources, path
+    return annotated, sources, directory
 
 
 def test_restore_stale_raises_typed_error_with_gap(tmp_path):
-    annotated, sources, path = stale_snapshot(tmp_path)
+    annotated, sources, directory = stale_snapshot(tmp_path)
     with pytest.raises(SnapshotStaleError) as excinfo:
-        restore_mediator(annotated, sources, path)
+        RecoveryManager(directory).recover(annotated, sources, on_stale="raise")
     gaps = excinfo.value.gaps
     assert set(gaps) == {"db1"}
     cursor, floor = gaps["db1"]
@@ -339,12 +340,92 @@ def test_restore_stale_raises_typed_error_with_gap(tmp_path):
 
 
 def test_restore_stale_reinit_fallback(tmp_path):
-    annotated, sources, path = stale_snapshot(tmp_path)
-    restored = restore_mediator(annotated, sources, path, on_stale="reinit")
-    drained_and_correct(restored)
+    annotated, sources, directory = stale_snapshot(tmp_path)
+    recovery = RecoveryManager(directory).recover(annotated, sources, on_stale="reinit")
+    assert recovery.reinitialized_sources == ("db1",)
+    drained_and_correct(recovery.mediator)
 
 
 def test_restore_rejects_unknown_on_stale(tmp_path):
-    annotated, sources, path = stale_snapshot(tmp_path)
+    annotated, sources, directory = stale_snapshot(tmp_path)
     with pytest.raises(MediatorError):
-        restore_mediator(annotated, sources, path, on_stale="panic")
+        RecoveryManager(directory).recover(annotated, sources, on_stale="panic")
+
+
+def test_raising_recovery_touches_no_source(tmp_path):
+    """Every source is checked before any announcement is taken: a stale
+    ``db2`` raises, and ``db1``'s pending announcement — which the live
+    mediator still has to deliver — is left where it was."""
+    mediator, sources = figure1_mediator("ex21", seed=34)
+    directory = str(tmp_path / "dur")
+    DurabilityManager.attach(mediator, directory).close()
+    db1, db2 = sources["db1"], sources["db2"]
+    db2.execute(insert_s(66_000))
+    db2.compact_log(db2.txn_count)
+    db1.execute(insert_r(66_001))
+    pending = {name: source.pending_announcement() for name, source in sources.items()}
+    assert not pending["db1"].is_empty()
+
+    annotated = annotate(figure1_vdp(), FIGURE1_ANNOTATIONS["ex21"])
+    with pytest.raises(SnapshotStaleError) as excinfo:
+        RecoveryManager(directory).recover(annotated, sources, on_stale="raise")
+    assert excinfo.value.gaps == {"db2": (0, 2)}
+    for name, source in sources.items():
+        assert source.pending_announcement() == pending[name], name
+
+    recovered = RecoveryManager(directory).recover(annotated, sources, on_stale="reinit")
+    truth = recompute_all(annotated.vdp, sources)
+    assert recovered.mediator.query_relation("T") == truth["T"]
+    drained_and_correct(recovered.mediator)
+
+
+# ----------------------------------------------------------------------
+# One restart path: recovery and promotion agree
+# ----------------------------------------------------------------------
+def restart(tmp_path, path):
+    """Base checkpoint, a replica bootstrapped from it, three logged
+    transactions (the WAL tail), then the primary dies; db2 commits one
+    transaction it never hears of (log past the cursor) and db1 two that
+    its log then compacts away.  Restart through ``path``."""
+    mediator, sources = figure1_mediator("ex21", seed=35)
+    directory = str(tmp_path / path)
+    manager = DurabilityManager.attach(
+        mediator, directory, policy=CheckpointPolicy(every_txns=100)
+    )
+    annotated = annotate(figure1_vdp(), FIGURE1_ANNOTATIONS["ex21"])
+    replica = ReplicaMediator("replica-0", annotated, sources, directory)
+    replica.resync_from_checkpoint(0.0)
+    for step in steps_mixed(3, base=67_000):
+        sources[step.source].execute(step.delta)
+        mediator.refresh()
+    manager.close()
+    sources["db2"].execute(insert_s(67_100))
+    sources["db1"].execute(insert_r(67_101))
+    sources["db1"].execute(insert_r(67_102))
+    sources["db1"].compact_log(sources["db1"].txn_count)
+    if path == "recover":
+        result = RecoveryManager(directory).recover(annotated, sources)
+        restarted = result.mediator
+    else:
+        result = replica.promote(1.0)
+        restarted = replica.mediator
+    assert result.wal_records_replayed == 3
+    assert result.replayed_txns == 1
+    truth = recompute_all(annotated.vdp, sources)
+    repos = {
+        name: restarted.store.repo(name) for name in annotated.nodes_with_storage()
+    }
+    for name in ("R_p", "S_p", "T"):
+        assert restarted.query_relation(name) == truth[name], name
+    drained_and_correct(restarted)
+    return repos, result.reinitialized_sources
+
+
+@pytest.mark.parametrize("path", ["recover", "promote"])
+def test_recovery_and_promotion_share_one_restart(tmp_path, path):
+    repos, reinitialized = restart(tmp_path, path)
+    other_repos, other_reinitialized = restart(
+        tmp_path, "promote" if path == "recover" else "recover"
+    )
+    assert reinitialized == other_reinitialized == ("db1",)
+    assert repos == other_repos

@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.correctness import recompute_all
+from repro.durability import CheckpointPolicy, CheckpointStore, DurabilityManager
 from repro.faults import ChannelFaults, CrashPoint, FaultPlan, OutageWindow
 from repro.obs import Tracer
-from repro.replication import ReplicationHarness
+from repro.replication import ReplicaMediator, ReplicationHarness
+from repro.workloads import figure1_mediator
 
 
 def test_no_promotion_while_primary_heartbeats():
@@ -177,3 +180,32 @@ def test_promotion_traces_failover_span_and_event():
         assert h.coordinator.promoted.mediator.replication.failovers == 1
     finally:
         h.close()
+
+
+def test_promotion_resolves_the_checkpoint_chain_once(tmp_path, monkeypatch):
+    """A replica behind the newest chain installs the chain promote()
+    resolved to learn that: the checkpoint files are parsed once."""
+    mediator, sources = figure1_mediator("ex21", seed=8)
+    directory = str(tmp_path)
+    manager = DurabilityManager.attach(
+        mediator, directory, policy=CheckpointPolicy(every_txns=2, every_wal_bytes=0)
+    )
+    replica = ReplicaMediator("replica-0", mediator.annotated, sources, directory)
+    replica.resync_from_checkpoint(0.0)
+    for i in range(5):
+        sources["db1"].insert("R", r1=70_000 + i, r2=i, r3=1, r4=100)
+        mediator.refresh()
+    manager.close()  # the primary dies; the replica applied nothing
+    assert replica.applied_txn == 0
+
+    loads = []
+    load_all = CheckpointStore.load_all
+    monkeypatch.setattr(
+        CheckpointStore, "load_all", lambda self: loads.append(1) or load_all(self)
+    )
+    result = replica.promote(1.0)
+    assert len(loads) == 1
+    assert replica.resyncs == 2  # bootstrap + the chain promote() resolved
+    assert result.wal_records_replayed == 1  # txn 5, past the txn-4 checkpoint
+    truth = recompute_all(mediator.vdp, sources)
+    assert replica.mediator.query_relation("T") == truth["T"]
